@@ -73,16 +73,13 @@ corpus-gen:
 		--count 60 --shard-size 20
 	PYTHONPATH=src $(PYTHON) -m repro -q corpus verify $(CORPUS_SMOKE_DIR)
 
-# Corpus pipeline smoke: generate + verify the sharded corpus, sweep it
-# with the differential engine (bulk == fast == reference on every
-# program) across 2 worker processes, then time the fast engine against
-# the bulk kernels.  No history records: the committed ledger only
-# carries deliberate runs.
+# Corpus pipeline smoke: generate + verify the sharded corpus, then
+# sweep it with the differential engine (fast == reference on every
+# program) across 2 worker processes.  No history records: the committed
+# ledger only carries deliberate runs.
 corpus-smoke: corpus-gen
 	PYTHONPATH=src $(PYTHON) -m repro -q corpus run $(CORPUS_SMOKE_DIR) \
 		--jobs 2 --engine differential --no-history
-	PYTHONPATH=src $(PYTHON) -m repro -q corpus bench $(CORPUS_SMOKE_DIR) \
-		--repeats 2 --no-history
 
 # Analysis-daemon smoke: boot the serve daemon with both transports
 # (JSONL-on-stdio subprocess + localhost HTTP), fire the same batched

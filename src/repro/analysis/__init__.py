@@ -17,9 +17,6 @@
   interprocedural mod-ref summaries RLE consults at call sites;
 * :mod:`repro.analysis.alias_pairs` — the static alias-pair metric of
   Table 5;
-* :mod:`repro.analysis.bulk` — the bitset-matrix bulk engine behind
-  ``--engine bulk``: picklable class-adjacency matrices with
-  AND/popcount (or numpy) counting kernels;
 * :mod:`repro.analysis.openworld` — factory for the incomplete-program
   variants of all three analyses (Section 4, Figure 12).
 """
@@ -38,7 +35,6 @@ from repro.analysis.smtyperefs import (
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.modref import ModRefAnalysis, ModRefSummary
 from repro.analysis.alias_pairs import AliasPairCounter, AliasPairReport, collect_heap_references
-from repro.analysis.bulk import BulkAliasMatrix, BulkCounts, build_matrix, default_backend
 from repro.analysis.openworld import make_analysis, ANALYSIS_NAMES, EXTRA_ANALYSIS_NAMES
 from repro.analysis.steensgaard import SteensgaardTypesOracle, SteensgaardFieldTypeRefsAnalysis
 from repro.analysis.trivial import AlwaysAliasAnalysis, NeverAliasAnalysis
@@ -62,10 +58,6 @@ __all__ = [
     "AliasPairCounter",
     "AliasPairReport",
     "collect_heap_references",
-    "BulkAliasMatrix",
-    "BulkCounts",
-    "build_matrix",
-    "default_backend",
     "make_analysis",
     "ANALYSIS_NAMES",
     "EXTRA_ANALYSIS_NAMES",

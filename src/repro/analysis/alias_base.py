@@ -14,8 +14,8 @@ asks O(e²) pair queries; caching makes that tractable, as the paper notes
 in Section 2.5).  Access paths are interned with dense integer uids
 (:mod:`repro.ir.access_path`), so the cache keys on an unordered
 ``(uid, uid)`` pair — no tree hashing on the query path — and
-:meth:`AliasAnalysis.may_alias_canonical` lets bulk clients that already
-hold canonical paths skip re-canonicalisation entirely.
+:meth:`AliasAnalysis.may_alias_canonical` lets pair-counting clients that
+already hold canonical paths skip re-canonicalisation entirely.
 
 Query and cache statistics are :mod:`repro.obs` counters: each instance
 owns child counters of the ``alias.cache.hits`` / ``alias.cache.misses``
@@ -40,18 +40,6 @@ class TypeOracle:
     name = "<oracle>"
 
     def types_compatible(self, p: AccessPath, q: AccessPath) -> bool:
-        raise NotImplementedError
-
-    def type_mask(self, t) -> int:
-        """The packed bitvector whose intersection decides compatibility.
-
-        Every concrete oracle's ``types_compatible`` reduces to
-        ``type_mask(t1) & type_mask(t2) != 0`` (masks always contain the
-        type's own bit, so the ``t1 is t2`` shortcut agrees).  The bulk
-        kernels (:mod:`repro.analysis.bulk`) bake these masks into their
-        query-equivalence signatures so all-pairs sweeps never call back
-        into per-pair Python code.
-        """
         raise NotImplementedError
 
 

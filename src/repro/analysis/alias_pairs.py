@@ -26,20 +26,14 @@ Two counting engines produce these numbers:
   identically.  Same-class pairs always alias and are counted
   combinatorially with no query at all; each cross-class pair costs one
   representative query (zero cases are skipped outright).
-* ``bulk`` — the bitset-matrix engine (:mod:`repro.analysis.bulk`):
-  the same partition idea lowered to packed bitvector kernels.  A
-  class-adjacency matrix is materialised once; the count itself is pure
-  AND/popcount (or numpy) arithmetic, and the matrix is picklable for
-  reuse across processes.
 
-``engine='differential'`` runs all engines and asserts they agree — the
-regression harness for the optimised paths.
+``engine='differential'`` runs both engines and asserts they agree — the
+regression harness for the optimised path.
 """
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.alias_base import AliasAnalysis
-from repro.analysis.bulk import BulkAliasMatrix
 from repro.analysis.fieldtypedecl import FieldTypeDeclAnalysis
 from repro.analysis.typedecl import TypeDeclAnalysis
 from repro.ir.access_path import AccessPath, Deref, Qualify, Subscript, VarRoot, strip_index
@@ -50,7 +44,7 @@ from repro.qa import guards
 from repro.util.bits import iter_bits, popcount
 
 #: Valid values for the ``engine`` argument of :class:`AliasPairCounter`.
-ENGINES = ("reference", "fast", "bulk", "differential")
+ENGINES = ("reference", "fast", "differential")
 
 #: Engine used when callers do not choose one.  The fast engine is the
 #: default; the differential test suite pins it to the reference loop.
@@ -207,29 +201,14 @@ class AliasPairCounter:
             return self._count_reference()
         if self.engine == "fast":
             return self._count_fast()
-        if self.engine == "bulk":
-            return self._count_bulk()
         reference = self._count_reference()
         fast = self._count_fast()
-        bulk = self._count_bulk()
-        if reference.counts() != fast.counts() or reference.counts() != bulk.counts():
+        if reference.counts() != fast.counts():
             raise AssertionError(
-                "alias-pair engines disagree for {}: reference={} fast={} "
-                "bulk={}".format(self.analysis.name, reference, fast, bulk)
+                "alias-pair engines disagree for {}: reference={} fast={}"
+                .format(self.analysis.name, reference, fast)
             )
         return fast
-
-    # ------------------------------------------------------------------
-    # Bulk engine: build the bitset matrix, count with pure kernels.
-
-    def _count_bulk(self) -> AliasPairReport:
-        matrix = BulkAliasMatrix.from_references(self.references, self.analysis)
-        counts = matrix.count_pairs()
-        report = AliasPairReport(self.analysis.name)
-        report.references = counts.references
-        report.local_pairs = counts.local_pairs
-        report.global_pairs = counts.global_pairs
-        return report
 
     # ------------------------------------------------------------------
     # Reference engine: one query per unordered reference pair.

@@ -2,9 +2,8 @@
 
 Every analysis in this package derives its answers from a small set of
 *facts* about one checked module — ``Subtypes(T)`` bitmasks, the
-``TypeRefsTable``, the ``AddressTaken`` record, Steensgaard's merge
-classes, and (since PR 5) the per-analysis :class:`~repro.analysis.bulk.
-BulkAliasMatrix`.  The serve layer (:mod:`repro.serve`) wants to persist
+``TypeRefsTable``, the ``AddressTaken`` record and Steensgaard's merge
+classes.  The serve layer (:mod:`repro.serve`) wants to persist
 those facts on disk keyed by content hash so an unchanged module never
 rebuilds them; this module is the bridge:
 
@@ -17,14 +16,13 @@ rebuilds them; this module is the bridge:
 * :class:`AnalysisWorldFacts` bundles the flattened facts of one
   (module, world) pair; :func:`collect_world_facts` builds it from an
   :class:`~repro.analysis.openworld.AnalysisContext` and its analyses.
-* :class:`ConfigFacts` carries the cached answer material of one
-  (analysis, world) configuration: the picklable bulk matrix plus its
-  Table 5 counts.
+* :class:`ConfigFacts` carries the cached answer of one (analysis,
+  world) configuration: its three Table 5 counts.
 * :class:`FactBundle` is the whole per-module cache partition: module
   and per-procedure content hashes, both worlds' flattened facts, and
   every configuration's :class:`ConfigFacts`.  It round-trips through
-  ``pickle`` (the matrix already defines its transient state) and pins
-  :data:`FACTS_SCHEMA_VERSION` so stale partitions read as misses.
+  ``pickle`` and pins :data:`FACTS_SCHEMA_VERSION` so stale partitions
+  read as misses.
 
 Procedure hashes are taken **at lower time** over each procedure's
 formatted IR (:func:`proc_ir_hashes`): two sources that lower to the
@@ -38,16 +36,16 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.address_taken import AddressTakenInfo
-from repro.analysis.bulk import BulkAliasMatrix
 from repro.analysis.steensgaard import SteensgaardTypesOracle
 from repro.analysis.smtyperefs import SMTypeRefsOracle
 from repro.analysis.typehierarchy import SubtypeOracle
 from repro.ir.cfg import ProgramIR
 from repro.ir.printer import format_proc
 
-#: Bumped whenever any exported fact layout (or the matrix pickle
-#: contract) changes; the fact cache treats other versions as misses.
-FACTS_SCHEMA_VERSION = 1
+#: Bumped whenever any exported fact layout changes; the fact cache
+#: treats other versions as misses.
+#: v2: :class:`ConfigFacts` holds the Table 5 counts only (no matrix).
+FACTS_SCHEMA_VERSION = 2
 
 
 def source_hash(source: str) -> str:
@@ -197,11 +195,10 @@ def collect_world_facts(context) -> AnalysisWorldFacts:
 
 @dataclass
 class ConfigFacts:
-    """Cached answer material of one (analysis, open_world) config."""
+    """Cached Table 5 counts of one (analysis, open_world) config."""
 
     analysis: str
     open_world: bool
-    matrix: BulkAliasMatrix
     references: int
     local_pairs: int
     global_pairs: int

@@ -280,9 +280,6 @@ class SMTypeRefsOracle(TypeOracle):
             return True
         return (self.type_refs_mask(tp) & self.type_refs_mask(tq)) != 0
 
-    def type_mask(self, t: Type) -> int:
-        return self.type_refs_mask(t)
-
 
 def SMFieldTypeRefsAnalysis(
     checked: CheckedModule,

@@ -26,9 +26,6 @@ class TypeDeclOracle(TypeOracle):
     def types_compatible(self, p: AccessPath, q: AccessPath) -> bool:
         return self.subtypes.compatible(p.type, q.type)
 
-    def type_mask(self, t) -> int:
-        return self.subtypes.subtype_mask(t)
-
 
 class TypeDeclAnalysis(AliasAnalysis):
     """May-alias = declared-type compatibility, nothing else."""

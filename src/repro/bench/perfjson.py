@@ -12,10 +12,8 @@ the engineering numbers this reproduction adds on top:
   pairs of one benchmark, in thousands of queries per second, with the
   memo-cache statistics;
 * ``table5`` — full-suite Table 5 wall time under the per-pair
-  ``reference`` engine, the partition-based ``fast`` engine and the
-  bitset-matrix ``bulk`` kernels (build time and pure re-count time
-  reported separately, plus the active backend), with the resulting
-  speedups;
+  ``reference`` engine and the partition-based ``fast`` engine, with the
+  resulting speedup;
 * ``serve`` — the warm-daemon vs cold single-shot row pair
   (``serve.warm`` / ``serve.cold``, :mod:`repro.serve.bench`): what the
   analysis-as-a-service layer saves on repeated queries.
@@ -32,7 +30,6 @@ import time
 from typing import Dict, List, Optional
 
 from repro.analysis import ANALYSIS_NAMES, AliasPairCounter, collect_heap_references
-from repro.analysis.bulk import BACKENDS, BulkAliasMatrix, default_backend
 from repro.analysis.openworld import AnalysisContext
 from repro.bench import registry
 from repro.bench.suite import BASE, BenchmarkSuite
@@ -44,7 +41,8 @@ from repro.obs import history
 #: ``bulk_ms``, ``bulk_backend``, ``speedup_bulk``).
 #: v3: new top-level ``serve`` section with the warm-daemon vs cold
 #: single-shot row pair (``serve.warm`` / ``serve.cold``).
-SCHEMA_VERSION = 3
+#: v4: the bulk-kernel rows are gone with the bulk engine.
+SCHEMA_VERSION = 4
 
 #: Keys every report must carry (the smoke test checks these).
 REPORT_KEYS = ("schema", "query_benchmark", "construction_ms",
@@ -135,34 +133,15 @@ def measure_table5_engines(suite: BenchmarkSuite,
             entry[0].cache_clear()
             entry[index].count()
 
-    matrices: List[BulkAliasMatrix] = []
-
-    def build_bulk() -> None:
-        matrices.clear()
-        for analysis, reference_counter, _ in counters:
-            analysis.cache_clear()
-            matrices.append(BulkAliasMatrix.from_references(
-                reference_counter.references, analysis))
-
-    def run_bulk() -> None:
-        for matrix in matrices:
-            matrix.count_pairs()
-
     with obs.span("quick.table5"):
         reference = _best(lambda: run(1), rounds)
         fast = _best(lambda: run(2), rounds)
-        bulk_build = _best(build_bulk, rounds)
-        bulk = _best(run_bulk, rounds)
     return {
         "programs": list(names),
         "analyses": list(ANALYSIS_NAMES),
         "reference_ms": round(reference * 1000, 3),
         "fast_ms": round(fast * 1000, 3),
-        "bulk_build_ms": round(bulk_build * 1000, 3),
-        "bulk_ms": round(bulk * 1000, 3),
-        "bulk_backend": default_backend(),
         "speedup": round(reference / max(fast, 1e-9), 2),
-        "speedup_bulk": round(fast / max(bulk, 1e-9), 2),
     }
 
 
@@ -239,10 +218,6 @@ def report_phases(report: Dict[str, object]) -> Dict[str, Dict[str, float]]:
         round(table5["reference_ms"] / 1000.0, 6)
     phases[history.SUITE_BUCKET]["quick.table5.fast"] = \
         round(table5["fast_ms"] / 1000.0, 6)
-    phases[history.SUITE_BUCKET]["quick.table5.bulk_build"] = \
-        round(table5["bulk_build_ms"] / 1000.0, 6)
-    phases[history.SUITE_BUCKET]["quick.table5.bulk"] = \
-        round(table5["bulk_ms"] / 1000.0, 6)
     serve = report["serve"]
     phases[history.SUITE_BUCKET]["serve.cold"] = \
         round(serve["cold_ms"] / 1000.0, 6)
@@ -267,9 +242,7 @@ def validate_report(report: Dict[str, object]) -> None:
         assert cache["misses"] == cache["size"] > 0
     table5 = report["table5"]
     assert table5["reference_ms"] > 0 and table5["fast_ms"] > 0
-    assert table5["bulk_build_ms"] > 0 and table5["bulk_ms"] > 0
-    assert table5["bulk_backend"] in BACKENDS
-    assert table5["speedup"] > 0 and table5["speedup_bulk"] > 0
+    assert table5["speedup"] > 0
     serve = report["serve"]
     assert serve["queries"] > 0 and serve["benchmarks"]
     assert serve["cold_ms"] > 0 and serve["warm_ms"] > 0

@@ -377,19 +377,24 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
             if _run_bench_suite(args, None) != 0:
                 bench_failed = True
             if args.corpus is not None:
-                # The corpus engine benchmark runs inside the measured
-                # segment so its corpus.table5.* phases land in the gate
-                # record and regress like any benchmark phase.
-                from repro.qa.corpus import bench_corpus
+                # The production corpus run happens inside the measured
+                # segment so its corpus.run phase lands in the gate record
+                # and regresses like any benchmark phase.
+                from repro.qa.corpus import run_corpus
 
                 try:
-                    bench_corpus(args.corpus, repeats=1,
-                                 max_shards=args.corpus_shards)
+                    corpus_report = run_corpus(
+                        args.corpus, jobs=1, max_shards=args.corpus_shards)
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except Exception as exc:
-                    log.error("gate: corpus bench failed: {}".format(exc))
+                    log.error("gate: corpus run errored: {}".format(exc))
                     bench_failed = True
+                else:
+                    if not corpus_report.ok:
+                        log.error("gate: corpus run failed on {} program(s)"
+                                  .format(len(corpus_report.failures)))
+                        bench_failed = True
             if args.serve:
                 # Same idea for the serving layer: the serve.cold /
                 # serve.warm phases land in the gate record, and the
@@ -961,44 +966,8 @@ def _corpus_run_body(args) -> int:
     return 1 if (report.failures or report.quarantined) else 0
 
 
-def cmd_corpus_bench(args) -> int:
-    from repro.qa.corpus import bench_corpus
-
-    recording = _HistoryRecording(enabled=not args.no_history)
-    with recording:
-        try:
-            phases = bench_corpus(
-                args.dir, repeats=args.repeats, max_shards=args.max_shards,
-                jobs=args.jobs or 1)
-        except (OSError, ValueError) as err:
-            log.error("corpus bench: {}".format(err))
-            return 2
-    recording.append(args.history, label="corpus-bench")
-    fast = phases["corpus.table5.fast"]
-    build = phases["corpus.bulk.build"]
-    bulk = phases["corpus.table5.bulk"]
-    shared = phases["corpus.table5.bulk_shared"]
-    speedup = (fast / bulk) if bulk > 0 else float("inf")
-    print("corpus bench: {} (program, analysis) counts, repeats={}".format(
-        int(phases["corpus.bench.programs"]), args.repeats))
-    print("  corpus.table5.fast : {:8.3f}s".format(fast))
-    print("  corpus.bulk.build  : {:8.3f}s (one-time, reusable matrices)"
-          .format(build))
-    print("  corpus.table5.bulk : {:8.3f}s".format(bulk))
-    print("  corpus.table5.bulk_shared : {:8.3f}s (mmap arena, {} B, "
-          "jobs={})".format(shared,
-                            int(phases["corpus.bulk.arena_bytes"]),
-                            args.jobs or 1))
-    print("  count speedup (fast/bulk): {:.1f}x".format(speedup))
-    if args.min_speedup is not None and speedup < args.min_speedup:
-        log.error("corpus bench: bulk speedup {:.1f}x below required {:.1f}x"
-                  .format(speedup, args.min_speedup))
-        return 1
-    return 0
-
-
 def cmd_corpus(args) -> int:
-    """Dispatch ``repro corpus gen|verify|run|bench``."""
+    """Dispatch ``repro corpus gen|verify|run``."""
     return args.corpus_func(args)
 
 
@@ -1079,8 +1048,8 @@ def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
         choices=ENGINES,
         default=DEFAULT_ENGINE,
         help="alias-pair counting engine: the partition-based fast path, "
-        "the per-pair reference loop, the bitset-matrix bulk kernels, or "
-        "differential (all + agreement check)",
+        "the per-pair reference loop, or differential (both + agreement "
+        "check)",
     )
 
 
@@ -1197,9 +1166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--md", metavar="FILE", default=None,
                    help="compare/gate: also write the report as markdown")
     p.add_argument("--corpus", metavar="DIR", default=None,
-                   help="gate: also time the corpus engine benchmark over "
-                   "this corpus each repeat, so corpus.table5.* phases "
-                   "are gated alongside the benchmarks")
+                   help="gate: also time a single-process corpus run over "
+                   "this corpus each repeat, so its corpus.run phase is "
+                   "gated alongside the benchmarks")
     p.add_argument("--corpus-shards", type=int, default=None, metavar="N",
                    help="gate: limit --corpus to its first N shards")
     p.add_argument("--serve", action="store_true",
@@ -1267,11 +1236,10 @@ def build_parser() -> argparse.ArgumentParser:
         "verify re-checks every shard hash; run drives the Table 5 count "
         "(and optionally the soundness oracles) over the shards with a "
         "multiprocessing pool and per-shard fault bulkheads, appending a "
-        "throughput record to the benchmark ledger; bench times the fast "
-        "engine against the bulk bitset kernels over the whole corpus.",
+        "throughput record to the benchmark ledger.",
     )
     corpus_sub = p.add_subparsers(dest="corpus_cmd", required=True,
-                                  metavar="{gen,verify,run,bench}")
+                                  metavar="{gen,verify,run}")
 
     cg = corpus_sub.add_parser("gen", help="render a corpus to disk")
     cg.add_argument("dir", help="output directory for shards + manifest")
@@ -1303,9 +1271,7 @@ def build_parser() -> argparse.ArgumentParser:
     cr.add_argument("dir")
     cr.add_argument("--jobs", type=int, default=None, metavar="N",
                     help="shard worker processes (default: cpu count)")
-    cr.add_argument("--engine", choices=("reference", "fast", "bulk",
-                                         "differential"), default="bulk",
-                    help="alias-pair engine for the count (default bulk)")
+    _add_engine_flag(cr)
     cr.add_argument("--analyses", metavar="NAME[,NAME...]", default=None,
                     help="comma-separated analyses (default: all three)")
     cr.add_argument("--oracles", action="store_true",
@@ -1335,29 +1301,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print one line per shard")
     _add_trace_flag(cr)
     cr.set_defaults(func=cmd_corpus, corpus_func=cmd_corpus_run)
-
-    cb = corpus_sub.add_parser(
-        "bench", help="fast vs bulk engine timing over a corpus")
-    cb.add_argument("dir")
-    cb.add_argument("--repeats", type=int, default=3,
-                    help="timed count repetitions per engine (default 3; "
-                    "the bulk matrices build once and re-count)")
-    cb.add_argument("--max-shards", type=int, default=None, metavar="N")
-    cb.add_argument("--jobs", type=int, default=None, metavar="N",
-                    help="worker processes for the shared-arena count "
-                    "phase; the forked pool inherits one read-only mmap "
-                    "arena instead of pickling matrices per worker "
-                    "(default 1 = in-process)")
-    cb.add_argument("--min-speedup", type=float, default=None, metavar="X",
-                    help="exit nonzero unless fast/bulk count speedup "
-                    "reaches X")
-    cb.add_argument("--history", metavar="FILE.jsonl",
-                    default="BENCH_history.jsonl",
-                    help="ledger to append the phase record to")
-    cb.add_argument("--no-history", action="store_true",
-                    help="do not append a ledger record")
-    _add_trace_flag(cb)
-    cb.set_defaults(func=cmd_corpus, corpus_func=cmd_corpus_bench)
 
     p = sub.add_parser(
         "serve",
@@ -1398,8 +1341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-sessions", type=int, default=64, metavar="N",
                    help="warm in-memory module sessions (default 64)")
     p.add_argument("--differential", action="store_true",
-                   help="pin every served count against the cold fast "
-                   "and reference engines (slower; for validation)")
+                   help="pin every served count against the cold "
+                   "reference engine (slower; for validation)")
     p.add_argument("--deadline-seconds", type=float, default=None,
                    metavar="S",
                    help="per-request wall-clock budget; an expired "

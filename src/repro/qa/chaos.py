@@ -1109,7 +1109,7 @@ def _run_corpus_battery(spec: ChaosPlanSpec, seed: int,
     violations: List[dict] = []
     with armed(plan_spec(spec.name).plan(seed)):
         report = run_corpus(
-            corpus_dir, jobs=2, engine="bulk",
+            corpus_dir, jobs=2,
             shard_timeout_seconds=2.5, max_shard_retries=1)
     quarantined = {q["index"] for q in report.quarantined}
     completed = {o.index for o in report.shards}

@@ -1,4 +1,4 @@
-"""Sharded corpus pipeline: ``repro corpus gen / verify / run / bench``.
+"""Sharded corpus pipeline: ``repro corpus gen / verify / run``.
 
 ``repro fuzz`` exercises the oracles one seeded program at a time; the
 corpus pipeline scales the same deterministic generator to 10³–10⁵
@@ -24,16 +24,8 @@ MiniM3 programs materialised on disk and drives batch work over them:
   :mod:`repro.obs.metrics` registry, so ``aliaspairs.*`` / cache
   counters aggregate across processes, and every shard contributes to
   the ``corpus.shard.programs`` / ``corpus.shard.pairs`` /
-  ``corpus.shard.seconds`` counter family.
-* :func:`bench_corpus` times the Table 5 count over the corpus once per
-  engine — the fast engine re-partitions on every count, while the bulk
-  engine builds its bitset matrix once and then re-counts with pure
-  kernels — reporting per-phase seconds (``corpus.table5.fast``,
-  ``corpus.bulk.build``, ``corpus.table5.bulk``,
-  ``corpus.table5.bulk_shared`` for the mmap-arena count, optionally
-  fanned over forked workers that share one mapping) that the CLI folds
-  into ``BENCH_history.jsonl`` so ``repro bench gate`` guards the hot
-  path.
+  ``corpus.shard.seconds`` counter family.  ``repro bench gate
+  --corpus`` times a single-process run inside its measured segment.
 
 Every program entry in a shard carries its generating seed *and* its
 rendered source hash; because generation is deterministic, workers can
@@ -48,8 +40,9 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.analysis.alias_pairs import DEFAULT_ENGINE
 from repro.obs import core as obs
 from repro.obs import metrics
 from repro.qa import chaos
@@ -70,7 +63,6 @@ __all__ = [
     "load_shard",
     "verify_corpus",
     "run_corpus",
-    "bench_corpus",
 ]
 
 #: Bumped whenever the manifest/shard layout changes.
@@ -779,7 +771,7 @@ def run_corpus(
     corpus_dir: Path,
     jobs: Optional[int] = None,
     analyses: Optional[Sequence[str]] = None,
-    engine: str = "bulk",
+    engine: str = DEFAULT_ENGINE,
     oracles: bool = False,
     per_program_seconds: Optional[float] = PER_PROGRAM_SECONDS,
     max_steps: int = 400_000,
@@ -856,167 +848,3 @@ def run_corpus(
     report.duration = time.monotonic() - started
     registry.new_counter("corpus.run.shards").inc(len(report.shards))
     return report
-
-
-# ----------------------------------------------------------------------
-# Engine benchmark over a corpus
-
-
-#: Fork-inherited arena for :func:`bench_corpus` worker processes; set
-#: in the parent immediately before the pool forks.
-_SHARED_ARENA = None
-
-
-def _count_arena_range(bounds: Tuple[int, int]) -> List[Tuple[int, int, int]]:
-    """Pool worker: count matrices ``[lo, hi)`` from the shared arena.
-
-    The arena mmap is inherited from the parent over ``fork``, so every
-    worker reads the same physical pages — no per-worker pickled copy.
-    """
-    lo, hi = bounds
-    return [_SHARED_ARENA.matrix(i).count_pairs().counts()
-            for i in range(lo, hi)]
-
-
-def bench_corpus(
-    corpus_dir: Path,
-    analyses: Optional[Sequence[str]] = None,
-    repeats: int = 1,
-    max_shards: Optional[int] = None,
-    jobs: int = 1,
-) -> Dict[str, float]:
-    """Per-phase seconds of the Table 5 count over a corpus, per engine.
-
-    Compiles every program once, then times four phases ``repeats``
-    times over the same inputs:
-
-    * ``corpus.table5.fast``  — the PR 1 fast engine, which re-runs its
-      partition + representative queries on every count;
-    * ``corpus.bulk.build``   — building each program's bitset matrices
-      (paid once; matrices are reusable and picklable);
-    * ``corpus.table5.bulk``  — re-counting from the prebuilt matrices
-      with pure kernels (the bulk hot path);
-    * ``corpus.table5.bulk_shared`` — re-counting from one read-only
-      mmap **arena** of the same matrices (lazy big-int views, zero
-      per-matrix copies); with ``jobs > 1`` the count fans out over a
-      forked pool whose workers inherit the mapping, sharing one set of
-      physical pages instead of pickling matrices per worker.
-
-    Counts are asserted equal between engines (and between the arena
-    and the in-memory matrices) on every program, so the benchmark
-    doubles as a corpus-wide differential test.
-    """
-    from repro import compile_program
-    from repro.analysis.alias_pairs import AliasPairCounter
-    from repro.analysis.bulk import BulkAliasMatrix
-    from repro.analysis.openworld import ANALYSIS_NAMES
-
-    corpus_dir = Path(corpus_dir)
-    manifest = load_manifest(corpus_dir)
-    analyses = tuple(analyses) if analyses else tuple(ANALYSIS_NAMES)
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-
-    shard_infos = list(manifest.shards)
-    if max_shards is not None:
-        shard_infos = shard_infos[:max_shards]
-    # One-time setup outside every timed phase: compile, build analyses,
-    # pre-collect the canonical reference maps.
-    counters: List[AliasPairCounter] = []
-    with obs.span("corpus.bench.setup"):
-        for info in shard_infos:
-            for entry in load_shard(corpus_dir, info, verify=True):
-                program = compile_program(entry["source"], entry["name"])
-                ir = program.pipeline.base().program
-                for analysis_name in analyses:
-                    counters.append(AliasPairCounter(
-                        ir, program.analysis(analysis_name), engine="fast"))
-
-    phases = {"corpus.table5.fast": 0.0, "corpus.bulk.build": 0.0,
-              "corpus.table5.bulk": 0.0}
-    fast_counts: List[Tuple[int, int, int]] = []
-    for _ in range(repeats):
-        with obs.span("corpus.table5.fast", programs=len(counters)):
-            started = time.perf_counter()
-            fast_counts = [c._count_fast().counts() for c in counters]
-            phases["corpus.table5.fast"] += time.perf_counter() - started
-
-    with obs.span("corpus.bulk.build", programs=len(counters)):
-        started = time.perf_counter()
-        matrices = [
-            BulkAliasMatrix.from_references(c.references, c.analysis)
-            for c in counters
-        ]
-        phases["corpus.bulk.build"] += time.perf_counter() - started
-
-    bulk_counts: List[Tuple[int, int, int]] = []
-    for _ in range(repeats):
-        with obs.span("corpus.table5.bulk", programs=len(matrices)):
-            started = time.perf_counter()
-            bulk_counts = [m.count_pairs().counts() for m in matrices]
-            phases["corpus.table5.bulk"] += time.perf_counter() - started
-
-    for i, (fast, bulk) in enumerate(zip(fast_counts, bulk_counts)):
-        if fast != bulk:
-            raise AssertionError(
-                "corpus bench: engines disagree on program {} ({}): "
-                "fast={} bulk={}".format(
-                    i, counters[i].analysis.name, fast, bulk))
-
-    shared_counts = _bench_shared_arena(matrices, phases, repeats, jobs)
-    for i, (bulk, shared) in enumerate(zip(bulk_counts, shared_counts)):
-        if bulk != shared:
-            raise AssertionError(
-                "corpus bench: arena disagrees on matrix {} ({}): "
-                "bulk={} shared={}".format(
-                    i, counters[i].analysis.name, bulk, shared))
-
-    phases["corpus.bench.programs"] = float(len(counters))
-    return phases
-
-
-def _bench_shared_arena(matrices, phases: Dict[str, float], repeats: int,
-                        jobs: int) -> List[Tuple[int, int, int]]:
-    """Time ``corpus.table5.bulk_shared`` and return the arena counts."""
-    import tempfile
-
-    from repro.analysis.bulkarena import open_arena, write_arena
-
-    global _SHARED_ARENA
-    shared_counts: List[Tuple[int, int, int]] = []
-    with tempfile.TemporaryDirectory(prefix="repro-arena-") as tmp:
-        arena_path = Path(tmp) / "matrices.arena"
-        with obs.span("corpus.bulk.arena_write", matrices=len(matrices)):
-            started = time.perf_counter()
-            write_arena(arena_path, matrices)
-            phases["corpus.bulk.arena_write"] = time.perf_counter() - started
-        phases["corpus.bulk.arena_bytes"] = float(
-            arena_path.stat().st_size)
-        with open_arena(arena_path) as arena:
-            n = len(arena)
-            chunk = max(1, (n + max(jobs, 1) - 1) // max(jobs, 1))
-            bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            phases["corpus.table5.bulk_shared"] = 0.0
-            for _ in range(repeats):
-                with obs.span("corpus.table5.bulk_shared", matrices=n,
-                              jobs=jobs):
-                    started = time.perf_counter()
-                    if jobs <= 1 or n == 0:
-                        shared_counts = [arena.matrix(i).count_pairs().counts()
-                                         for i in range(n)]
-                    else:
-                        # The pool must fork *after* the arena is open so
-                        # children inherit the mapping.
-                        _SHARED_ARENA = arena
-                        try:
-                            with multiprocessing.Pool(processes=jobs) as pool:
-                                shared_counts = [
-                                    c for part in pool.map(
-                                        _count_arena_range, bounds)
-                                    for c in part
-                                ]
-                        finally:
-                            _SHARED_ARENA = None
-                    phases["corpus.table5.bulk_shared"] += (
-                        time.perf_counter() - started)
-    return shared_counts

@@ -10,12 +10,12 @@ warm instead:
   queries) shared by both transports;
 * :mod:`repro.serve.factcache` — the versioned on-disk fact store:
   content-hashed per-module partitions holding subtype bitmasks, the
-  TypeRefsTable, AddressTaken, Steensgaard classes and the picklable
-  bulk alias matrices, with LRU eviction under a size cap;
+  TypeRefsTable, AddressTaken, Steensgaard classes and every served
+  configuration's Table 5 counts, with LRU eviction under a size cap;
 * :mod:`repro.serve.session` — the warm session manager: in-memory LRU
   of module sessions over the fact store, content-hash invalidation
   with per-procedure change accounting, and an optional differential
-  mode that pins every served answer to the cold engines;
+  mode that pins every served answer to the cold reference engine;
 * :mod:`repro.serve.daemon` — the long-running daemon: JSONL over
   stdio and a localhost HTTP shim, with per-request spans, counters and
   latency histograms in :mod:`repro.obs`;

@@ -669,7 +669,7 @@ def run_trace_smoke(source: str, cache_dir: str) -> dict:
                 # their records under it.
                 tracing.export_context(tracing.current_context(),
                                        store_dir=str(store_dir))
-                report = run_corpus(corpus_dir, jobs=2, engine="bulk")
+                report = run_corpus(corpus_dir, jobs=2)
             if report.failures or report.quarantined:
                 raise AssertionError(
                     "traced corpus run failed: {} failures, {} "

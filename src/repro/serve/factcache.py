@@ -2,8 +2,8 @@
 
 One **partition** per module content hash, holding that module's
 :class:`~repro.analysis.facts.FactBundle` (per-procedure hashes, both
-worlds' flattened facts, and every served configuration's bulk matrix +
-Table 5 counts).  Partitions are pickle files named by the content hash,
+worlds' flattened facts, and every served configuration's Table 5
+counts).  Partitions are pickle files named by the content hash,
 plus an ``index.json`` carrying sizes and an LRU clock, so:
 
 * an edit to one module only invalidates (i.e. re-keys) its own

@@ -18,8 +18,8 @@ Request fields:
   overrides ``open_world`` and ``"both"`` serves all six configurations
   in one response (closed rows first);
 * ``engine`` — reserved for parity with the CLI; the daemon always
-  answers from bulk matrices and (in differential mode) cross-checks
-  against the cold fast/reference engines.
+  counts with the fast engine and (in differential mode) cross-checks
+  against the cold reference engine.
 * ``trace_id`` — optional client-chosen trace id (a non-empty string);
   the daemon mints one when absent.  Every response echoes the id in a
   ``"trace"`` key — ok *and* error responses, so a fault injected

@@ -5,8 +5,8 @@ one :class:`ModuleSession` per *content hash* of served source, so
 
 * a repeated query never recompiles — answers come straight from the
   session's :class:`~repro.analysis.facts.FactBundle` (Table 5 counts
-  and bulk matrices are part of the bundle, so a warm ``alias`` query is
-  a dictionary lookup);
+  are part of the bundle, so a warm ``alias`` query is a dictionary
+  lookup);
 * a **miss** first consults the on-disk :class:`~repro.serve.factcache.
   FactStore` — a daemon restart, or a corpus of modules larger than the
   in-memory session cap, still answers without compiling;
@@ -36,7 +36,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import compile_program
 from repro.analysis import ANALYSIS_NAMES
 from repro.analysis.alias_pairs import AliasPairCounter
-from repro.analysis.bulk import build_matrix
 from repro.analysis.facts import (
     ConfigFacts,
     FactBundle,
@@ -227,7 +226,8 @@ class SessionManager:
         """``(references, local_pairs, global_pairs)`` for one config.
 
         Warm path: straight out of the bundle.  Cold path: build the
-        analysis + bulk matrix once, fold it into the bundle, persist.
+        analysis, count with the default engine, fold the counts into
+        the bundle, persist.
         """
         facts = session.bundle.config(analysis, open_world)
         if facts is not None:
@@ -238,15 +238,14 @@ class SessionManager:
                 _counter("facts.config_build").inc()
                 program = session.ensure_program()
                 alias = program.analysis(analysis, open_world=open_world)
-                matrix = build_matrix(session.base_program(), alias)
-                counts = matrix.count_pairs()
+                report = AliasPairCounter(
+                    session.base_program(), alias).count()
                 facts = ConfigFacts(
                     analysis=analysis,
                     open_world=open_world,
-                    matrix=matrix,
-                    references=counts.references,
-                    local_pairs=counts.local_pairs,
-                    global_pairs=counts.global_pairs,
+                    references=report.references,
+                    local_pairs=report.local_pairs,
+                    global_pairs=report.global_pairs,
                 )
             session.bundle.add_config(facts)
             self._persist(session.bundle)
@@ -303,17 +302,20 @@ class SessionManager:
     def _differential_check(self, session: ModuleSession, analysis: str,
                             open_world: bool,
                             served: Tuple[int, int, int]) -> None:
-        """Pin one served answer against the cold fast + reference engines."""
+        """Pin one served answer against the cold reference engine.
+
+        The served counts come from the fast engine, so the reference
+        loop is the only independent check.
+        """
         program = session.ensure_program()
         alias = program.analysis(analysis, open_world=open_world)
-        for engine in ("fast", "reference"):
-            report = AliasPairCounter(
-                session.base_program(), alias, engine=engine).count()
-            if report.counts() != served:
-                raise DifferentialMismatch(
-                    "served {} ({}, open_world={}) = {} but {} engine = {}"
-                    .format(session.name, analysis, open_world, served,
-                            engine, report.counts()))
+        report = AliasPairCounter(
+            session.base_program(), alias, engine="reference").count()
+        if report.counts() != served:
+            raise DifferentialMismatch(
+                "served {} ({}, open_world={}) = {} but reference engine = {}"
+                .format(session.name, analysis, open_world, served,
+                        report.counts()))
         _counter("differential.checks").inc()
 
     # -- introspection --------------------------------------------------

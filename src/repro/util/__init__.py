@@ -11,8 +11,8 @@ across the front end, the analyses, and the runtime:
   harness (the paper's tables are regenerated as aligned text tables).
 * :mod:`~repro.util.bits` — popcount / bit-iteration primitives over the
   big-int packed bitvectors used by the subtype masks, the TypeRefsTable
-  and the bulk alias kernels (``int.bit_count`` on 3.10+, with a 3.9
-  fallback).
+  and the Table 5 procedure masks (``int.bit_count`` on 3.10+, with a
+  3.9 fallback).
 """
 
 from repro.util.unionfind import UnionFind

@@ -1,10 +1,9 @@
 """Bit-manipulation primitives shared by the bitmask-based layers.
 
 Python big integers are the repository's packed bitvector type: subtype
-sets (:mod:`repro.analysis.typehierarchy`), ``TypeRefsTable`` rows,
-procedure-occupancy masks in the Table 5 counters, and the bulk alias
-kernels (:mod:`repro.analysis.bulk`) all store one bit per dense index
-and decide queries with ``&``.  The two operations every one of those
+sets (:mod:`repro.analysis.typehierarchy`), ``TypeRefsTable`` rows and
+procedure-occupancy masks in the Table 5 counters all store one bit per
+dense index and decide queries with ``&``.  The two operations every one of those
 call sites needs are
 
 * :func:`popcount` — number of set bits.  ``int.bit_count()`` arrived in

@@ -1,17 +1,16 @@
-"""Differential test for the three alias-pair counting engines.
+"""Differential test for the two alias-pair counting engines.
 
-The partition-based ``fast`` engine and the bitset-matrix ``bulk``
-engine must produce byte-identical Table 5 counts to the per-pair
-``reference`` loop, for every bundled benchmark, every analysis
-(including the Steensgaard baseline and the trivial analyses exercising
-the generic fallback), closed and open world.  The ``differential``
-engine runs all three and raises AssertionError on any mismatch.
-(``tests/analysis/test_bulk.py`` covers the matrix object itself and a
-200-seed generated-program sweep.)
+The partition-based ``fast`` engine must produce byte-identical Table 5
+counts to the per-pair ``reference`` loop, for every bundled benchmark,
+every analysis (including the Steensgaard baseline and the trivial
+analyses exercising the generic fallback), closed and open world, and
+for a 200-seed sweep of generated programs.  The ``differential`` engine
+runs both and raises AssertionError on any mismatch.
 """
 
 import pytest
 
+from repro import compile_program
 from repro.analysis import (
     ANALYSIS_NAMES,
     EXTRA_ANALYSIS_NAMES,
@@ -22,6 +21,10 @@ from repro.analysis import (
 from repro.analysis.openworld import AnalysisContext
 from repro.bench import registry
 from repro.bench.suite import BASE
+from repro.qa.generator import GenConfig, generate_program
+
+FUZZ_SEEDS = 200
+FUZZ_CONFIG = GenConfig(max_object_types=4, max_procs=3, max_stmts=14)
 
 
 @pytest.mark.parametrize("name", registry.benchmark_names())
@@ -52,10 +55,25 @@ def test_generic_fallback_agrees(suite, analysis):
     AliasPairCounter(base.program, analysis, engine="differential").count()
 
 
+def test_fuzz_seeds_fast_matches_reference():
+    """fast == reference over a wide range of generated shapes."""
+    for seed in range(FUZZ_SEEDS):
+        generated = generate_program(seed, FUZZ_CONFIG)
+        program = compile_program(generated.render(), generated.name)
+        ir = program.pipeline.base().program
+        for analysis_name in ANALYSIS_NAMES:
+            analysis = program.analysis(analysis_name)
+            AliasPairCounter(ir, analysis, engine="differential").count()
+
+
 def test_unknown_engine_rejected(suite):
     base = suite.build("format", BASE)
     program = suite.program("format")
     with pytest.raises(ValueError):
         AliasPairCounter(
             base.program, program.analysis("TypeDecl"), engine="bogus"
+        )
+    with pytest.raises(ValueError):
+        AliasPairCounter(
+            base.program, program.analysis("TypeDecl"), engine="bulk"
         )

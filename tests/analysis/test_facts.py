@@ -119,25 +119,22 @@ def test_bundle_versioning_and_pickle_roundtrip():
 @pytest.mark.parametrize("analysis", ["TypeDecl", "SMFieldTypeRefs"])
 def test_config_facts_store_counts_per_configuration(analysis):
     from repro.analysis.alias_pairs import AliasPairCounter
-    from repro.analysis.bulk import build_matrix
     from repro.analysis.facts import ConfigFacts
 
     program = compile_program(SOURCE, "facts.m3")
     base = program.base().program
     alias = program.analysis(analysis)
-    matrix = build_matrix(base, alias)
-    counts = matrix.count_pairs()
+    report = AliasPairCounter(base, alias, engine="fast").count()
     facts = ConfigFacts(
-        analysis=analysis, open_world=False, matrix=matrix,
-        references=counts.references, local_pairs=counts.local_pairs,
-        global_pairs=counts.global_pairs)
+        analysis=analysis, open_world=False,
+        references=report.references, local_pairs=report.local_pairs,
+        global_pairs=report.global_pairs)
     assert facts.counts() == \
-        AliasPairCounter(base, alias, engine="fast").count().counts()
+        AliasPairCounter(base, alias, engine="reference").count().counts()
 
     bundle = new_bundle("Facts", source_hash(SOURCE), {})
     bundle.add_config(facts)
     assert bundle.config(analysis, False) is facts
     assert bundle.config(analysis, True) is None
-    # The matrix's transient caches stay out of the pickle payload.
     restored = pickle.loads(pickle.dumps(bundle))
     assert restored.config(analysis, False).counts() == facts.counts()

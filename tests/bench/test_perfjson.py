@@ -46,8 +46,7 @@ def test_report_phases_maps_report_numbers_to_seconds():
         "query_benchmark": "m3cg",
         "construction_ms": {"TypeDecl": 2.5},
         "query_throughput": {"TypeDecl": {"ms": 10.0}},
-        "table5": {"reference_ms": 100.0, "fast_ms": 20.0,
-                   "bulk_build_ms": 5.0, "bulk_ms": 2.0},
+        "table5": {"reference_ms": 100.0, "fast_ms": 20.0},
         "serve": {"cold_ms": 50.0, "warm_ms": 1.0},
     }
     phases = perfjson.report_phases(report)
@@ -55,8 +54,6 @@ def test_report_phases_maps_report_numbers_to_seconds():
     assert phases["m3cg"]["quick.query.TypeDecl"] == 0.01
     assert phases[SUITE_BUCKET]["quick.table5.reference"] == 0.1
     assert phases[SUITE_BUCKET]["quick.table5.fast"] == 0.02
-    assert phases[SUITE_BUCKET]["quick.table5.bulk_build"] == 0.005
-    assert phases[SUITE_BUCKET]["quick.table5.bulk"] == 0.002
     assert phases[SUITE_BUCKET]["serve.cold"] == 0.05
     assert phases[SUITE_BUCKET]["serve.warm"] == 0.001
 

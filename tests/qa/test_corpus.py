@@ -1,7 +1,7 @@
-"""Sharded corpus pipeline: generation, integrity, runs, kernels.
+"""Sharded corpus pipeline: generation, integrity and runs.
 
 Everything here runs on tiny corpora (a dozen programs) — the
-1k-program throughput runs live behind ``repro corpus bench`` and the
+larger throughput runs live behind ``repro bench gate --corpus`` and the
 Makefile, not the unit suite.
 """
 
@@ -11,7 +11,6 @@ import pytest
 
 from repro.qa.corpus import (
     CorpusSpec,
-    bench_corpus,
     generate_corpus,
     load_manifest,
     load_shard,
@@ -76,20 +75,20 @@ def test_verify_detects_tampering(tmp_path):
 
 
 def test_run_in_process(corpus_dir):
-    report = run_corpus(corpus_dir, jobs=1, engine="bulk")
+    report = run_corpus(corpus_dir, jobs=1)
     assert report.ok
     assert report.programs == 12
     assert report.compiled == 12
     assert report.references > 0
     assert report.jobs == 1
     data = report.to_json()
-    assert data["engine"] == "bulk"
+    assert data["engine"] == "fast"
     assert len(data["shards"]) == 3
 
 
 def test_run_jobs_match_and_merge_is_deterministic(corpus_dir):
-    serial = run_corpus(corpus_dir, jobs=1, engine="bulk")
-    pooled = run_corpus(corpus_dir, jobs=2, engine="bulk")
+    serial = run_corpus(corpus_dir, jobs=1)
+    pooled = run_corpus(corpus_dir, jobs=2)
     assert pooled.jobs == 2
     for a, b in zip(serial.shards, pooled.shards):
         assert (a.index, a.programs, a.references, a.local_pairs,
@@ -98,11 +97,11 @@ def test_run_jobs_match_and_merge_is_deterministic(corpus_dir):
 
 
 def test_run_differential_engine(corpus_dir):
-    bulk = run_corpus(corpus_dir, jobs=1, engine="bulk", max_shards=1)
+    fast = run_corpus(corpus_dir, jobs=1, max_shards=1)
     diff = run_corpus(corpus_dir, jobs=1, engine="differential", max_shards=1)
     assert diff.ok
     assert (diff.local_pairs, diff.global_pairs) == \
-        (bulk.local_pairs, bulk.global_pairs)
+        (fast.local_pairs, fast.global_pairs)
     assert diff.programs == 5  # max_shards limited the sweep
 
 
@@ -143,26 +142,6 @@ def test_oracles_catch_seed_drift(tmp_path):
     assert any("regenerate" in f["message"] for f in report.failures)
     # The bulkhead held: the rest of the shard still ran.
     assert report.shards[0].programs == 5
-
-
-def test_bench_corpus_counts_agree(corpus_dir):
-    phases = bench_corpus(corpus_dir, repeats=2)
-    # 12 programs x 3 analyses = 36 (program, analysis) counts.
-    assert phases["corpus.bench.programs"] == 36
-    assert phases["corpus.table5.fast"] > 0.0
-    assert phases["corpus.bulk.build"] > 0.0
-    assert phases["corpus.table5.bulk"] > 0.0
-    # The mmap-arena recount ran and produced the same counts (the
-    # bench asserts equality internally; here we pin the phase keys).
-    assert phases["corpus.table5.bulk_shared"] > 0.0
-    assert phases["corpus.bulk.arena_bytes"] > 0.0
-
-
-def test_bench_corpus_shared_arena_with_workers(corpus_dir):
-    """jobs>1: forked workers count from the inherited arena mapping."""
-    phases = bench_corpus(corpus_dir, repeats=1, jobs=2)
-    assert phases["corpus.bench.programs"] == 36
-    assert phases["corpus.table5.bulk_shared"] > 0.0
 
 
 def test_manifest_header_and_shard_stream(corpus_dir):
@@ -209,7 +188,7 @@ def test_v1_manifest_back_compat(tmp_path):
     assert [s.sha256 for s in iter_shards(out)] == \
         [s.sha256 for s in manifest.shards]
     assert verify_corpus(out).n_programs == 12
-    report = run_corpus(out, jobs=1, engine="bulk", max_shards=1)
+    report = run_corpus(out, jobs=1, max_shards=1)
     assert report.ok and report.programs == 5
 
 

@@ -1,5 +1,7 @@
 """The on-disk fact store: hits, misses, corruption, budget eviction."""
 
+import pytest
+
 from repro.analysis.facts import FACTS_SCHEMA_VERSION, new_bundle
 from repro.obs import metrics
 from repro.serve.factcache import FactStore
@@ -109,3 +111,87 @@ def test_drop_removes_partition(tmp_path):
     store.drop(bundle.module_hash)
     assert store.keys() == []
     assert not list(tmp_path.glob("facts-*.pkl"))
+
+
+STALE_SOURCE = """
+MODULE Stale;
+
+TYPE
+  T = OBJECT f: T; n: INTEGER; END;
+
+VAR root: T;
+
+PROCEDURE Link (p, q: T) =
+BEGIN
+  p.f := q;
+  q.n := p.n + 1;
+END Link;
+
+BEGIN
+  root := NEW (T);
+  Link (root, NEW (T));
+END Stale.
+"""
+
+
+def test_schema_v1_partition_with_bulk_matrix_is_rebuilt(tmp_path,
+                                                         monkeypatch):
+    """A v1 partition pickles a ``repro.analysis.bulk.BulkAliasMatrix``
+    inside every config; that module no longer exists.  Loading it must
+    count as corrupt, drop it, and rebuild the right counts."""
+    import pickle
+    import sys
+    import types
+
+    from repro.analysis import ANALYSIS_NAMES
+    from repro.analysis.facts import ConfigFacts, source_hash
+    from repro.serve.session import SessionManager
+
+    # Pickle the v1 layout through a stand-in for the deleted module, so
+    # the bytes reference it exactly as a v1 build's partitions do.
+    stub = types.ModuleType("repro.analysis.bulk")
+    BulkAliasMatrix = type("BulkAliasMatrix", (), {"__module__": stub.__name__})
+    stub.BulkAliasMatrix = BulkAliasMatrix
+    monkeypatch.setitem(sys.modules, stub.__name__, stub)
+
+    key = source_hash(STALE_SOURCE)
+    stale = new_bundle("Stale", key, {})
+    stale.schema = 1
+    for name in ANALYSIS_NAMES:
+        facts = ConfigFacts(analysis=name, open_world=False, references=999,
+                            local_pairs=999, global_pairs=999)
+        facts.matrix = BulkAliasMatrix()
+        stale.add_config(facts)
+    metrics.registry().reset()
+    store = FactStore(tmp_path)
+    store.store(stale)
+    monkeypatch.delitem(sys.modules, stub.__name__)
+    payload = next(tmp_path.glob("facts-*.pkl")).read_bytes()
+    assert b"repro.analysis.bulk" in payload
+    assert b"BulkAliasMatrix" in payload
+    with pytest.raises(ImportError):
+        pickle.loads(payload)
+
+    manager = SessionManager(store=store)
+    session = manager.lookup(STALE_SOURCE)
+    assert _count("corrupt") == 1
+    assert _count("hit") == 0
+    rows = manager.tables(session, open_world=False)
+
+    from repro import compile_program
+    from repro.analysis.alias_pairs import AliasPairCounter
+
+    program = compile_program(STALE_SOURCE, "stale.m3")
+    base = program.base().program
+    for row in rows:
+        want = AliasPairCounter(base, program.analysis(row["analysis"]),
+                                engine="reference").count().counts()
+        assert (row["references"], row["local_pairs"],
+                row["global_pairs"]) == want
+        assert row["references"] != 999
+
+    # The rebuilt partition is current and serves the same counts.
+    reloaded = FactStore(tmp_path).load(key)
+    assert reloaded is not None and reloaded.schema == FACTS_SCHEMA_VERSION
+    assert [reloaded.config(r["analysis"], False).counts() for r in rows] == \
+        [(r["references"], r["local_pairs"], r["global_pairs"]) for r in rows]
