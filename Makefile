@@ -117,17 +117,23 @@ trace-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro -q client --trace-smoke
 
 # Observability smoke: `repro profile` over two bundled benchmarks with
-# the tree-sum check on, JSONL traces written and validated against the
-# pinned schema.
+# the tree-sum check on, each --trace record validated by the shared
+# JSONL validator, and one of them opened in the trace viewer as a
+# one-segment store.
+PROFILE_SMOKE_DIR = benchmarks/results/profile-smoke
 profile-smoke:
-	@mkdir -p benchmarks/results/profile-smoke
+	@mkdir -p $(PROFILE_SMOKE_DIR)
 	PYTHONPATH=src $(PYTHON) -m repro -q profile m3cg --check \
-		--trace benchmarks/results/profile-smoke/m3cg.jsonl
+		--trace $(PROFILE_SMOKE_DIR)/m3cg.jsonl
 	PYTHONPATH=src $(PYTHON) -m repro -q profile slisp --check \
-		--trace benchmarks/results/profile-smoke/slisp.jsonl
-	PYTHONPATH=src $(PYTHON) -m repro.obs.trace \
-		benchmarks/results/profile-smoke/m3cg.jsonl \
-		benchmarks/results/profile-smoke/slisp.jsonl
+		--trace $(PROFILE_SMOKE_DIR)/slisp.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro.obs.jsonl \
+		$(PROFILE_SMOKE_DIR)/m3cg.jsonl $(PROFILE_SMOKE_DIR)/slisp.jsonl
+	PYTHONPATH=src $(PYTHON) -m repro -q trace show \
+		"$$(PYTHONPATH=src $(PYTHON) -m repro -q trace export \
+			--store $(PROFILE_SMOKE_DIR)/slisp.jsonl \
+			| $(PYTHON) -c 'import json, sys; print(json.load(sys.stdin)["trace"])')" \
+		--store $(PROFILE_SMOKE_DIR)/slisp.jsonl
 
 clean:
 	rm -rf .pytest_cache .hypothesis benchmarks/results \

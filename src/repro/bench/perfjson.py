@@ -34,7 +34,7 @@ from repro.analysis.openworld import AnalysisContext
 from repro.bench import registry
 from repro.bench.suite import BASE, BenchmarkSuite
 from repro.obs import core as obs
-from repro.obs import history
+from repro.obs import history, jsonl
 
 #: Bumped whenever the JSON layout changes.
 #: v2: ``table5`` gained the bulk-kernel rows (``bulk_build_ms``,
@@ -295,7 +295,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.history is not None:
         record = history.collect_record(
             "bench-quick", extra_phases=report_phases(report))
-        history.append_record(args.history, record)
+        jsonl.append(args.history, record)
         print("appended {} record to {} (sha {})".format(
             record["label"], args.history,
             (record["git_sha"] or "unknown")[:12]))

@@ -26,8 +26,9 @@ the others, and the exit code reflects the aggregate outcome.
 
 Cross-cutting flags: ``-q``/``-v`` before the command select the logging
 level (:mod:`repro.obs.log`); ``--trace FILE.jsonl`` on the analysis
-commands enables the span recorder and writes a schema-pinned JSONL
-trace on exit (:mod:`repro.obs.trace`).
+commands enables the span recorder and writes one ``trace_record`` on
+exit — every span plus the metric registry — which ``repro trace
+show ID --store FILE.jsonl`` opens (:mod:`repro.obs.tracestore`).
 """
 
 import argparse
@@ -235,10 +236,10 @@ class _HistoryRecording:
         """Collect a ledger record from the recorded run and append it."""
         if not self.enabled:
             return None
-        from repro.obs import history
+        from repro.obs import history, jsonl
 
         record = history.collect_record(label, extra_phases=extra_phases)
-        history.append_record(path, record)
+        jsonl.append(path, record)
         log.info("history: appended {} record to {} (sha {})".format(
             label, path, (record["git_sha"] or "unknown")[:12]))
         return record
@@ -344,7 +345,7 @@ def _thresholds(args) -> dict:
 def _cmd_bench_gate(args, rest: List[str]) -> int:
     """``repro bench gate --baseline REF`` — measure HEAD, compare, exit
     nonzero on a noise-banded regression (or on a failed benchmark)."""
-    from repro.obs import history, regress
+    from repro.obs import history, jsonl, regress
 
     if rest:
         log.error("bench gate takes no positional arguments; got {!r}"
@@ -429,7 +430,7 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
         record = history.collect_record("gate")
         new_records.append(record)
         if not args.no_history:
-            history.append_record(args.history, record)
+            jsonl.append(args.history, record)
     thresholds = _thresholds(args)
     report = regress.compare_records(baseline, new_records, **thresholds)
     _write_comparison(args, report)
@@ -532,7 +533,6 @@ def cmd_serve(args) -> int:
                     slo_ms=args.slo_ms, slow_ms=args.slow_ms,
                     access_log_path=args.access_log,
                     access_log_sample=args.access_log_sample,
-                    journal_size=args.journal_size,
                     sampler=HeadSampler(args.trace_sample_rate),
                     trace_store=(TraceStore(trace_store_dir)
                                  if trace_store_dir else None))
@@ -569,6 +569,7 @@ def cmd_client(args) -> int:
     import json
     import tempfile
 
+    from repro.obs.profile import render_span_tree
     from repro.serve import client as serve_client
 
     if args.smoke:
@@ -624,7 +625,7 @@ def cmd_client(args) -> int:
     print(json.dumps(response, indent=2, sort_keys=True))
     if args.debug:
         print("-- trace {} --".format(response.get("trace", "?")))
-        print(serve_client.format_span_tree(spans or []))
+        print(render_span_tree(spans or []))
     return 0 if response.get("ok") else 1
 
 
@@ -1058,8 +1059,9 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
         "--trace",
         metavar="FILE.jsonl",
         default=None,
-        help="enable the span recorder and write a schema-pinned JSONL "
-        "trace (one object per span/metric) on exit",
+        help="enable the span recorder and write one JSONL trace record "
+        "(every span plus the metric registry) on exit; 'repro trace "
+        "show ID --store FILE.jsonl' renders it",
     )
 
 
@@ -1311,7 +1313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "produces one response line on stdout.  --http additionally "
         "binds a localhost HTTP shim (POST /v1/query, GET /v1/ping, "
         "GET /v1/stats, GET /v1/metrics in Prometheus text, GET "
-        "/v1/requests for the recent-request journal; see repro top). "
+        "/v1/requests for the newest journalled requests; see repro top). "
         "Derived facts persist in a content-hashed, "
         "versioned on-disk store, so an edited module only invalidates "
         "its own partition and a restarted daemon answers warm.",
@@ -1362,9 +1364,6 @@ def build_parser() -> argparse.ArgumentParser:
                    "(off unless given)")
     p.add_argument("--access-log-sample", type=int, default=1, metavar="N",
                    help="log every Nth slow request (default 1 = all)")
-    p.add_argument("--journal-size", type=int, default=256, metavar="N",
-                   help="recent-request journal ring capacity "
-                   "(GET /v1/requests; default 256)")
     p.add_argument("--trace-sample-rate", type=float,
                    default=SERVE_SAMPLE_RATE, metavar="R",
                    help="always-on head-sampling rate in [0, 1]: each "
@@ -1451,7 +1450,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live terminal dashboard over a serving daemon",
         description="Poll a daemon's /v1/metrics, /v1/requests and "
         "/v1/ping endpoints and render throughput, per-op latency "
-        "quantiles (streaming P2 gauges), SLO ok/breach counts, cache "
+        "quantiles (exact over the last hour), SLO ok/breach counts, cache "
         "hit rates, degraded/draining state and the slowest recent "
         "traces.  --once renders a single frame and exits (the CI "
         "mode); live mode refreshes every --interval seconds until "
@@ -1479,14 +1478,16 @@ def build_parser() -> argparse.ArgumentParser:
         "forked corpus workers — into a single parent-linked span tree "
         "with process boundaries marked; top aggregates total/self "
         "milliseconds per phase (or per op) across every stored record; "
-        "export dumps raw records as JSONL.",
+        "export dumps raw records as JSONL.  --store also accepts the "
+        "single-record file a --trace FILE.jsonl run writes.",
     )
     trace_sub = p.add_subparsers(dest="trace_cmd", required=True,
                                  metavar="{ls,show,top,export}")
 
     def _store_flag(sp) -> None:
         sp.add_argument("--store", default=None, metavar="DIR",
-                        help="trace store directory (default: "
+                        help="trace store directory, or one --trace "
+                        "FILE.jsonl (default: "
                         "$REPRO_TRACE_STORE, else .repro-traces)")
 
     tl = trace_sub.add_parser("ls", help="one summary line per trace")
@@ -1523,7 +1524,8 @@ def build_parser() -> argparse.ArgumentParser:
         "name), build every analysis level, run the Table 5 alias-pair "
         "count and the RLE pipeline under the span recorder, then print "
         "a phase-time tree (span times, share of total) and the top-N "
-        "counter table.  --trace additionally writes the JSONL trace.",
+        "counter table.  --trace additionally writes the JSONL trace "
+        "record.",
     )
     p.add_argument("target",
                    help="path to a .m3 file, or a registered benchmark name")
@@ -1596,17 +1598,26 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(args, trace_path: Optional[str]) -> int:
-    """Run the subcommand; flush the JSONL trace even when it fails."""
+    """Run the subcommand; flush the trace record even when it fails."""
     if trace_path is None:
         return args.func(args)
+    started = time.perf_counter()
+    rc = 1
     try:
-        return args.func(args)
+        rc = args.func(args)
+        return rc
     finally:
-        from repro.obs.trace import write_trace
+        from repro.obs import jsonl
+        from repro.obs.tracestore import batch_record
 
         obs.disable()
-        lines = write_trace(trace_path)
-        log.info("trace: wrote {} ({} lines)".format(trace_path, lines))
+        record = batch_record(args.command,
+                              (time.perf_counter() - started) * 1000.0,
+                              ok=rc == 0)
+        with open(trace_path, "w", encoding="utf-8") as handle:
+            handle.write(jsonl.encode(record) + "\n")
+        log.info("trace: wrote {} (trace {}, {} spans)".format(
+            trace_path, record["trace"], len(record["spans"])))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,28 +1,28 @@
 """repro.obs — zero-dependency tracing, metrics and logging.
 
-The observability layer of the reproduction (DESIGN.md §6e):
+The observability layer (DESIGN.md §6e, §6f, §6j, §6k), one module per
+job:
 
-* :mod:`repro.obs.core` — :class:`Span` context managers with monotonic
-  timings and hierarchical nesting, and the process-wide
-  :class:`Recorder` (a no-op unless enabled);
-* :mod:`repro.obs.metrics` — thread-safe :class:`Counter` /
-  :class:`Gauge` / :class:`Histogram` registries, the single source of
-  truth for every count the system reports (including the alias-cache
-  statistics behind :meth:`AliasAnalysis.cache_stats`);
-* :mod:`repro.obs.trace` — schema-pinned JSONL trace writer/validator
-  (the ``--trace FILE.jsonl`` CLI flag);
-* :mod:`repro.obs.history` — the benchmark run ledger
-  (``BENCH_history.jsonl``): schema-pinned records of git sha, host
-  fingerprint, per-phase wall seconds and counters, with its own
-  validator CLI (DESIGN.md §6f);
-* :mod:`repro.obs.regress` — noise-banded regression detection over
-  ledger records (``repro bench compare`` / ``repro bench gate``);
-* :mod:`repro.obs.promtext` — Prometheus text exposition of the registry
-  (``BENCH_obs.prom``);
-* :mod:`repro.obs.log` — leveled stderr logging behind the CLI's
-  ``-q``/``-v``;
-* :mod:`repro.obs.profile` — phase-tree and counter-table rendering for
-  ``repro profile``.
+* :mod:`~repro.obs.core` — timed :class:`Span` phases, the process-wide
+  :class:`Recorder` (a no-op unless enabled), request trace scopes;
+* :mod:`~repro.obs.metrics` — the counter/gauge/histogram registry;
+* :mod:`~repro.obs.log` — leveled stderr logging (``-q``/``-v``);
+* :mod:`~repro.obs.jsonl` — the one JSONL record layer: per-kind
+  schemas, the torn-append seam, the reader, the validator CLI;
+* :mod:`~repro.obs.sampler` — head sampling, ``traceparent`` context;
+* :mod:`~repro.obs.tracestore` — the bounded trace-record store (and
+  the ``--trace FILE.jsonl`` record);
+* :mod:`~repro.obs.traceview` — cross-process trace merge and rollups;
+* :mod:`~repro.obs.profile` — the one span-tree renderer, counter table;
+* :mod:`~repro.obs.history` — the benchmark ledger's records;
+* :mod:`~repro.obs.regress` — noise-banded regression detection;
+* :mod:`~repro.obs.quantile` — the one exact quantile helper;
+* :mod:`~repro.obs.reqlog` — the daemon's one request ring (recent
+  requests, burn rates, per-op latency gauges) and access log;
+* :mod:`~repro.obs.promtext` — Prometheus text rendering and the one
+  parser of that format;
+* :mod:`~repro.obs.promlint` — promtool-style checks over parsed text;
+* :mod:`~repro.obs.top` — ``repro top``, the live daemon dashboard.
 
 Instrumented code imports the conveniences re-exported here::
 

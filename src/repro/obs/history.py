@@ -1,4 +1,4 @@
-"""Benchmark run ledger: ``BENCH_history.jsonl`` records and validator.
+"""Benchmark run ledger: ``BENCH_history.jsonl`` records and selection.
 
 ``BENCH_alias.json`` is overwritten in place by every ``make
 bench-quick`` run, so on its own no run is comparable to any previous
@@ -17,14 +17,13 @@ comparison needs:
   keys, so behavioural drift (query counts, cache hits, limit-study
   category tallies) is tracked next to wall time.
 
-The schema is pinned the same way the trace schema is: ``python -m
-repro.obs.history FILE...`` validates every record (mirroring ``python
--m repro.obs.trace``), and any layout change must bump
-:data:`HISTORY_SCHEMA_VERSION`.  :mod:`repro.obs.regress` consumes these
-records for ``repro bench compare`` / ``repro bench gate``.
+Records are ``bench_run`` records of :mod:`repro.obs.jsonl`, which owns
+their schema, the torn-append seam and the reader (``python -m
+repro.obs.jsonl FILE...`` validates a ledger); any layout change must
+bump :data:`HISTORY_SCHEMA_VERSION`.  :mod:`repro.obs.regress` consumes
+these records for ``repro bench compare`` / ``repro bench gate``.
 """
 
-import json
 import os
 import platform
 import subprocess
@@ -32,27 +31,18 @@ import sys
 import time
 from typing import Dict, List, Optional
 
-from repro.obs import core, metrics
+from repro.obs import core, jsonl, metrics
 
-#: Bumped whenever the record layout changes.
-HISTORY_SCHEMA_VERSION = 1
+#: The ledger's record kind and its schema version.
+RECORD_KIND = jsonl.BENCH_RUN
+HISTORY_SCHEMA_VERSION = jsonl.KINDS[RECORD_KIND].version
 
 #: Where the CLI appends records by default (repository root relative).
 DEFAULT_HISTORY_PATH = "BENCH_history.jsonl"
 
-#: The only record kind this schema version defines.
-RECORD_KIND = "bench_run"
-
 #: Bucket for spans that have no ``program`` attribute anywhere on their
 #: ancestor chain (suite-wide work such as the Table 5 engine sweep).
 SUITE_BUCKET = "(suite)"
-
-#: Keys every record must carry (the validator and tests check these).
-REQUIRED_KEYS = ("schema", "kind", "tool", "label", "git_sha",
-                 "timestamp_utc", "host", "phases", "counters")
-
-#: Keys every host fingerprint must carry.
-HOST_KEYS = ("python", "platform", "machine", "cpu_count")
 
 
 # ----------------------------------------------------------------------
@@ -72,18 +62,7 @@ def host_fingerprint() -> Dict[str, object]:
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     """The HEAD commit sha, or ``None`` outside a git checkout."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            cwd=cwd, timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    if proc.returncode != 0:
-        return None
-    sha = proc.stdout.decode("ascii", "replace").strip()
-    return sha or None
+    return resolve_ref("HEAD", cwd)
 
 
 def resolve_ref(ref: str, cwd: Optional[str] = None) -> Optional[str]:
@@ -206,119 +185,23 @@ def collect_record(label: str,
 # File I/O
 
 
-def append_record(path: str, record: dict) -> None:
-    """Validate *record* and append it as one JSONL line.
-
-    The ``history.append`` chaos point simulates a torn append (the
-    process dying mid-write): the line is truncated to a prefix, which
-    readers must skip — see :func:`read_history`.
-    """
-    from repro.qa import chaos  # lazy: qa pulls in heavier modules
-
-    validate_record(record)
-    line = json.dumps(record, sort_keys=True)
-    if chaos.fire("history.append", label=record.get("label", "?")):
-        line = line[: max(1, len(line) // 3)]
-        metrics.registry().counter("obs.history.torn_writes").inc()
-    with open(path, "a") as f:
-        f.write(line + "\n")
-
-
-def read_history(path: str, skip_torn: bool = True) -> List[dict]:
+def read_history(path: str) -> List[dict]:
     """Every validated record in *path*, in file (i.e. append) order.
 
     A **torn line** — one that fails to decode as JSON, the artifact of
     a writer dying mid-append — is skipped with a warning (and counted
     in ``obs.history.torn_skipped``) so a crashed bench run can never
-    wedge ``bench compare``/``gate``; pass ``skip_torn=False`` to get
-    the old strict behaviour.  A line that decodes but fails
-    :func:`validate_record` is *corruption*, not tearing, and still
-    raises.  A file with no valid record at all still raises.
+    wedge ``bench compare``/``gate``.  A line that decodes but fails the
+    ``bench_run`` schema is *corruption*, not tearing, and raises.
+    A file with no valid record at all raises too.
     """
-    from repro.obs import log
-
-    records: List[dict] = []
-    with open(path) as f:
-        for lineno, raw in enumerate(f, 1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as err:
-                if not skip_torn:
-                    raise ValueError(
-                        "{}:{}: not JSON: {}".format(path, lineno, err))
-                metrics.registry().counter("obs.history.torn_skipped").inc()
-                log.warn("{}:{}: skipping torn ledger line (not JSON: {})"
-                         .format(path, lineno, err))
-                continue
-            try:
-                validate_record(obj)
-            except ValueError as err:
-                raise ValueError("{}:{}: {}".format(path, lineno, err))
-            records.append(obj)
-    if not records:
+    result = jsonl.read(path, RECORD_KIND)
+    if result.invalid:
+        lineno, _obj, problem = result.invalid[0]
+        raise ValueError("{}:{}: {}".format(path, lineno, problem))
+    if not result.records:
         raise ValueError("{}: empty history".format(path))
-    return records
-
-
-# ----------------------------------------------------------------------
-# Validation
-
-
-def validate_record(obj: object) -> None:
-    """Raise ``ValueError`` unless *obj* is a well-formed ledger record."""
-    if not isinstance(obj, dict):
-        raise ValueError("history record is not an object: {!r}".format(obj))
-    for key in REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError("record missing key {!r}".format(key))
-    if obj["schema"] != HISTORY_SCHEMA_VERSION:
-        raise ValueError(
-            "unknown schema version: {!r}".format(obj["schema"]))
-    if obj["kind"] != RECORD_KIND:
-        raise ValueError("unknown record kind: {!r}".format(obj["kind"]))
-    if not isinstance(obj["label"], str) or not obj["label"]:
-        raise ValueError("label must be a non-empty string")
-    sha = obj["git_sha"]
-    if sha is not None and (not isinstance(sha, str) or not sha):
-        raise ValueError("git_sha must be a non-empty string or null")
-    stamp = obj["timestamp_utc"]
-    if not isinstance(stamp, str) or "T" not in stamp:
-        raise ValueError("timestamp_utc must be an ISO 8601 string")
-    host = obj["host"]
-    if not isinstance(host, dict):
-        raise ValueError("host must be an object")
-    for key in HOST_KEYS:
-        if key not in host:
-            raise ValueError("host fingerprint missing key {!r}".format(key))
-    if not isinstance(host["cpu_count"], int) or host["cpu_count"] < 1:
-        raise ValueError("host cpu_count must be a positive integer")
-    phases = obj["phases"]
-    if not isinstance(phases, dict):
-        raise ValueError("phases must be an object")
-    for bucket, series in phases.items():
-        if not isinstance(series, dict):
-            raise ValueError(
-                "phases[{!r}] must be an object".format(bucket))
-        for name, seconds in series.items():
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                raise ValueError(
-                    "phase {}/{} must be a non-negative number, got {!r}"
-                    .format(bucket, name, seconds))
-    counters = obj["counters"]
-    if not isinstance(counters, dict):
-        raise ValueError("counters must be an object")
-    for name, value in counters.items():
-        if not isinstance(value, (int, float)):
-            raise ValueError(
-                "counter {!r} must be numeric, got {!r}".format(name, value))
-
-
-def validate_file(path: str) -> int:
-    """Validate the JSONL ledger at *path*; returns the record count."""
-    return len(read_history(path))
+    return result.records
 
 
 # ----------------------------------------------------------------------
@@ -371,33 +254,3 @@ def resolve_selection(selector: str, history_path: str) -> List[dict]:
         if sha is None:
             raise
         return select_records(records, sha)
-
-
-# ----------------------------------------------------------------------
-# Validator CLI (mirrors ``python -m repro.obs.trace``)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """``python -m repro.obs.history FILE...`` — validate ledger files."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="validate repro benchmark-history JSONL files "
-        "against the pinned schema")
-    parser.add_argument("files", nargs="+")
-    args = parser.parse_args(argv)
-    status = 0
-    for path in args.files:
-        try:
-            count = validate_file(path)
-        except (OSError, ValueError) as err:
-            print("{}: INVALID: {}".format(path, err), file=sys.stderr)
-            status = 1
-        else:
-            print("{}: ok ({} records, schema {})".format(
-                path, count, HISTORY_SCHEMA_VERSION))
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

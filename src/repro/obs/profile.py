@@ -1,11 +1,14 @@
-"""Rendering for ``repro profile``: phase-time tree + counter table.
+"""The one span-tree renderer, plus ``repro profile``'s counter table.
 
-The tree is built from the recorder's parent/child span edges; each line
-shows wall time, the share of the root span, and the span's attributes.
-An ``(unaccounted)`` line is shown for any parent whose children leave a
-visible gap, so the tree's times always explain the root within the gap
-it prints — the profile-smoke check asserts that top-level phases sum to
-the root within tolerance.
+:func:`render_span_tree` draws span dicts shaped like
+:meth:`repro.obs.core.Span.to_json` output; ``repro profile``, ``repro
+client --debug`` and ``repro trace show`` all print through it.  Each
+line shows wall time, share of the root and attributes; an
+``(unaccounted)`` line marks any parent whose children leave a visible
+gap, so the times always explain the root.  A second bracket marks
+``ERROR=``, process boundaries (spans carrying ``proc``/``origin``, as
+the trace viewer supplies) and ``(detached)`` roots whose parent was
+never recorded.
 """
 
 from typing import Dict, List, Optional
@@ -17,42 +20,65 @@ from repro.util.tables import render_table
 _GAP_FRACTION = 0.02
 
 
-def render_phase_tree(recorder: Optional[core.Recorder] = None) -> str:
-    """The recorded spans as an indented phase-time tree."""
-    recorder = recorder or core.recorder()
-    children = recorder.children_of()
-    roots = children.get(None, [])
-    if not roots:
+def render_span_tree(spans: List[dict]) -> str:
+    """*spans* (any order of parents and children) as an indented tree.
+
+    A span whose ``parent`` is not among the spans is a root; roots
+    keep their input order, detached ones last, and so do children.
+    """
+    if not spans:
         return "(no spans recorded)"
+    ids = {span["id"] for span in spans}
+    children: Dict[object, List[dict]] = {}
+    roots: List[dict] = []
+    for span in spans:
+        if span.get("parent") in ids:
+            children.setdefault(span["parent"], []).append(span)
+        else:
+            roots.append(span)
     lines: List[str] = []
-    total = sum(s.duration for s in roots) or 1e-12
 
-    def attr_text(span: core.Span) -> str:
-        if not span.attrs:
-            return ""
-        inner = ", ".join(
-            "{}={}".format(k, v) for k, v in sorted(span.attrs.items()))
-        return "  [{}]".format(inner)
+    def line(indent: str, name: str, ms: float, root_ms: float) -> str:
+        return "{}{:<{}} {:>9.3f} ms  {:>5.1f}%".format(
+            indent, name, max(1, 36 - len(indent)), ms,
+            100.0 * ms / root_ms)
 
-    def walk(span: core.Span, prefix: str) -> None:
-        lines.append("{}{:<{}} {:>9.3f} ms  {:>5.1f}%{}".format(
-            prefix, span.name, max(1, 36 - len(prefix)),
-            span.duration * 1000.0, 100.0 * span.duration / total,
-            attr_text(span)))
-        kids = children.get(span.span_id, [])
+    def walk(span: dict, indent: str, parent: Optional[dict],
+             root_ms: float) -> None:
+        ms = float(span["duration_ms"])
+        text = line(indent, span["name"], ms, root_ms)
+        attrs = span.get("attrs") or {}
+        if attrs:
+            text += "  [{}]".format(", ".join(
+                "{}={}".format(k, v) for k, v in sorted(attrs.items())))
+        marks = []
+        proc = span.get("proc")
+        if proc is not None and (parent is None or parent.get("proc") != proc):
+            marks.append("proc={} {}".format(proc, span.get("origin")))
+        if parent is None and span.get("parent") is not None:
+            marks.append("(detached)")
+        if span.get("error"):
+            marks.append("ERROR={}".format(span["error"]))
+        if marks:
+            text += "  [{}]".format(", ".join(marks))
+        lines.append(text)
+        kids = children.get(span["id"], [])
         for kid in kids:
-            walk(kid, prefix + "  ")
-        if kids:
-            gap = span.duration - sum(k.duration for k in kids)
-            if gap > _GAP_FRACTION * total:
-                lines.append("{}{:<{}} {:>9.3f} ms  {:>5.1f}%".format(
-                    prefix + "  ", "(unaccounted)",
-                    max(1, 36 - len(prefix) - 2),
-                    gap * 1000.0, 100.0 * gap / total))
+            walk(kid, indent + "  ", span, root_ms)
+        gap = ms - sum(float(kid["duration_ms"]) for kid in kids)
+        if kids and gap > _GAP_FRACTION * root_ms:
+            lines.append(line(indent + "  ", "(unaccounted)", gap, root_ms))
 
-    for root in roots:
-        walk(root, "")
+    for root in sorted(roots, key=lambda s: s.get("parent") is not None):
+        walk(root, "", None, float(root["duration_ms"]) or 1e-12)
     return "\n".join(lines)
+
+
+def render_phase_tree(recorder: Optional[core.Recorder] = None) -> str:
+    """The recorder's spans through :func:`render_span_tree`."""
+    recorder = recorder or core.recorder()
+    return render_span_tree(
+        [s.to_json(recorder.epoch) for s in recorder.spans()])
 
 
 def tree_check(recorder: Optional[core.Recorder] = None,

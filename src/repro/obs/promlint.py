@@ -16,86 +16,26 @@ their format is a contract.  This module checks it the way
   and ``_count`` present, and ``_count`` equal to the ``+Inf`` bucket;
 * no duplicate series (same name + same label set).
 
+Line grammar comes from the one parser, :func:`repro.obs.promtext.parse`;
+this module adds the family and histogram checks on top of it.
 :func:`lint` returns a list of ``"line N: problem"`` strings (empty
 means clean); :func:`check` raises :class:`PromLintError` on the first
 batch of problems.  ``python -m repro.obs.promlint FILE...`` lints
 files (``make obs-smoke`` runs it over a live ``/v1/metrics`` body).
 """
 
-import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.promtext import parse, parse_value
+
 __all__ = ["PromLintError", "lint", "check", "main"]
 
-_METRIC_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
 
 
 class PromLintError(ValueError):
     """The exposition text violates the format contract."""
-
-
-def _parse_float(text: str) -> Optional[float]:
-    if text in ("+Inf", "Inf"):
-        return float("inf")
-    if text == "-Inf":
-        return float("-inf")
-    try:
-        return float(text)
-    except ValueError:
-        return None
-
-
-def _parse_labels(text: str) -> Tuple[Optional[Dict[str, str]], Optional[str]]:
-    """``k="v",...`` (brace-less interior) -> (labels, problem)."""
-    labels: Dict[str, str] = {}
-    i = 0
-    n = len(text)
-    while i < n:
-        j = i
-        while j < n and text[j] not in "=":
-            j += 1
-        if j >= n:
-            return None, "label without '='"
-        name = text[i:j].strip()
-        if not _LABEL_RE.match(name):
-            return None, "bad label name {!r}".format(name)
-        if name in labels:
-            return None, "duplicate label {!r}".format(name)
-        j += 1
-        if j >= n or text[j] != '"':
-            return None, "label value must be double-quoted"
-        j += 1
-        value = []
-        while j < n:
-            ch = text[j]
-            if ch == "\\":
-                if j + 1 >= n:
-                    return None, "dangling escape in label value"
-                nxt = text[j + 1]
-                if nxt not in ('\\', '"', "n"):
-                    return None, "bad escape \\{} in label value".format(nxt)
-                value.append("\n" if nxt == "n" else nxt)
-                j += 2
-            elif ch == '"':
-                break
-            elif ch == "\n":
-                return None, "unescaped newline in label value"
-            else:
-                value.append(ch)
-                j += 1
-        if j >= n or text[j] != '"':
-            return None, "unterminated label value"
-        labels[name] = "".join(value)
-        j += 1
-        if j < n:
-            if text[j] != ",":
-                return None, "expected ',' between labels"
-            j += 1
-        i = j
-    return labels, None
 
 
 class _Family:
@@ -152,78 +92,47 @@ def lint(text: str) -> List[str]:
         current = name
         return fam
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.rstrip()
-        if not line.strip():
+    for line in parse(text):
+        lineno, name = line.lineno, line.name
+        if line.problem is not None:
+            problems.append("line {}: {}".format(lineno, line.problem))
             continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 2 and parts[1] in ("HELP", "TYPE"):
-                if len(parts) < 3:
-                    problems.append(
-                        "line {}: # {} needs a metric name".format(
-                            lineno, parts[1]))
-                    continue
-                name = parts[2]
-                if not _METRIC_RE.match(name):
-                    problems.append(
-                        "line {}: bad metric name {!r}".format(lineno, name))
-                    continue
-                fam = switch_to(name, lineno)
-                if parts[1] == "HELP":
-                    if fam.help_line is not None:
-                        problems.append(
-                            "line {}: second HELP for {!r}".format(
-                                lineno, name))
-                    if fam.type_line is not None or fam.samples:
-                        problems.append(
-                            "line {}: HELP for {!r} must precede its TYPE "
-                            "and samples".format(lineno, name))
-                    fam.help_line = lineno
-                else:
-                    kind = parts[3].strip() if len(parts) > 3 else ""
-                    if kind not in _TYPES:
-                        problems.append(
-                            "line {}: bad TYPE {!r} for {!r}".format(
-                                lineno, kind, name))
-                    if fam.type_line is not None:
-                        problems.append(
-                            "line {}: second TYPE for {!r}".format(
-                                lineno, name))
-                    if fam.samples:
-                        problems.append(
-                            "line {}: TYPE for {!r} after its samples".format(
-                                lineno, name))
-                    fam.type_line = lineno
-                    fam.kind = kind or None
-            # Other # lines are free-form comments: legal, ignored.
+        if line.kind == "HELP":
+            fam = switch_to(name, lineno)
+            if fam.help_line is not None:
+                problems.append(
+                    "line {}: second HELP for {!r}".format(lineno, name))
+            if fam.type_line is not None or fam.samples:
+                problems.append(
+                    "line {}: HELP for {!r} must precede its TYPE "
+                    "and samples".format(lineno, name))
+            fam.help_line = lineno
             continue
-        # Sample line: name[{labels}] value [timestamp]
-        match = re.match(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})?\s+(\S+)"
-                         r"(\s+-?\d+)?$", line)
-        if not match:
-            problems.append("line {}: unparseable sample line".format(lineno))
+        if line.kind == "TYPE":
+            fam = switch_to(name, lineno)
+            kind = line.value
+            if kind not in _TYPES:
+                problems.append(
+                    "line {}: bad TYPE {!r} for {!r}".format(
+                        lineno, kind, name))
+            if fam.type_line is not None:
+                problems.append(
+                    "line {}: second TYPE for {!r}".format(lineno, name))
+            if fam.samples:
+                problems.append(
+                    "line {}: TYPE for {!r} after its samples".format(
+                        lineno, name))
+            fam.type_line = lineno
+            fam.kind = kind or None
             continue
-        sample_name, _, label_text, value_text = match.group(1, 2, 3, 4)
-        labels: Dict[str, str] = {}
-        if label_text:
-            parsed, problem = _parse_labels(label_text)
-            if problem is not None:
-                problems.append("line {}: {}".format(lineno, problem))
-                continue
-            labels = parsed or {}
-        value = _parse_float(value_text)
-        if value is None:
-            problems.append(
-                "line {}: bad sample value {!r}".format(lineno, value_text))
-            continue
-        base, suffix = _family_of(sample_name, families)
+        labels, value = line.labels, line.value
+        base, suffix = _family_of(name, families)
         fam = switch_to(base, lineno)
-        series_key = (sample_name, tuple(sorted(labels.items())))
+        series_key = (name, tuple(sorted(labels.items())))
         if series_key in seen_series:
             problems.append(
                 "line {}: duplicate series {}{}".format(
-                    lineno, sample_name,
+                    lineno, name,
                     "{" + ",".join("{}={}".format(k, v)
                                    for k, v in sorted(labels.items())) + "}"
                     if labels else ""))
@@ -271,7 +180,7 @@ def _check_histogram(fam: _Family) -> List[str]:
         inf = None
         previous = None
         for le, value, lineno in group["buckets"]:
-            bound = _parse_float(le)
+            bound = parse_value(le)
             if bound is None:
                 problems.append(
                     "line {}: {} has unparseable le={!r}".format(

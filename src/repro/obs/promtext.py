@@ -10,15 +10,33 @@ observed.
 ``make bench-quick`` dumps a snapshot to ``BENCH_obs.prom`` next to
 ``BENCH_alias.json`` so perf PRs can diff analysis behaviour, not just
 wall time.
+
+The one parser of the format lives here too: :func:`parse` turns
+exposition text into ``# HELP``/``# TYPE``/sample lines, each with the
+first problem that makes it unreadable.  :mod:`repro.obs.promlint`
+lints its output; :func:`parse_prom` keeps the readable samples
+(``repro top`` and the serving benchmark's metrics scrape).
 """
 
 import re
-from typing import List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs import metrics
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
+_METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
+_LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+_SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})?\s+(\S+)"
+                        r"(\s+-?\d+)?$")
+#: One ``name="value"`` label pair and its separator; the value may hold
+#: any backslash escape here, and the legal ones are checked after.
+_LABEL_PAIR_RE = re.compile(r'\s*([^=\s]*)\s*="((?:[^"\\]|\\.)*)"\s*(?:,|$)',
+                            re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+
+#: ``(metric name, sorted label items) -> value``.
+PromSamples = Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float]
 
 
 def metric_name(name: str) -> str:
@@ -103,3 +121,98 @@ def write_prom(path: str,
     with open(path, "w") as f:
         f.write(text)
     return text.count("\n")
+
+
+# ----------------------------------------------------------------------
+# Parsing
+
+
+class PromLine(NamedTuple):
+    """One meaningful exposition line (blank and free comments dropped)."""
+
+    lineno: int
+    #: ``"HELP"``, ``"TYPE"`` or ``"sample"``.
+    kind: str
+    name: Optional[str]
+    labels: Dict[str, str]
+    #: The sample value, or the HELP text / TYPE kind.
+    value: object
+    #: Why the line is unreadable (the other fields are then partial).
+    problem: Optional[str]
+
+
+def parse_value(text: str) -> Optional[float]:
+    """A sample value or ``le`` bound, or None when unparseable."""
+    if text in ("+Inf", "Inf"):
+        return float("inf")
+    if text == "-Inf":
+        return float("-inf")
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _parse_labels(text: str) -> Tuple[Dict[str, str], Optional[str]]:
+    """``k="v",...`` (brace-less interior) -> (labels, problem)."""
+    labels: Dict[str, str] = {}
+    pos = 0
+    while pos < len(text):
+        match = _LABEL_PAIR_RE.match(text, pos)
+        if match is None:
+            return labels, "malformed label text {!r}".format(text[pos:])
+        name, raw = match.group(1, 2)
+        if not _LABEL_NAME_RE.match(name):
+            return labels, "bad label name {!r}".format(name)
+        if name in labels:
+            return labels, "duplicate label {!r}".format(name)
+        if "\n" in raw:
+            return labels, "unescaped newline in label value"
+        for escape in _ESCAPE_RE.finditer(raw):
+            if escape.group(1) not in '\\"n':
+                return labels, "bad escape {} in label value".format(
+                    escape.group())
+        labels[name] = _ESCAPE_RE.sub(
+            lambda m: "\n" if m.group(1) == "n" else m.group(1), raw)
+        pos = match.end()
+    return labels, None
+
+
+def parse(text: str) -> Iterator[PromLine]:
+    """Every ``# HELP``, ``# TYPE`` and sample line of *text*."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.rstrip()
+        if not line.strip():
+            continue
+        if line.startswith("#"):
+            parts = line.split(None, 3)
+            if len(parts) < 2 or parts[1] not in ("HELP", "TYPE"):
+                continue  # a free-form comment: legal, ignored
+            problem = None
+            if len(parts) < 3:
+                problem = "# {} needs a metric name".format(parts[1])
+            elif not _METRIC_NAME_RE.match(parts[2]):
+                problem = "bad metric name {!r}".format(parts[2])
+            yield PromLine(lineno, parts[1], parts[2] if len(parts) > 2
+                           else None, {}, parts[3].strip()
+                           if len(parts) > 3 else "", problem)
+            continue
+        match = _SAMPLE_RE.match(line)
+        if not match:
+            yield PromLine(lineno, "sample", None, {}, None,
+                           "unparseable sample line")
+            continue
+        name, _, label_text, value_text = match.group(1, 2, 3, 4)
+        labels, problem = _parse_labels(label_text or "")
+        value = parse_value(value_text)
+        if problem is None and value is None:
+            problem = "bad sample value {!r}".format(value_text)
+        yield PromLine(lineno, "sample", name, labels, value, problem)
+
+
+def parse_prom(text: str) -> PromSamples:
+    """The readable sample lines of *text* as a flat dict; lines with a
+    problem are skipped, never raised."""
+    return {(line.name, tuple(sorted(line.labels.items()))): line.value
+            for line in parse(text)
+            if line.kind == "sample" and line.problem is None}

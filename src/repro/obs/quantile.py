@@ -1,143 +1,30 @@
-"""Streaming quantile estimation: the P² algorithm (Jain & Chlamtac).
+"""The one quantile helper: exact, linear-interpolated, over sorted values.
 
-``/v1/metrics`` needs p50/p95/p99 request latencies from a daemon that
-may have served millions of requests; storing every observation is out.
-The P² algorithm keeps exactly five markers per tracked quantile —
-heights and positions — and nudges them toward the target quantile with
-a piecewise-parabolic update on every observation.  O(1) time, O(1)
-space, no allocation after construction, no dependencies; accuracy is
-ample for dashboard latency quantiles (a few percent of the spread on
-the usual long-tailed latency distributions).
-
-Below five observations every estimate is exact (read straight from the
-sorted buffer), so tests with tiny request counts see exact answers.
-
-:class:`QuantileSet` bundles one estimator per requested quantile under
-a lock, which is how the daemon tracks ``serve.request.ms`` — one set
-per op, observed once per request.
+The serving layer's windowed latency gauges and burn-rate snapshots
+(:mod:`repro.obs.reqlog`) and the ledger's median/MAD noise band
+(:mod:`repro.obs.regress`) all read their statistics through
+:func:`quantile`.  The inputs are small (at most one request ring, or a
+handful of repeats), so there is no streaming estimator: every answer
+is exact.
 """
 
-import threading
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["P2Quantile", "QuantileSet", "DEFAULT_QUANTILES"]
-
-#: The quantiles the serving layer tracks by default.
-DEFAULT_QUANTILES = (0.5, 0.95, 0.99)
+__all__ = ["quantile"]
 
 
-class P2Quantile:
-    """One P² estimator for a single quantile ``q`` in (0, 1)."""
+def quantile(sorted_values: Sequence[float], q: float) -> Optional[float]:
+    """The *q*-quantile of an ascending sequence, or None when empty.
 
-    __slots__ = ("q", "_n", "_heights", "_positions", "_desired",
-                 "_increments", "count")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1), got {}".format(q))
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []        # marker heights
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                         3.0 + 2.0 * q, 5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-        self._n = 0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        if len(self._heights) < 5:
-            # Initialisation phase: collect the first five sorted.
-            self._heights.append(value)
-            self._heights.sort()
-            return
-        h = self._heights
-        pos = self._positions
-        # 1. Find the cell k containing the observation; clamp extremes.
-        if value < h[0]:
-            h[0] = value
-            k = 0
-        elif value >= h[4]:
-            h[4] = value
-            k = 3
-        else:
-            k = 0
-            while value >= h[k + 1]:
-                k += 1
-        # 2. Shift marker positions above the cell.
-        for i in range(k + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # 3. Adjust the three middle markers toward their desired
-        #    positions with the piecewise-parabolic (P²) formula,
-        #    falling back to linear when the parabola would cross a
-        #    neighbour.
-        for i in range(1, 4):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1.0):
-                sign = 1.0 if d >= 0 else -1.0
-                candidate = self._parabolic(i, sign)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    h[i] = self._linear(i, sign)
-                pos[i] += sign
-
-    def _parabolic(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + sign / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + sign) * (h[i + 1] - h[i]) /
-            (pos[i + 1] - pos[i]) +
-            (pos[i + 1] - pos[i] - sign) * (h[i] - h[i - 1]) /
-            (pos[i] - pos[i - 1]))
-
-    def _linear(self, i: int, sign: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(sign)
-        return h[i] + sign * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    def value(self) -> Optional[float]:
-        """The current estimate, or None before any observation."""
-        if not self._heights:
-            return None
-        if self.count < 5:
-            # Exact from the sorted initial buffer.
-            return _exact_quantile(self._heights, self.q)
-        return self._heights[2]
-
-
-def _exact_quantile(sorted_values: Sequence[float], q: float) -> float:
-    """Linear-interpolated quantile of a small sorted sequence."""
-    if len(sorted_values) == 1:
-        return sorted_values[0]
+    Linear interpolation between the two nearest ranks, so ``q=0.5`` of
+    an even-length sequence is the mean of the middle two values.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1], got {}".format(q))
+    if not sorted_values:
+        return None
     rank = q * (len(sorted_values) - 1)
     lo = int(rank)
     hi = min(lo + 1, len(sorted_values) - 1)
     frac = rank - lo
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
-
-
-class QuantileSet:
-    """Thread-safe bundle of P² estimators over one value stream."""
-
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES):
-        self._lock = threading.Lock()
-        self._estimators = [P2Quantile(q) for q in quantiles]
-
-    def observe(self, value: float) -> None:
-        with self._lock:
-            for est in self._estimators:
-                est.observe(value)
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._estimators[0].count if self._estimators else 0
-
-    def snapshot(self) -> Dict[float, Optional[float]]:
-        """``{quantile: estimate}`` (None until the first observation)."""
-        with self._lock:
-            return {est.q: est.value() for est in self._estimators}

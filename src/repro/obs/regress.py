@@ -24,6 +24,7 @@ exit code.
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.quantile import quantile
 from repro.util.tables import render_table
 
 #: Relative slowdown of the new best over the old best that counts as a
@@ -45,12 +46,7 @@ _COUNTER_DRIFT_LIMIT = 10
 
 def median(values: List[float]) -> float:
     """The middle value (mean of the middle two for even lengths)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
+    return quantile(sorted(values), 0.5)
 
 
 def mad(values: List[float], center: Optional[float] = None) -> float:

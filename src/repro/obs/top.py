@@ -4,8 +4,9 @@ Polls ``GET /v1/metrics`` (Prometheus text), ``GET /v1/requests`` (the
 recent-request journal) and ``GET /v1/ping`` on an interval and renders
 one frame per poll: daemon state (degraded / draining), request
 throughput (total and the delta-rate between polls), per-op latency
-quantiles from the daemon's streaming P² gauges, SLO ok/breach counts,
-session/fact-cache hit rates, and the slowest recent traces.
+quantiles from the daemon's windowed gauges (exact over the last hour),
+SLO ok/breach counts, session/fact-cache hit rates, and the slowest
+recent traces.
 
 ``--once`` fetches and renders exactly one frame and exits 0 — the CI
 mode ``make obs-smoke`` drives.  The live mode clears the screen with
@@ -22,9 +23,9 @@ import sys
 import time
 import urllib.error
 import urllib.request
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.obs.promlint import _parse_labels
+from repro.obs.promtext import PromSamples, parse_prom
 from repro.util.tables import render_table
 
 __all__ = ["parse_prom", "fetch_snapshot", "render_frame", "run_top"]
@@ -38,46 +39,9 @@ SLOW_ROWS = 5
 #: HTTP timeout per poll, seconds.
 FETCH_TIMEOUT = 10.0
 
-#: ``(metric name, sorted label items) -> value``.
-PromSamples = Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float]
-
 
 class TopError(RuntimeError):
     """The daemon could not be polled or answered garbage."""
-
-
-def parse_prom(text: str) -> PromSamples:
-    """Sample lines of a Prometheus exposition body as a flat dict.
-
-    Comments are skipped; histogram ``_bucket``/``_sum``/``_count``
-    series parse like any other sample (the dashboard reads counters
-    and gauges only, but keeps everything for tests).
-    """
-    samples: PromSamples = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        first = line.split(None, 1)[0]
-        if "{" in first:
-            brace = line.index("{")
-            end = line.rindex("}")
-            name = line[:brace]
-            labels, problem = _parse_labels(line[brace + 1:end])
-            if problem is not None:
-                continue
-            rest = line[end + 1:].strip()
-        else:
-            name = first
-            labels = {}
-            rest = line[len(first):].strip()
-        value_text = rest.split()[0] if rest.split() else ""
-        try:
-            value = float(value_text)
-        except ValueError:
-            continue
-        samples[(name, tuple(sorted((labels or {}).items())))] = value
-    return samples
 
 
 def _sum_family(samples: PromSamples, name: str) -> float:
@@ -199,7 +163,7 @@ def render_frame(snapshot: Snapshot,
                                         sampled, flushed))
     lines.append("")
 
-    # Per-op latency + SLO table from the P² gauges.
+    # Per-op latency + SLO table from the windowed quantile gauges.
     counts = _by_label(samples, "repro_serve_request_total", "op")
     p50 = _by_label(samples, "repro_serve_request_ms_p50", "op")
     p95 = _by_label(samples, "repro_serve_request_ms_p95", "op")

@@ -8,10 +8,9 @@ parent the subtree hangs under.  ``repro trace`` and ``GET /v1/traces``
 read these records back and stitch the cross-process tree together
 (:mod:`repro.obs.traceview`).
 
-Layout: a directory of JSONL **segments** plus an ``index.json``
-stamping the layout version.  Concurrency without locks comes from the
-same trick as the fact store's content-hashed partitions — writers
-never share a file: each process appends to its own
+Layout: a directory of JSONL **segments**.  Concurrency without locks
+comes from the same trick as the fact store's content-hashed partitions
+— writers never share a file: each process appends to its own
 ``seg-{proc}-{n}.jsonl`` (the proc token is fork-aware, so pool workers
 get their own segments too).  Segments rotate at
 :data:`SEGMENT_MAX_BYTES` and the store evicts oldest-first once the
@@ -24,33 +23,30 @@ Failure policy mirrors the serving stack's, in both directions:
   must not take a request down.  Append failures are counted
   (``obs.trace.store_errors``) and dropped.
 * **reads tolerate tearing** — a process dying mid-append leaves a
-  truncated line; readers skip it with a warning and count it in
-  ``obs.trace.torn_skipped``, exactly like the bench ledger's
-  :func:`repro.obs.history.read_history`.  A line that decodes but
-  fails validation is corruption of a different kind and is skipped
-  under its own counter (``obs.trace.invalid_skipped``) — a bad record
-  must not hide the good ones around it.
+  truncated line; the shared reader (:func:`repro.obs.jsonl.read`)
+  skips it with a warning and counts it in ``obs.trace.torn_skipped``.
+  A line that decodes but fails the ``trace_record`` schema is
+  corruption of a different kind and is skipped under its own counter
+  (``obs.trace.invalid_skipped``) — a bad record must not hide the good
+  ones around it.
+
+A ``--trace FILE`` batch run writes one record (:func:`batch_record`)
+in the same format, so the store also opens a single JSONL file as a
+store of one segment: ``repro trace show ID --store FILE``.
 """
 
-import json
-import os
+import uuid
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.obs import metrics
+from repro.obs import core, jsonl, log, metrics
 from repro.obs.reqlog import now as wall_now
 from repro.obs.sampler import proc_id
 
 __all__ = [
-    "TRACE_SCHEMA_VERSION", "RECORD_KIND", "DEFAULT_TRACE_DIR",
-    "DEFAULT_MAX_BYTES", "SEGMENT_MAX_BYTES", "TraceStore",
-    "make_record", "validate_trace_record",
+    "DEFAULT_TRACE_DIR", "DEFAULT_MAX_BYTES", "SEGMENT_MAX_BYTES",
+    "TraceStore", "make_record", "batch_record", "mint_trace_id",
 ]
-
-#: Bumped whenever the record shape changes incompatibly.
-TRACE_SCHEMA_VERSION = 1
-
-RECORD_KIND = "trace_record"
 
 #: Where the CLI looks when ``--store`` is not given.
 DEFAULT_TRACE_DIR = ".repro-traces"
@@ -61,12 +57,33 @@ DEFAULT_MAX_BYTES = 16 * 1024 * 1024
 #: A writer rotates to a fresh segment past this many bytes.
 SEGMENT_MAX_BYTES = 256 * 1024
 
-#: ``index.json`` layout stamp; a future incompatible layout bumps it.
-_LAYOUT_VERSION = 1
 
-#: Keys every record must carry.
-_REQUIRED_KEYS = ("kind", "schema", "trace", "proc", "origin", "op",
-                  "ms", "ok", "ts", "parent", "spans")
+def mint_trace_id() -> str:
+    """A fresh trace id (16 hex chars)."""
+    return uuid.uuid4().hex[:16]
+
+
+def _record(trace: str, origin: str, op: str, ms: float, ok: bool,
+            **fields) -> dict:
+    """A ``trace_record``; *fields* fill or override the optional keys."""
+    record = {
+        "kind": jsonl.TRACE_RECORD,
+        "schema": jsonl.KINDS[jsonl.TRACE_RECORD].version,
+        "trace": trace,
+        "proc": proc_id(),
+        "origin": origin,
+        "op": op,
+        "unit": None,
+        "ms": round(float(ms), 3),
+        "ok": bool(ok),
+        "ts": wall_now(),
+        "parent": None,
+        "spans": [],
+        "notes": {},
+        "dropped": 0,
+    }
+    record.update(fields)
+    return record
 
 
 def make_record(scope, origin: str, op: str, ms: float, ok: bool,
@@ -76,65 +93,32 @@ def make_record(scope, origin: str, op: str, ms: float, ok: bool,
     if scope.remote_parent is not None:
         parent_proc, parent_span = scope.remote_parent
         parent = {"proc": parent_proc, "span": parent_span}
-    return {
-        "kind": RECORD_KIND,
-        "schema": TRACE_SCHEMA_VERSION,
-        "trace": scope.trace_id,
-        "proc": proc_id(),
-        "origin": origin,
-        "op": op,
-        "unit": unit,
-        "ms": round(float(ms), 3),
-        "ok": bool(ok),
-        "ts": wall_now(),
-        "parent": parent,
-        "spans": scope.tree(),
-        "notes": {k: _jsonable(v) for k, v in scope.notes.items()},
-        "dropped": scope.dropped,
-    }
+    return _record(
+        scope.trace_id, origin, op, ms, ok, unit=unit, parent=parent,
+        spans=scope.tree(),
+        notes={k: core._jsonable(v) for k, v in scope.notes.items()},
+        dropped=scope.dropped)
 
 
-def _jsonable(value):
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
+def batch_record(op: str, ms: float, ok: bool,
+                 recorder: Optional[core.Recorder] = None,
+                 registry: Optional[metrics.MetricsRegistry] = None) -> dict:
+    """The ``--trace FILE`` record of one batch CLI run: every recorder
+    span (no per-request cap) plus the registry snapshot under
+    ``metrics``."""
+    recorder = recorder or core.recorder()
+    registry = registry if registry is not None else metrics.registry()
+    return _record(
+        mint_trace_id(), "cli", op, ms, ok,
+        spans=[s.to_json(recorder.epoch) for s in recorder.spans()],
+        metrics=registry.snapshot())
 
 
-def validate_trace_record(obj: object) -> None:
-    """Raise ``ValueError`` unless *obj* is a well-formed trace record."""
-    if not isinstance(obj, dict):
-        raise ValueError("trace record is not an object: {!r}".format(obj))
-    for key in _REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError("trace record missing key {!r}".format(key))
-    if obj["kind"] != RECORD_KIND:
-        raise ValueError("unknown record kind: {!r}".format(obj["kind"]))
-    if obj["schema"] != TRACE_SCHEMA_VERSION:
-        raise ValueError(
-            "unknown trace schema version: {!r}".format(obj["schema"]))
-    for key in ("trace", "proc", "origin", "op"):
-        if not isinstance(obj[key], str) or not obj[key]:
-            raise ValueError(
-                "trace record {!r} must be a non-empty string".format(key))
-    if not isinstance(obj["ms"], (int, float)):
-        raise ValueError("trace record 'ms' must be a number")
-    if not isinstance(obj["ok"], bool):
-        raise ValueError("trace record 'ok' must be a boolean")
-    parent = obj["parent"]
-    if parent is not None:
-        if (not isinstance(parent, dict)
-                or not isinstance(parent.get("proc"), str)
-                or not isinstance(parent.get("span"), (int, type(None)))):
-            raise ValueError(
-                "trace record 'parent' must be null or "
-                "{{proc, span}}: {!r}".format(parent))
-    if not isinstance(obj["spans"], list):
-        raise ValueError("trace record 'spans' must be a list")
-    for span in obj["spans"]:
-        if not isinstance(span, dict) or "name" not in span \
-                or "id" not in span:
-            raise ValueError(
-                "trace record span missing name/id: {!r}".format(span))
+def _size(path: Path) -> int:
+    try:
+        return path.stat().st_size
+    except OSError:
+        return 0  # evicted or never written
 
 
 class TraceStore:
@@ -153,48 +137,30 @@ class TraceStore:
     def append(self, record: dict) -> bool:
         """Durably append one record; returns False (and counts) on
         failure instead of raising — tracing must never fail a request.
-
-        The ``tracestore.append`` chaos point simulates the writer
-        dying mid-append: the line lands truncated (counted in
-        ``obs.trace.torn_writes``) and readers must skip it.
-        """
-        from repro.qa import chaos  # lazy: qa pulls in heavier modules
-
-        registry = metrics.registry()
+        A torn append (the ``jsonl.append`` chaos point) is the
+        reader's problem: it skips the line."""
         try:
-            validate_trace_record(record)
-            line = json.dumps(record, sort_keys=True)
-            if chaos.fire("tracestore.append", trace=record["trace"]):
-                line = line[: max(1, len(line) // 3)]
-                registry.counter("obs.trace.torn_writes").inc()
-            segment = self._current_segment(len(line) + 1)
-            with open(segment, "a") as f:
-                f.write(line + "\n")
+            jsonl.append(self._current_segment(), record)
         except (OSError, ValueError, TypeError) as err:
-            from repro.obs import log
-
-            registry.counter("obs.trace.store_errors").inc()
+            metrics.registry().counter("obs.trace.store_errors").inc()
             log.warn("trace store append failed: {}".format(err))
             return False
-        registry.counter("obs.trace.flushed").inc()
+        metrics.registry().counter("obs.trace.flushed").inc()
         self._evict()
         return True
 
-    def _current_segment(self, incoming: int) -> Path:
-        """This process's open segment, rotating past the size cap."""
+    def _current_segment(self) -> Path:
+        """This process's open segment, rotating once it reaches the
+        size cap."""
         proc = proc_id()
         if self._segment is None or self._segment_proc != proc:
             # First write (or a fork changed our identity): start a
             # fresh segment rather than appending to an inherited one.
             self._segment = self._next_segment(proc)
             self._segment_proc = proc
-        try:
-            size = self._segment.stat().st_size
-        except OSError:
-            size = 0
-        if size and size + incoming > self.segment_bytes:
+        if _size(self._segment) >= self.segment_bytes:
             self._segment = self._next_segment(proc)
-        self._ensure_layout()
+        self.root.mkdir(parents=True, exist_ok=True)
         return self._segment
 
     def _next_segment(self, proc: str) -> Path:
@@ -205,29 +171,13 @@ class TraceStore:
                 return candidate
             n += 1
 
-    def _ensure_layout(self) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        index = self.root / "index.json"
-        if not index.exists():
-            tmp = index.with_suffix(".tmp")
-            tmp.write_text(json.dumps(
-                {"kind": "trace_store", "layout": _LAYOUT_VERSION},
-                sort_keys=True))
-            os.replace(tmp, index)
-
     def _evict(self) -> None:
         """Drop oldest segments until the store fits ``max_bytes``."""
         if self.max_bytes is None:
             return
         segments = self._segments()
-        total = 0
-        sizes: Dict[Path, int] = {}
-        for segment in segments:
-            try:
-                sizes[segment] = segment.stat().st_size
-            except OSError:
-                sizes[segment] = 0
-            total += sizes[segment]
+        sizes = {segment: _size(segment) for segment in segments}
+        total = sum(sizes.values())
         # Oldest first by (mtime, name); never evict the open segment —
         # a writer must not saw off the branch it is appending to.
         for segment in segments:
@@ -245,7 +195,10 @@ class TraceStore:
     # -- reading --------------------------------------------------------
 
     def _segments(self) -> List[Path]:
-        """Every segment, oldest first (mtime, then name for stability)."""
+        """Every segment, oldest first (mtime, then name for stability);
+        a single JSONL file is a store of one segment."""
+        if self.root.is_file():
+            return [self.root]
         if not self.root.is_dir():
             return []
         segments = sorted(self.root.glob("seg-*.jsonl"))
@@ -264,34 +217,17 @@ class TraceStore:
         Torn lines (not JSON) and invalid records are skipped with
         their own counters — see the module docstring.
         """
-        from repro.obs import log
-
-        registry = metrics.registry()
         out: List[dict] = []
         for segment in self._segments():
             try:
-                text = segment.read_text()
+                result = jsonl.read(segment, jsonl.TRACE_RECORD)
             except OSError:
                 continue  # evicted or torn away under us
-            for lineno, raw in enumerate(text.splitlines(), 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError:
-                    registry.counter("obs.trace.torn_skipped").inc()
-                    log.warn("{}:{}: skipping torn trace line".format(
-                        segment, lineno))
-                    continue
-                try:
-                    validate_trace_record(obj)
-                except ValueError as err:
-                    registry.counter("obs.trace.invalid_skipped").inc()
-                    log.warn("{}:{}: skipping invalid trace record: {}"
-                             .format(segment, lineno, err))
-                    continue
-                out.append(obj)
+            for lineno, _obj, problem in result.invalid:
+                metrics.registry().counter("obs.trace.invalid_skipped").inc()
+                log.warn("{}:{}: skipping invalid trace record: {}".format(
+                    segment, lineno, problem))
+            out.extend(result.records)
         return out
 
     def traces(self) -> Dict[str, List[dict]]:
@@ -308,15 +244,9 @@ class TraceStore:
     def stats(self) -> dict:
         """Store shape for dashboards: segments, bytes, record count."""
         segments = self._segments()
-        total = 0
-        for segment in segments:
-            try:
-                total += segment.stat().st_size
-            except OSError:
-                pass
         return {
             "root": str(self.root),
             "segments": len(segments),
-            "bytes": total,
+            "bytes": sum(_size(segment) for segment in segments),
             "max_bytes": self.max_bytes,
         }

@@ -14,6 +14,8 @@ A parent may legitimately be missing — its record evicted, torn, or
 simply not flushed yet — so orphaned subtrees surface as extra roots
 marked ``(detached)`` rather than vanishing: a partial trace that
 renders is worth more than a perfect trace that raises.
+:func:`render_trace` draws the same forest through the one span-tree
+renderer, :func:`repro.obs.profile.render_span_tree`.
 
 :func:`rollup` is the flamegraph-style aggregate behind ``repro trace
 top``: total/self milliseconds per span name (``--by phase``) or per
@@ -22,6 +24,7 @@ record op (``--by op``) across every stored trace.
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.profile import render_span_tree
 from repro.util.tables import render_table
 
 __all__ = ["TraceNode", "merge_trace", "render_trace", "rollup",
@@ -50,81 +53,63 @@ class TraceNode:
         self.detached = False
 
 
-def merge_trace(records: List[dict]) -> List[TraceNode]:
-    """Merge one trace's records into root :class:`TraceNode` s.
+def _global_spans(records: List[dict]) -> List[dict]:
+    """Every span of *records* keyed globally, in key order.
 
-    Returns the forest's roots in deterministic order (origin record
-    first, then detached subtrees by key).  Records are assumed to
-    belong to a single trace; callers group by trace id first.
+    ``id`` becomes the ``(proc, span id)`` key and ``parent`` the
+    parent's key — for a record's root spans, the remote parent the
+    producing scope carried (None for the origin record).  Each span
+    also gains its record's ``proc`` and ``origin``.  On a duplicate
+    flush the first write wins.
     """
-    nodes: Dict[NodeKey, TraceNode] = {}
-    parents: Dict[NodeKey, Optional[NodeKey]] = {}
+    spans: Dict[NodeKey, dict] = {}
     for record in records:
         proc = record["proc"]
-        origin = record["origin"]
-        remote: Optional[NodeKey] = None
+        remote = None
         if record.get("parent") is not None:
             remote = (record["parent"]["proc"], record["parent"]["span"])
         for span in record["spans"]:
-            key = (proc, int(span["id"]))
-            if key in nodes:
-                continue  # duplicate flush: first write wins
-            nodes[key] = TraceNode(
-                key, span.get("name", "?"),
-                float(span.get("duration_ms", 0.0)), proc, origin,
-                span.get("error"), span.get("attrs") or {})
-            if span.get("parent") is not None:
-                parents[key] = (proc, int(span["parent"]))
-            else:
-                # A record-root span hangs under the remote parent the
-                # producing scope carried (None for the origin record).
-                parents[key] = remote
+            key = (proc, span["id"])
+            if key not in spans:
+                parent = (remote if span.get("parent") is None
+                          else (proc, span["parent"]))
+                spans[key] = dict(span, id=key, parent=parent, proc=proc,
+                                  origin=record["origin"])
+    return [spans[key] for key in sorted(spans)]
+
+
+def merge_trace(records: List[dict]) -> List[TraceNode]:
+    """Merge one trace's records into root :class:`TraceNode` s.
+
+    Returns the forest's roots in deterministic order (attached roots
+    first, then detached subtrees, each by key).  Records are assumed
+    to belong to a single trace; callers group by trace id first.
+    """
+    spans = _global_spans(records)
+    nodes = {s["id"]: TraceNode(s["id"], s["name"], float(s["duration_ms"]),
+                                s["proc"], s["origin"], s.get("error"),
+                                s.get("attrs") or {})
+             for s in spans}
     roots: List[TraceNode] = []
-    for key, node in nodes.items():
-        parent_key = parents.get(key)
-        parent = nodes.get(parent_key) if parent_key is not None else None
+    for span in spans:
+        node = nodes[span["id"]]
+        parent = nodes.get(span["parent"])
         if parent is None:
-            node.detached = parent_key is not None
+            node.detached = span["parent"] is not None
             roots.append(node)
         else:
             parent.children.append(node)
-    for node in nodes.values():
-        node.children.sort(key=lambda n: n.key)
-    roots.sort(key=lambda n: (n.detached, n.key))
+    roots.sort(key=lambda n: n.detached)
     return roots
 
 
 def render_trace(trace_id: str, records: List[dict]) -> str:
     """The merged tree as indented text, process boundaries marked."""
-    roots = merge_trace(records)
     procs = sorted({r["proc"] for r in records})
     origins = sorted({r["origin"] for r in records})
-    lines = ["trace {}  ({} records, {} processes: {})".format(
-        trace_id, len(records), len(procs), ", ".join(origins))]
-    if not roots:
-        lines.append("(no spans recorded)")
-        return "\n".join(lines) + "\n"
-
-    def walk(node: TraceNode, depth: int, parent: Optional[TraceNode]):
-        indent = "  " * depth
-        crossing = parent is not None and parent.proc != node.proc
-        marks = []
-        if crossing or parent is None:
-            marks.append("proc={} {}".format(node.proc, node.origin))
-        if node.detached:
-            marks.append("(detached)")
-        if node.error:
-            marks.append("ERROR={}".format(node.error))
-        mark_text = "  [{}]".format(", ".join(marks)) if marks else ""
-        lines.append("{}{:<{}} {:>9.3f} ms{}".format(
-            indent, node.name, max(1, 36 - len(indent)), node.ms,
-            mark_text))
-        for child in node.children:
-            walk(child, depth + 1, node)
-
-    for root in roots:
-        walk(root, 0, None)
-    return "\n".join(lines) + "\n"
+    header = "trace {}  ({} records, {} processes: {})".format(
+        trace_id, len(records), len(procs), ", ".join(origins))
+    return "{}\n{}\n".format(header, render_span_tree(_global_spans(records)))
 
 
 def rollup(records: List[dict], by: str = "phase") -> List[List[object]]:

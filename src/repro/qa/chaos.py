@@ -115,13 +115,10 @@ POINTS: Dict[str, ChaosPoint] = {
                    "(arg = exit code)"),
         ChaosPoint("corpus.shard_hang", "sleep",
                    "corpus shard hangs (plain sleep, arg = seconds)"),
-        ChaosPoint("history.append", "mark",
-                   "a bench-ledger append is torn mid-line (writer died "
-                   "mid-write); readers must skip it"),
-        ChaosPoint("tracestore.append", "mark",
-                   "a trace-store segment append is torn mid-line "
-                   "(writer died mid-write); readers must skip it and "
-                   "serving must not degrade"),
+        ChaosPoint("jsonl.append", "mark",
+                   "a JSONL record append (context: kind) is torn "
+                   "mid-line (writer died mid-write); readers must skip "
+                   "it and serving must not degrade"),
     )
 }
 
@@ -517,7 +514,8 @@ _PLAN_SPECS: Tuple[ChaosPlanSpec, ...] = (
         "time; read_history skips each torn line with a warning and "
         "bench compare still runs over the surviving records",
         target="ledger",
-        rules=(FaultRule("history.append", probability=0.5),),
+        rules=(FaultRule("jsonl.append", probability=0.5,
+                         match=(("kind", "bench_run"),)),),
     ),
     ChaosPlanSpec(
         name="tracestore-torn",
@@ -525,7 +523,8 @@ _PLAN_SPECS: Tuple[ChaosPlanSpec, ...] = (
         "time; readers skip each torn record with a counter and a "
         "daemon sampling at 100% keeps serving pinned-correct answers",
         target="tracestore",
-        rules=(FaultRule("tracestore.append", probability=0.5),),
+        rules=(FaultRule("jsonl.append", probability=0.5,
+                         match=(("kind", "trace_record"),)),),
     ),
     ChaosPlanSpec(
         name="shard-hang",
@@ -892,16 +891,16 @@ def _run_ledger_battery(spec: ChaosPlanSpec, seed: int,
     """Tear bench-ledger appends mid-line; readers must shrug it off.
 
     Appends a deterministic stream of valid records while the
-    ``history.append`` point truncates about half of them, then asserts
-    that :func:`repro.obs.history.read_history`, the validator CLI, and
-    ``bench compare`` all succeed over the surviving records — a torn
-    line is a crash artifact, and it must never wedge the gate.
+    ``jsonl.append`` point truncates about half of them, then asserts
+    that :func:`repro.obs.history.read_history`, the JSONL validator,
+    and ``bench compare`` all succeed over the surviving records — a
+    torn line is a crash artifact, and it must never wedge the gate.
     """
     import io
     from contextlib import redirect_stderr
     from pathlib import Path
 
-    from repro.obs import history, regress
+    from repro.obs import history, jsonl, regress
 
     path = str(Path(work_dir) / "BENCH_history.jsonl")
     n_records = 16
@@ -909,7 +908,7 @@ def _run_ledger_battery(spec: ChaosPlanSpec, seed: int,
     violations: List[dict] = []
     with armed(plan_spec(spec.name).plan(seed)) as state:
         for i in range(n_records):
-            history.append_record(path, {
+            jsonl.append(path, {
                 "schema": history.HISTORY_SCHEMA_VERSION,
                 "kind": history.RECORD_KIND,
                 "tool": "chaos-ledger-battery",
@@ -923,7 +922,7 @@ def _run_ledger_battery(spec: ChaosPlanSpec, seed: int,
                 "counters": {"alias.queries": 100 + i},
             })
         injected = state.injected()
-    torn = injected.get("history.append", 0)
+    torn = injected.get("jsonl.append", 0)
     if not 0 < torn < n_records:
         violations.append({
             "reason": "battery needs both torn and surviving appends",
@@ -949,7 +948,7 @@ def _run_ledger_battery(spec: ChaosPlanSpec, seed: int,
             "torn": torn, "skipped": skipped,
         })
     try:
-        n_valid = history.validate_file(path)
+        n_valid = jsonl.validate_file(path)
     except (OSError, ValueError) as err:
         n_valid = -1
         violations.append({
@@ -985,7 +984,7 @@ def _run_tracestore_battery(spec: ChaosPlanSpec, seed: int,
     """Tear trace-store appends mid-line; tracing must stay telemetry.
 
     Two invariants, tested in two phases.  First, the store itself:
-    append a deterministic record stream while ``tracestore.append``
+    append a deterministic record stream while ``jsonl.append``
     truncates about half of them, then assert readers return exactly
     the surviving records, counting each torn line
     (``obs.trace.torn_skipped``) instead of crashing.  Second, the
@@ -1023,7 +1022,7 @@ def _run_tracestore_battery(spec: ChaosPlanSpec, seed: int,
                            "parent": None, "duration_ms": 1.0}],
                 "notes": {}, "dropped": 0,
             })
-        torn = state.injected().get("tracestore.append", 0)
+        torn = state.injected().get("jsonl.append", 0)
     if not 0 < torn < n_records:
         violations.append({
             "reason": "battery needs both torn and surviving appends",
@@ -1059,7 +1058,7 @@ def _run_tracestore_battery(spec: ChaosPlanSpec, seed: int,
                              violations, typed_errors)
             if response.get("ok"):
                 ok_responses += 1
-        daemon_torn = state.injected().get("tracestore.append", 0)
+        daemon_torn = state.injected().get("jsonl.append", 0)
     if typed_errors:
         violations.append({
             "reason": "torn trace appends degraded serving",
@@ -1090,7 +1089,7 @@ def _run_tracestore_battery(spec: ChaosPlanSpec, seed: int,
         "daemon_records": len(daemon_records),
         "torn_skipped": int(
             registry.counter("obs.trace.torn_skipped").value),
-        "injected": {"tracestore.append": torn + daemon_torn},
+        "injected": {"jsonl.append": torn + daemon_torn},
         "violations": violations,
     }
 

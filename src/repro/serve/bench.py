@@ -107,6 +107,9 @@ def run_serve_bench(names: Optional[List[str]] = None,
                 "{} != {}".format(name, warm_answers[name],
                                   cold_answers[name]))
 
+    # The daemon's windowed gauges (burn rates, per-op quantiles) are
+    # published on read; read once so the registry snapshot carries them.
+    daemon.journal.publish()
     cold_qps = queries / max(cold_s, 1e-9)
     warm_qps = queries / max(warm_s, 1e-9)
     result = {

@@ -453,32 +453,7 @@ def run_smoke(source: str, cache_dir: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Debug span trees and the obs-smoke battery
-
-
-def format_span_tree(spans: List[dict]) -> str:
-    """Render a ``debug: true`` response's span list as an indented tree.
-
-    Spans arrive as JSON objects in start order with ``depth`` already
-    computed by the daemon's per-thread span stack, so rendering is a
-    straight walk — used by ``repro client --debug``.
-    """
-    if not spans:
-        return "(no spans collected)"
-    lines: List[str] = []
-    for span in spans:
-        indent = "  " * int(span.get("depth", 0))
-        attrs = span.get("attrs") or {}
-        attr_text = ""
-        if attrs:
-            attr_text = "  [{}]".format(", ".join(
-                "{}={}".format(k, v) for k, v in sorted(attrs.items())))
-        error = span.get("error")
-        lines.append("{}{:<{}} {:>9.3f} ms{}{}".format(
-            indent, span.get("name", "?"), max(1, 36 - len(indent)),
-            float(span.get("duration_ms", 0.0)), attr_text,
-            "  ERROR={}".format(error) if error else ""))
-    return "\n".join(lines)
+# The obs-smoke battery
 
 
 def run_obs_smoke(source: str, cache_dir: str) -> dict:
@@ -488,15 +463,15 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
     every request logs), fires traced + debug queries over HTTP, then
     checks the whole observability surface: the client-chosen trace id
     comes back in the response, on every collected span, in
-    ``/v1/requests`` and in the access-log JSONL (validated line by
-    line); ``/v1/metrics`` passes the promtool-style self-lint and
-    carries the quantile gauges + SLO counters; and ``repro top --once``
-    renders a frame from the live daemon in a subprocess.
+    ``/v1/requests`` and in the access-log JSONL (every line read back
+    through the shared JSONL reader); ``/v1/metrics`` passes the
+    promtool-style self-lint and carries the quantile gauges + SLO
+    counters; and ``repro top --once`` renders a frame from the live
+    daemon in a subprocess.
     """
     from pathlib import Path
 
-    from repro.obs import promlint
-    from repro.obs.reqlog import validate_access_line
+    from repro.obs import jsonl, promlint
     from repro.serve.daemon import Daemon
     from repro.serve.factcache import FactStore
     from repro.serve.session import SessionManager
@@ -580,13 +555,13 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
     finally:
         daemon.stop_http()
 
-    access_lines = Path(access_log).read_text().splitlines()
-    if not access_lines:
+    logged = jsonl.read(access_log, jsonl.ACCESS_LOG)
+    if logged.invalid or logged.torn:
+        raise AssertionError("access log has invalid or torn lines: {}"
+                             .format(logged.invalid[:3]))
+    if not logged.records:
         raise AssertionError("access log is empty")
-    logged_traces = []
-    for line in access_lines:
-        obj = validate_access_line(line)
-        logged_traces.append(obj["trace"])
+    logged_traces = [obj["trace"] for obj in logged.records]
     if trace_id not in logged_traces:
         raise AssertionError(
             "access log has no line for trace {} (saw {})".format(
@@ -598,7 +573,7 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
         "spans_collected": len(spans),
         "metrics_bytes": len(metrics_body),
         "journal_total": journal["total"],
-        "access_log_lines": len(access_lines),
+        "access_log_lines": len(logged.records),
         "top_rendered": True,
     }
 

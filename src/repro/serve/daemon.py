@@ -19,12 +19,14 @@ Observability (DESIGN.md §6j): every request gets a ``trace_id``
 id, and echoes it back in the response — ok *and* error.  ``debug:
 true`` requests additionally return their own span tree inline.  Every
 request bumps ``serve.request.total`` (and ``.errors`` on failure),
-lands its wall time in the ``serve.request.ms`` latency histogram, the
-per-op P² quantile gauges (``serve.request.ms.p50/p95/p99``) and the
-SLO counters (``serve.slo.ok``/``.breach`` against ``--slo-ms``), and
-is journalled into a bounded ring served by ``/v1/requests``; requests
-slower than ``--slow-ms`` are sampled into a JSONL access log.
-``stats`` exposes the same numbers over the wire.
+lands its wall time in the ``serve.request.ms`` latency histogram and
+the SLO counters (``serve.slo.ok``/``.breach`` against ``--slo-ms``),
+and is journalled into the one bounded request ring
+(:class:`~repro.obs.reqlog.RequestJournal`); requests slower than
+``--slow-ms`` are sampled into a JSONL access log.  Reading
+``/v1/metrics`` or the ``stats`` op publishes what the ring implies:
+the windowed burn rates and the per-op
+``serve.request.ms.p50/p95/p99`` gauges.
 
 Failures are answers, not crashes: protocol errors, compile errors and
 analysis errors each map to a typed error response and the daemon keeps
@@ -37,7 +39,6 @@ say so loudly rather than die silently.
 import json
 import threading
 import time
-import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
@@ -46,18 +47,16 @@ from repro import CompileError, __version__
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
 from repro.obs import metrics, promtext
-from repro.obs.burn import BurnTracker
-from repro.obs.quantile import QuantileSet
 from repro.obs.reqlog import (
-    DEFAULT_JOURNAL_SIZE,
+    DEFAULT_SLO_MS,
     AccessLog,
     RequestJournal,
     RequestRecord,
 )
-from repro.obs.sampler import DEFAULT_SAMPLE_RATE, HeadSampler
-from repro.obs.tracestore import TraceStore, make_record
-from repro.obs.traceview import summarize_traces
 from repro.obs.reqlog import now as wall_now
+from repro.obs.sampler import DEFAULT_SAMPLE_RATE, HeadSampler
+from repro.obs.tracestore import TraceStore, make_record, mint_trace_id
+from repro.obs.traceview import summarize_traces
 from repro.qa import chaos, guards
 from repro.serve import protocol
 from repro.serve.session import DifferentialMismatch, SessionManager
@@ -70,9 +69,6 @@ LATENCY_BUCKETS_MS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 #: How long a graceful drain waits for in-flight requests, seconds.
 DRAIN_TIMEOUT = 30.0
 
-#: Default per-request latency objective, milliseconds (``--slo-ms``).
-DEFAULT_SLO_MS = 250.0
-
 #: ``# HELP`` text served on ``/v1/metrics`` for the headline series
 #: (promtext emits HELP only when asked, so batch ``BENCH_obs.prom``
 #: output is unchanged).
@@ -80,9 +76,12 @@ METRIC_HELP = {
     "serve.request.total": "Requests received, by op.",
     "serve.request.errors": "Requests answered with a typed error, by op.",
     "serve.request.ms": "Request wall time in milliseconds, by op.",
-    "serve.request.ms.p50": "Streaming P2 median request latency (ms).",
-    "serve.request.ms.p95": "Streaming P2 95th-percentile latency (ms).",
-    "serve.request.ms.p99": "Streaming P2 99th-percentile latency (ms).",
+    "serve.request.ms.p50": "Median request latency over the last hour "
+                            "(ms, exact).",
+    "serve.request.ms.p95": "95th-percentile request latency over the "
+                            "last hour (ms, exact).",
+    "serve.request.ms.p99": "99th-percentile request latency over the "
+                            "last hour (ms, exact).",
     "serve.slo.ok": "Requests within the --slo-ms objective, by op.",
     "serve.slo.breach": "Requests over the --slo-ms objective, by op.",
     "serve.slo.burn_rate_5m": "Fraction of requests breaching the SLO "
@@ -94,9 +93,13 @@ METRIC_HELP = {
 }
 
 
-def mint_trace_id() -> str:
-    """A fresh daemon-minted trace id (16 hex chars)."""
-    return uuid.uuid4().hex[:16]
+def _limit(query: Dict[str, list]) -> Optional[int]:
+    """The ``?limit=N`` of a GET query (None when absent or unparseable)."""
+    raw = query.get("limit")
+    try:
+        return max(0, int(raw[0])) if raw else None
+    except ValueError:
+        return None
 
 
 class Daemon:
@@ -108,7 +111,6 @@ class Daemon:
                  slow_ms: Optional[float] = None,
                  access_log_path: Optional[str] = None,
                  access_log_sample: int = 1,
-                 journal_size: int = DEFAULT_JOURNAL_SIZE,
                  sampler: Optional[HeadSampler] = None,
                  trace_store: Optional[TraceStore] = None):
         self.manager = manager
@@ -123,14 +125,13 @@ class Daemon:
         #: Sampled traces flush here; ``None`` samples without storing
         #: (the coin still decides span collection, nothing persists).
         self.trace_store = trace_store
-        #: Sliding-window SLO burn rates + exemplars (DESIGN.md §6k).
-        self.burn = BurnTracker(slo_ms)
         self.shutdown_event = threading.Event()
         #: Draining daemons answer ping/stats/shutdown but reject new
         #: analysis work with a typed ``unavailable`` error.
         self.draining = False
-        #: Ring of recent requests, served by ``GET /v1/requests``.
-        self.journal = RequestJournal(journal_size)
+        #: The one ring of finished requests: ``GET /v1/requests``, the
+        #: burn rates and the per-op quantile gauges all read it.
+        self.journal = RequestJournal(slo_ms=slo_ms)
         #: Sampled JSONL log of slow requests; None when not configured.
         self.access_log: Optional[AccessLog] = None
         if access_log_path is not None:
@@ -138,8 +139,6 @@ class Daemon:
                 access_log_path,
                 slow_ms if slow_ms is not None else slo_ms,
                 sample=access_log_sample)
-        self._quantiles: Dict[str, QuantileSet] = {}
-        self._quantiles_lock = threading.Lock()
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self._http_server: Optional[ThreadingHTTPServer] = None
@@ -227,9 +226,9 @@ class Daemon:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         registry.histogram("serve.request.ms", buckets=LATENCY_BUCKETS_MS,
                            op=request.op).observe(elapsed_ms)
-        self._observe_latency(request.op, elapsed_ms)
-        self.burn.observe(elapsed_ms, ok=bool(response.get("ok")),
-                          trace_id=trace_id)
+        slo = "serve.slo.ok" if elapsed_ms <= self.slo_ms \
+            else "serve.slo.breach"
+        registry.counter(slo, op=request.op).inc()
         if request.debug:
             response["spans"] = scope.tree()
         if sampled and self.trace_store is not None:
@@ -247,24 +246,6 @@ class Daemon:
                                        trace_id=trace_id)
 
     # -- per-request accounting -----------------------------------------
-
-    def _observe_latency(self, op: str, elapsed_ms: float) -> None:
-        """Feed the P² quantile gauges and SLO counters for one request."""
-        registry = metrics.registry()
-        quantiles = self._quantiles.get(op)
-        if quantiles is None:
-            with self._quantiles_lock:
-                quantiles = self._quantiles.setdefault(op, QuantileSet())
-        quantiles.observe(elapsed_ms)
-        for q, estimate in quantiles.snapshot().items():
-            if estimate is not None:
-                registry.gauge(
-                    "serve.request.ms.p{}".format(int(round(q * 100.0))),
-                    op=op).set(round(estimate, 3))
-        if elapsed_ms <= self.slo_ms:
-            registry.counter("serve.slo.ok", op=op).inc()
-        else:
-            registry.counter("serve.slo.breach", op=op).inc()
 
     def _journal(self, request: protocol.Request, trace_id: str,
                  elapsed_ms: float, response: dict,
@@ -287,8 +268,14 @@ class Daemon:
             self.access_log.maybe_log(record)
 
     def metrics_text(self) -> str:
-        """The live registry as Prometheus exposition (``/v1/metrics``)."""
+        """The live registry as Prometheus exposition (``/v1/metrics``),
+        with the ring's windowed gauges published first."""
+        self.journal.publish()
         return promtext.render(help_texts=METRIC_HELP)
+
+    def requests_payload(self, query: Dict[str, list]) -> dict:
+        """``GET /v1/requests`` body: the newest journalled requests."""
+        return self.journal.snapshot(_limit(query))
 
     def traces_payload(self, query: Dict[str, list]) -> tuple:
         """``GET /v1/traces`` body: trace summaries, or one full trace.
@@ -309,13 +296,7 @@ class Daemon:
                     "kind": "http",
                     "message": "unknown trace {!r}".format(wanted[0])}}
             return 200, {"trace": wanted[0], "records": records}
-        limit = None
-        raw = query.get("limit")
-        if raw:
-            try:
-                limit = max(0, int(raw[0]))
-            except ValueError:
-                limit = None
+        limit = _limit(query)
         summaries = summarize_traces(self.trace_store.traces())
         if limit is not None:
             summaries = summaries[:limit]
@@ -335,7 +316,7 @@ class Daemon:
             stats["draining"] = self.draining
             stats["slo_ms"] = self.slo_ms
             stats["journal_total"] = self.journal.total
-            stats["slo_burn"] = self.burn.snapshot()
+            stats["slo_burn"] = self.journal.publish()
             if self.trace_store is not None:
                 stats["trace_store"] = self.trace_store.stats()
             # Visible across process boundaries: the cross-process chaos
@@ -459,14 +440,8 @@ class Daemon:
                         200, daemon.metrics_text().encode("utf-8"),
                         "text/plain; version=0.0.4; charset=utf-8")
                 elif parsed.path == "/v1/requests":
-                    limit = None
-                    raw = parse_qs(parsed.query).get("limit")
-                    if raw:
-                        try:
-                            limit = max(0, int(raw[0]))
-                        except ValueError:
-                            limit = None
-                    self._reply(200, daemon.journal.snapshot(limit))
+                    self._reply(200, daemon.requests_payload(
+                        parse_qs(parsed.query)))
                 elif parsed.path == "/v1/traces":
                     self._reply(*daemon.traces_payload(
                         parse_qs(parsed.query)))

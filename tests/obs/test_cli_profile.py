@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.obs import core, log
-from repro.obs.trace import validate_file
+from repro.obs.jsonl import read, validate_file
 
 SOURCE = """
 MODULE Tiny;
@@ -59,24 +59,40 @@ def test_profile_run_flag_adds_execute_phase(tiny, capsys):
 def test_trace_flag_writes_valid_jsonl(tiny, tmp_path, capsys):
     trace = str(tmp_path / "out.jsonl")
     assert main(["alias", tiny, "--trace", trace]) == 0
-    assert validate_file(trace) > 1
+    assert validate_file(trace) == 1
+    (record,) = read(trace).records
+    assert record["op"] == "alias" and record["ok"] is True
+    assert record["spans"] and record["metrics"]
     assert "trace: wrote" in capsys.readouterr().err
     assert not core.enabled()
+
+
+def test_trace_flag_file_opens_in_the_trace_viewer(tiny, tmp_path, capsys):
+    trace = str(tmp_path / "out.jsonl")
+    assert main(["-q", "profile", tiny, "--trace", trace]) == 0
+    (record,) = read(trace).records
+    capsys.readouterr()
+    assert main(["trace", "show", record["trace"], "--store", trace]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("trace {}  (1 records, 1 processes: cli)".format(
+        record["trace"]))
+    assert "lang.parse" in out and "100.0%" in out
 
 
 def test_trace_flag_flushes_even_on_failure(tmp_path, capsys):
     trace = str(tmp_path / "out.jsonl")
     missing = str(tmp_path / "missing.m3")
     assert main(["alias", missing, "--trace", trace]) == 1
-    # The bulkhead still flushed a (meta-only) trace.
+    # The bulkhead still flushed a (span-less) trace record.
     assert validate_file(trace) >= 1
+    assert read(trace).records[0]["ok"] is False
 
 
 def test_quiet_flag_suppresses_trace_note(tiny, tmp_path, capsys):
     trace = str(tmp_path / "out.jsonl")
     assert main(["-q", "alias", tiny, "--trace", trace]) == 0
     assert "trace: wrote" not in capsys.readouterr().err
-    assert validate_file(trace) > 1
+    assert validate_file(trace) == 1
 
 
 def test_profile_limit_flag_adds_limit_phases(tiny, capsys):

@@ -4,15 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import core, metrics
-from repro.obs import history
+from repro.obs import core, jsonl, metrics
 from repro.obs.history import (
     HISTORY_SCHEMA_VERSION,
-    HOST_KEYS,
     RECORD_KIND,
-    REQUIRED_KEYS,
     SUITE_BUCKET,
-    append_record,
     collect_record,
     counter_values,
     host_fingerprint,
@@ -20,9 +16,17 @@ from repro.obs.history import (
     read_history,
     resolve_selection,
     select_records,
-    validate_file,
-    validate_record,
 )
+from repro.obs.jsonl import HOST_KEYS, validate_file
+from repro.obs.jsonl import append as append_record
+
+
+def validate_record(obj):
+    jsonl.validate(obj, RECORD_KIND)
+
+
+#: Keys every ledger record must carry.
+REQUIRED_KEYS = ("schema", "kind") + jsonl.KINDS[RECORD_KIND].keys
 
 
 @pytest.fixture
@@ -185,13 +189,15 @@ def test_read_history_skips_torn_lines_with_warning(recorded, tmp_path):
     assert metrics.registry().counter("obs.history.torn_skipped").value == 1
 
 
-def test_read_history_strict_mode_reports_path_and_line(recorded, tmp_path):
+def test_read_history_torn_warning_reports_path_and_line(recorded, tmp_path,
+                                                         capsys):
     path = str(tmp_path / "hist.jsonl")
     append_record(path, make_record(recorded))
     with open(path, "a") as f:
         f.write("{truncated\n")
-    with pytest.raises(ValueError, match=r"hist\.jsonl:2: not JSON"):
-        read_history(path, skip_torn=False)
+    assert len(read_history(path)) == 1
+    assert "hist.jsonl:2: skipping torn bench_run line" in \
+        capsys.readouterr().err
 
 
 def test_read_history_still_rejects_schema_corruption(recorded, tmp_path):
@@ -211,7 +217,8 @@ def test_append_record_torn_by_chaos_is_skipped_on_read(recorded, tmp_path):
     metrics.registry().reset()
     path = str(tmp_path / "hist.jsonl")
     plan = chaos.FaultPlan(rules=(
-        chaos.FaultRule("history.append", after=1, times=1),))
+        chaos.FaultRule("jsonl.append", after=1, times=1,
+                        match={"kind": "bench_run"}),))
     with chaos.armed(plan):
         append_record(path, make_record(recorded))
         append_record(path, make_record(recorded))  # torn mid-line
@@ -267,7 +274,7 @@ def test_resolve_selection_latest_from_history_file(recorded, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Validator CLI (mirrors python -m repro.obs.trace)
+# The shared JSONL validator CLI over ledgers
 
 
 def test_history_cli_ok_and_invalid(recorded, tmp_path, capsys):
@@ -277,9 +284,9 @@ def test_history_cli_ok_and_invalid(recorded, tmp_path, capsys):
     with open(bad, "w") as f:
         f.write(json.dumps({"schema": 99}) + "\n")
     missing = str(tmp_path / "missing.jsonl")
-    assert history.main([good]) == 0
-    assert "ok (1 records, schema 1)" in capsys.readouterr().out
-    assert history.main([good, bad, missing]) == 1
+    assert jsonl.main([good]) == 0
+    assert "ok (1 records: bench_run; 0 torn" in capsys.readouterr().out
+    assert jsonl.main([good, bad, missing]) == 1
     captured = capsys.readouterr()
     assert "ok (1 records" in captured.out
     assert captured.err.count("INVALID") == 2

@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from repro.obs import metrics
-from repro.obs.reqlog import (
-    ACCESS_LOG_KEYS,
-    AccessLog,
-    RequestJournal,
-    RequestRecord,
-    validate_access_line,
-)
+from repro.obs import jsonl, metrics
+from repro.obs.jsonl import ACCESS_LOG, KINDS
+from repro.obs.reqlog import AccessLog, RequestJournal, RequestRecord
+
+#: Required keys of one access-log JSONL line.
+ACCESS_LOG_KEYS = ("kind", "schema") + KINDS[ACCESS_LOG].keys
 
 
 @pytest.fixture(autouse=True)
@@ -27,9 +25,13 @@ def make_record(op="alias", trace="t-1", ms=1.5, ok=True, error=None,
                         ok=ok, error_kind=error, cache=cache, ts=ts)
 
 
-def test_record_json_schema_matches_access_log_keys():
-    obj = dict(make_record().to_json(), slow=True)
+def test_record_json_schema_matches_access_log_keys(tmp_path):
+    path = tmp_path / "access.jsonl"
+    assert AccessLog(str(path), slow_ms=0.0).maybe_log(make_record())
+    (obj,) = jsonl.read(str(path), ACCESS_LOG).records
     assert set(obj) == set(ACCESS_LOG_KEYS)
+    assert set(make_record().to_json()) | {"slow", "kind", "schema"} == \
+        set(ACCESS_LOG_KEYS)
 
 
 def test_journal_is_a_bounded_newest_first_ring():
@@ -64,8 +66,9 @@ def test_access_log_writes_validated_slow_lines(tmp_path):
     path = tmp_path / "access.jsonl"
     log = AccessLog(str(path), slow_ms=10.0)
     assert log.maybe_log(make_record(ms=25.0)) is True
-    (line,) = path.read_text().splitlines()
-    obj = validate_access_line(line)
+    result = jsonl.read(str(path), ACCESS_LOG)
+    assert (result.invalid, result.torn) == ([], 0)
+    (obj,) = result.records
     assert obj["slow"] is True
     assert obj["ms"] == 25.0
     assert obj["trace"] == "t-1"
@@ -92,18 +95,28 @@ def test_access_log_write_failure_never_raises(tmp_path):
     assert metrics.registry().counter("serve.accesslog.errors").value == 1
 
 
-def test_validate_access_line_rejects_bad_lines():
-    good = json.dumps(dict(make_record().to_json(), slow=True))
-    validate_access_line(good)
-    with pytest.raises(ValueError, match="not JSON"):
-        validate_access_line("{torn")
-    with pytest.raises(ValueError, match="JSON object"):
-        validate_access_line("[1, 2]")
-    with pytest.raises(ValueError, match="missing keys"):
-        validate_access_line("{}")
-    broken = dict(make_record().to_json(), slow=True, trace="")
+def test_validate_access_line_rejects_bad_lines(tmp_path):
+    def line(**overrides):
+        obj = dict(make_record().to_json(), slow=True, kind=ACCESS_LOG,
+                   schema=1)
+        obj.update(overrides)
+        return obj
+
+    jsonl.validate(line(), ACCESS_LOG)
+    with pytest.raises(ValueError, match="not an object"):
+        jsonl.validate([1, 2], ACCESS_LOG)
+    with pytest.raises(ValueError, match="missing key"):
+        jsonl.validate({"kind": ACCESS_LOG, "schema": 1}, ACCESS_LOG)
     with pytest.raises(ValueError, match="trace"):
-        validate_access_line(json.dumps(broken))
-    not_slow = dict(make_record().to_json(), slow=False)
+        jsonl.validate(line(trace=""), ACCESS_LOG)
     with pytest.raises(ValueError, match="slow"):
-        validate_access_line(json.dumps(not_slow))
+        jsonl.validate(line(slow=False), ACCESS_LOG)
+    # A torn line is skipped and counted; an invalid one is handed back.
+    path = tmp_path / "access.jsonl"
+    path.write_text("{torn\n" + json.dumps(line(slow=False)) + "\n"
+                    + json.dumps(line()) + "\n")
+    result = jsonl.read(str(path), ACCESS_LOG)
+    assert len(result.records) == 1 and result.torn == 1
+    assert [lineno for lineno, _obj, _err in result.invalid] == [2]
+    assert metrics.registry().counter(
+        "serve.accesslog.torn_skipped").value == 1

@@ -22,7 +22,8 @@ def test_parse_prom_reads_samples_and_labels():
         'a{op="ping",unit="x"} 2\n'
         "b 1.5\n"
         "# a comment\n"
-        "garbage line without value\n")
+        "garbage line without value\n"
+        'x{a="b" 1\n')
     assert samples[("a", (("op", "alias"),))] == 3.0
     assert samples[("a", (("op", "ping"), ("unit", "x")))] == 2.0
     assert samples[("b", ())] == 1.5

@@ -1,18 +1,12 @@
-"""JSONL trace schema: golden layout, writer/validator round trip."""
+"""The ``--trace FILE`` record: golden layout, writer/validator round trip."""
 
 import json
 
 import pytest
 
-from repro.obs import core, metrics
-from repro.obs.trace import (
-    TRACE_SCHEMA_VERSION,
-    trace_lines,
-    validate_file,
-    validate_line,
-    validate_lines,
-    write_trace,
-)
+from repro.obs import core, jsonl, metrics
+from repro.obs.jsonl import TRACE_RECORD, validate, validate_file
+from repro.obs.tracestore import batch_record
 
 
 @pytest.fixture
@@ -30,94 +24,96 @@ def recorded():
     return recorder, registry
 
 
+def make(recorded, **overrides):
+    recorder, registry = recorded
+    record = batch_record("alias", 12.5, True, recorder, registry)
+    record.update(overrides)
+    return record
+
+
+def write(path, *records):
+    path.write_text("".join(jsonl.encode(r) + "\n" for r in records))
+    return str(path)
+
+
 def test_golden_line_layout(recorded):
     """Pin the exact key sets; a layout change must bump the schema."""
-    recorder, registry = recorded
-    lines = list(trace_lines(recorder, registry))
-    assert [l["kind"] for l in lines] == [
-        "meta", "span", "span", "counter", "gauge", "histogram"]
-    meta, root, child, counter, gauge, histogram = lines
-    assert meta == {"schema": 1, "kind": "meta", "tool": "repro",
-                    "trace_schema": 1}
-    assert set(root) == {"schema", "kind", "name", "id", "parent", "depth",
+    record = make(recorded)
+    assert set(record) == {"kind", "schema", "trace", "proc", "origin",
+                           "op", "unit", "ms", "ok", "ts", "parent",
+                           "spans", "notes", "dropped", "metrics"}
+    assert (record["kind"], record["schema"]) == (TRACE_RECORD, 1)
+    assert (record["origin"], record["op"], record["ok"]) == \
+        ("cli", "alias", True)
+    root, child = record["spans"]
+    assert set(root) == {"kind", "name", "id", "parent", "depth",
                          "start_ms", "duration_ms", "thread", "attrs",
                          "error"}
     assert root["name"] == "compile" and root["parent"] is None
     assert child["name"] == "lang.parse" and child["parent"] == root["id"]
     assert child["attrs"] == {"bytes": 12}
-    assert set(counter) == {"schema", "kind", "name", "labels", "value"}
+    counter, gauge, histogram = record["metrics"]
+    assert [m["kind"] for m in record["metrics"]] == [
+        "counter", "gauge", "histogram"]
+    assert set(counter) == {"kind", "name", "labels", "value"}
     assert counter["value"] == 5
     assert gauge["value"] == 3
-    assert set(histogram) == {"schema", "kind", "name", "labels", "buckets",
+    assert set(histogram) == {"kind", "name", "labels", "buckets",
                               "bucket_counts", "count", "sum", "min", "max"}
     assert histogram["bucket_counts"] == [0, 1, 0]
 
 
 def test_every_line_is_json_serialisable(recorded):
-    recorder, registry = recorded
-    for line in trace_lines(recorder, registry):
-        validate_line(json.loads(json.dumps(line)))
+    validate(json.loads(jsonl.encode(make(recorded))), TRACE_RECORD)
 
 
 def test_write_and_validate_file_round_trip(recorded, tmp_path):
-    recorder, registry = recorded
-    path = str(tmp_path / "trace.jsonl")
-    n = write_trace(path, recorder, registry)
-    assert n == 6
-    assert validate_file(path) == 6
+    path = write(tmp_path / "trace.jsonl", make(recorded))
+    assert validate_file(path) == 1
 
 
-def test_validator_rejects_bad_schema_version():
+def test_validator_rejects_bad_schema_version(recorded):
     with pytest.raises(ValueError, match="schema"):
-        validate_line({"schema": 99, "kind": "meta", "tool": "repro",
-                       "trace_schema": 99})
+        validate(make(recorded, schema=99), TRACE_RECORD)
 
 
-def test_validator_rejects_unknown_kind():
+def test_validator_rejects_unknown_kind(recorded):
     with pytest.raises(ValueError, match="kind"):
-        validate_line({"schema": TRACE_SCHEMA_VERSION, "kind": "event"})
+        validate(make(recorded, kind="event"))
 
 
-def test_validator_rejects_missing_keys():
+def test_validator_rejects_missing_keys(recorded):
+    record = make(recorded)
+    del record["spans"]
     with pytest.raises(ValueError, match="missing key"):
-        validate_line({"schema": TRACE_SCHEMA_VERSION, "kind": "counter",
-                       "name": "x", "labels": {}})
+        validate(record, TRACE_RECORD)
 
 
-def test_validator_requires_meta_first(recorded):
-    recorder, registry = recorded
-    lines = list(trace_lines(recorder, registry))
-    with pytest.raises(ValueError, match="meta"):
-        validate_lines(lines[1:])
-    with pytest.raises(ValueError, match="duplicate meta"):
-        validate_lines([lines[0], lines[0]])
+def test_validator_rejects_bad_metric_entries(recorded):
+    record = make(recorded)
+    record["metrics"][2]["bucket_counts"] = [1]
+    with pytest.raises(ValueError, match="bucket_counts"):
+        validate(record, TRACE_RECORD)
+    record = make(recorded)
+    record["metrics"][0]["value"] = "many"
+    with pytest.raises(ValueError, match="numeric"):
+        validate(record, TRACE_RECORD)
 
 
-def test_validator_requires_parent_before_child(recorded):
-    recorder, registry = recorded
-    lines = list(trace_lines(recorder, registry))
-    swapped = [lines[0], lines[2], lines[1]]  # child before its parent
-    with pytest.raises(ValueError, match="unknown parent"):
-        validate_lines(swapped)
-
-
-def test_validator_rejects_empty_trace():
-    with pytest.raises(ValueError, match="empty"):
-        validate_lines([])
+def test_validator_rejects_empty_trace(tmp_path):
+    path = tmp_path / "empty.jsonl"
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="no valid record"):
+        validate_file(str(path))
 
 
 def test_trace_cli_main(recorded, tmp_path, capsys):
-    from repro.obs import trace as trace_mod
-
-    recorder, registry = recorded
-    good = str(tmp_path / "good.jsonl")
-    write_trace(good, recorder, registry)
-    bad = str(tmp_path / "bad.jsonl")
-    with open(bad, "w") as f:
-        f.write("{not json\n")
-    assert trace_mod.main([good]) == 0
-    assert "ok (6 lines" in capsys.readouterr().out
-    assert trace_mod.main([good, bad]) == 1
+    good = write(tmp_path / "good.jsonl", make(recorded))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("{not json\n")
+    assert jsonl.main([good]) == 0
+    assert "ok (1 records: trace_record; 0 torn" in capsys.readouterr().out
+    assert jsonl.main([good, str(bad)]) == 1
     captured = capsys.readouterr()
     assert "INVALID" in captured.err
 
@@ -126,48 +122,33 @@ def test_trace_cli_main(recorded, tmp_path, capsys):
 # Malformed trace *files* through the validator entry points
 
 
-def written_trace(recorded, tmp_path):
-    recorder, registry = recorded
+def test_validate_file_skips_truncated_jsonl(recorded, tmp_path, capsys):
+    # A record chopped mid-object, as a killed writer leaves it, is a
+    # torn line: skipped and reported, never fatal next to a good one.
+    line = jsonl.encode(make(recorded))
     path = tmp_path / "trace.jsonl"
-    write_trace(str(path), recorder, registry)
-    return path
-
-
-def test_validate_file_rejects_truncated_jsonl(recorded, tmp_path):
-    path = written_trace(recorded, tmp_path)
-    lines = path.read_text().splitlines()
-    # Chop the last line mid-object, as a killed writer would leave it.
-    path.write_text("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
-    with pytest.raises(ValueError, match=r"trace\.jsonl:6: not JSON"):
-        validate_file(str(path))
-
-
-def test_validate_file_rejects_missing_meta_line(recorded, tmp_path):
-    path = written_trace(recorded, tmp_path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="meta"):
-        validate_file(str(path))
+    path.write_text(line + "\n" + line[: len(line) // 2] + "\n")
+    assert validate_file(str(path)) == 1
+    assert jsonl.main([str(path)]) == 0
+    assert "1 torn lines skipped" in capsys.readouterr().out
 
 
 def test_validate_file_rejects_unknown_schema_version(recorded, tmp_path):
-    path = written_trace(recorded, tmp_path)
-    lines = path.read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["schema"] = meta["trace_schema"] = TRACE_SCHEMA_VERSION + 1
-    path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
-    with pytest.raises(ValueError, match="schema"):
+    record = make(recorded)
+    record["schema"] += 1
+    path = tmp_path / "trace.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ValueError, match=r"trace\.jsonl:1: .*schema"):
         validate_file(str(path))
 
 
 def test_trace_cli_reports_malformed_files(recorded, tmp_path, capsys):
-    from repro.obs import trace as trace_mod
-
-    truncated = written_trace(recorded, tmp_path)
-    text = truncated.read_text()
-    truncated.write_text(text[: len(text) - 10])
-    no_meta = tmp_path / "no_meta.jsonl"
-    no_meta.write_text(text.split("\n", 1)[1])
-    assert trace_mod.main([str(truncated), str(no_meta)]) == 1
+    invalid = tmp_path / "invalid.jsonl"
+    record = make(recorded)
+    record["spans"][0]["id"] = "oops"
+    invalid.write_text(json.dumps(record) + "\n")
+    torn_only = tmp_path / "torn.jsonl"
+    torn_only.write_text(jsonl.encode(make(recorded))[:40] + "\n")
+    assert jsonl.main([str(invalid), str(torn_only)]) == 1
     err = capsys.readouterr().err
     assert err.count("INVALID") == 2

@@ -5,12 +5,12 @@ import json
 import pytest
 
 from repro.obs import core as obs
-from repro.obs import metrics
-from repro.obs.tracestore import (
-    TraceStore,
-    make_record,
-    validate_trace_record,
-)
+from repro.obs import jsonl, metrics
+from repro.obs.tracestore import TraceStore, make_record
+
+
+def validate_trace_record(obj):
+    jsonl.validate(obj, jsonl.TRACE_RECORD)
 
 
 @pytest.fixture(autouse=True)
@@ -24,7 +24,7 @@ def _record(i=0, trace=None, spans=None):
         "kind": "trace_record", "schema": 1,
         "trace": trace or "trace-{}".format(i),
         "proc": "testproc", "origin": "test", "op": "unit.test",
-        "unit": None, "ms": 1.0 + i, "ok": True, "ts": "2026-01-01",
+        "unit": None, "ms": 1.0 + i, "ok": True, "ts": 1767225600.0 + i,
         "parent": None,
         "spans": spans if spans is not None else [
             {"name": "root", "id": 1, "parent": None,
@@ -163,3 +163,60 @@ def test_validate_rejects_missing_keys_and_bad_types():
     record["parent"] = {"proc": 5, "span": 1}
     with pytest.raises(ValueError):
         validate_trace_record(record)
+    for field, value in (("ts", "yesterday"), ("ms", "slow")):
+        record = _record(0)
+        record[field] = value
+        with pytest.raises(ValueError, match=field):
+            validate_trace_record(record)
+    for span in (
+            {"name": "", "id": 1, "parent": None, "duration_ms": 1.0},
+            {"name": "x", "id": "oops", "parent": None, "duration_ms": 1.0},
+            {"name": "x", "id": True, "parent": None, "duration_ms": 1.0},
+            {"name": "x", "id": 2, "parent": "1", "duration_ms": 1.0},
+            {"name": "x", "id": 2, "parent": None, "duration_ms": -1.0},
+            {"name": "x", "id": 2, "parent": None}):
+        with pytest.raises(ValueError, match="span"):
+            validate_trace_record(_record(0, spans=[span]))
+
+
+def _broken_store(tmp_path):
+    """One good record, then one record broken each way the viewer used
+    to crash on: a string ``ts`` and a non-int span id."""
+    store = TraceStore(tmp_path / "traces")
+    assert store.append(_record(0, trace="good"))
+    bad_ts = _record(1, trace="bad-ts")
+    bad_ts["ts"] = "yesterday"
+    bad_id = _record(2, trace="bad-id",
+                     spans=[{"name": "root", "id": "oops", "parent": None,
+                             "duration_ms": 1.0}])
+    segment = next((tmp_path / "traces").glob("seg-*.jsonl"))
+    with open(segment, "a") as f:
+        for bad in (bad_ts, bad_id):
+            f.write(json.dumps(bad) + "\n")
+    return str(tmp_path / "traces")
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["ls"], "good"),
+    (["show", "good"], "root"),
+    (["top"], "root"),
+])
+def test_trace_cli_survives_malformed_records(tmp_path, capsys, argv,
+                                              needle):
+    from repro.cli import main
+
+    store = _broken_store(tmp_path)
+    assert main(["trace"] + argv + ["--store", store]) == 0
+    out = capsys.readouterr().out
+    assert needle in out
+    assert "bad-ts" not in out and "bad-id" not in out
+    assert metrics.registry().counter(
+        "obs.trace.invalid_skipped").value == 2
+
+
+def test_a_trace_flag_file_opens_as_a_one_segment_store(tmp_path):
+    path = tmp_path / "run.jsonl"
+    path.write_text(jsonl.encode(_record(0, trace="batch")) + "\n")
+    store = TraceStore(path)
+    assert [r["trace"] for r in store.records()] == ["batch"]
+    assert store.stats()["segments"] == 1

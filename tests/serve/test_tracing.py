@@ -14,11 +14,11 @@ import urllib.request
 import pytest
 
 from repro.obs import core as obs
-from repro.obs import metrics
+from repro.obs import jsonl, metrics
+from repro.obs.profile import render_span_tree
 from repro.obs.promlint import lint
-from repro.obs.reqlog import validate_access_line
 from repro.serve import protocol
-from repro.serve.client import SMOKE_SOURCE, HttpClient, format_span_tree
+from repro.serve.client import SMOKE_SOURCE, HttpClient
 from repro.serve.daemon import Daemon, mint_trace_id
 from repro.serve.factcache import FactStore
 from repro.serve.session import SessionManager
@@ -111,7 +111,7 @@ def test_debug_returns_span_tree_tagged_with_the_trace(daemon):
     names = {span["name"] for span in spans}
     assert "serve.request.tables" in names
     assert "serve.facts.rebuild" in names  # cold build traced through
-    rendered = format_span_tree(spans)
+    rendered = render_span_tree(spans)
     assert "serve.request.tables" in rendered
     assert "ms" in rendered
 
@@ -168,13 +168,10 @@ def test_journal_and_access_log_carry_the_trace(daemon):
     assert by_trace["tr-bad"]["error"] == "compile"
 
     # slow_ms=0 makes every request slow: both lines logged and valid.
-    lines = (tmp_path / "access.jsonl").read_text().splitlines()
-    assert len(lines) == 2
-    traces = set()
-    for line in lines:
-        obj = validate_access_line(line)
-        traces.add(obj["trace"])
-    assert traces == {"tr-ok", "tr-bad"}
+    logged = jsonl.read(str(tmp_path / "access.jsonl"), jsonl.ACCESS_LOG)
+    assert (logged.invalid, logged.torn) == ([], 0)
+    assert len(logged.records) == 2
+    assert {obj["trace"] for obj in logged.records} == {"tr-ok", "tr-bad"}
 
 
 def test_requests_endpoint_respects_limit(daemon):
@@ -329,16 +326,21 @@ def test_traces_endpoint_serves_summaries_and_records(tmp_path):
         daemon.stop_http()
 
 
-def test_journal_size_is_constructor_tunable(tmp_path):
+def test_requests_payload_defaults_to_newest_256(tmp_path):
     metrics.registry().reset()
-    daemon = Daemon(SessionManager(store=FactStore(tmp_path / "facts")),
-                    journal_size=4)
-    for i in range(6):
+    daemon = Daemon(SessionManager(store=FactStore(tmp_path / "facts")))
+    for i in range(300):
         assert daemon.handle_request(protocol.Request.from_obj(
-            {"id": "r{}".format(i), "op": "ping"}))["ok"]
-    snapshot = daemon.journal.snapshot()
-    assert snapshot["total"] == 6
-    assert len(snapshot["requests"]) == 4
+            {"id": "r{}".format(i), "op": "ping",
+             "trace_id": "t{}".format(i)}))["ok"]
+    snapshot = daemon.requests_payload({})
+    assert snapshot["total"] == 300
+    assert len(snapshot["requests"]) == 256
+    assert snapshot["requests"][0]["trace"] == "t299"
+    assert len(daemon.requests_payload({"limit": ["1000"]})["requests"]) \
+        == 300
+    # The ring behind it is sized for the hour-long burn window.
+    assert daemon.journal.publish()["1h"]["requests"] == 300
 
 
 def test_stats_op_reports_burn_windows_and_store(tmp_path):

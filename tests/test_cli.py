@@ -115,43 +115,44 @@ def test_bench_single(capsys):
 
 
 def _trace_names(path):
-    import json
+    """Span and metric names of the one record a --trace run writes."""
+    from repro.obs.jsonl import read
 
-    with open(path) as f:
-        return [json.loads(line).get("name") for line in f]
+    (record,) = read(path).records
+    return [e["name"] for e in record["spans"] + record["metrics"]]
 
 
 def test_run_trace_writes_runtime_spans(demo_file, tmp_path):
-    from repro.obs.trace import validate_file
+    from repro.obs.jsonl import validate_file
 
     trace = str(tmp_path / "run.jsonl")
     assert main(["-q", "run", demo_file, "--trace", trace]) == 0
-    assert validate_file(trace) > 1
+    assert validate_file(trace) == 1
     names = _trace_names(trace)
     assert "run.interp" in names and "run.cachesim" in names
     assert "run.interp.instructions" in names
 
 
 def test_limit_trace_writes_study_spans(demo_file, tmp_path):
-    from repro.obs.trace import validate_file
+    from repro.obs.jsonl import validate_file
 
     trace = str(tmp_path / "limit.jsonl")
     assert main(["-q", "limit", demo_file, "--trace", trace]) == 0
-    assert validate_file(trace) > 1
+    assert validate_file(trace) == 1
     names = _trace_names(trace)
     assert "limit.replay" in names and "limit.classify" in names
     assert "limit.loads.total" in names
 
 
 def test_run_trace_flushes_on_failure(tmp_path):
-    from repro.obs.trace import validate_file
+    from repro.obs.jsonl import validate_file
 
     trace = str(tmp_path / "run.jsonl")
     broken = tmp_path / "broken.m3"
     broken.write_text(BROKEN)
     assert main(["-q", "run", str(broken), "--trace", trace]) == 1
     # The bulkhead still flushed a schema-valid (partial) trace.
-    assert validate_file(trace) >= 1
+    assert validate_file(trace) == 1
 
 
 # ----------------------------------------------------------------------
@@ -171,9 +172,9 @@ def _ledger_record(seconds, sha):
 
 
 def _write_ledger(path, seconds, sha="a" * 40):
-    from repro.obs import history
+    from repro.obs import jsonl
 
-    history.append_record(str(path), _ledger_record(seconds, sha))
+    jsonl.append(str(path), _ledger_record(seconds, sha))
     return str(path)
 
 
@@ -190,8 +191,10 @@ def test_bench_appends_history_record(tmp_path, capsys):
     assert "bench.run" in phases and "run.interp" in phases
     assert record["counters"]["run.interp.instructions"] > 0
     assert "history: appended" in capsys.readouterr().err
-    # The ledger validator accepts what the CLI wrote.
-    assert history.main([hist]) == 0
+    # The JSONL validator accepts what the CLI wrote.
+    from repro.obs import jsonl
+
+    assert jsonl.main([hist]) == 0
 
 
 def test_bench_compare_detects_doctored_regression(tmp_path, capsys):
