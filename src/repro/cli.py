@@ -45,6 +45,7 @@ from repro.obs import core as obs
 from repro.obs import log
 from repro.obs.sampler import DEFAULT_SAMPLE_RATE as SERVE_SAMPLE_RATE
 from repro.runtime.limit import Category
+from repro.runtime.values import M3RuntimeError
 from repro.util.tables import render_table
 
 
@@ -1579,6 +1580,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except ResourceLimitError as err:
         log.error("error: resource limit exceeded ({}): {}".format(err.kind, err))
+        return 1
+    except M3RuntimeError as err:
+        log.error("error: runtime error: {}".format(err))
         return 1
     except KeyboardInterrupt:
         # Conventional 128+SIGINT, without a traceback.

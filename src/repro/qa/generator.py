@@ -222,16 +222,43 @@ class _Generator:
 
     def _vars_of_subtype(self, obj: _ObjType) -> List[str]:
         """Variables whose value is assignable to a slot of type *obj*."""
-        return [n for n, t in self.ref_vars.items() if t.is_subtype_of(obj)]
+        return self._subtype_vars[obj.name]
 
     def _ref_designators(self, obj: _ObjType) -> List[str]:
         """Designators of declared type ⊆ *obj* (variables and ref fields)."""
-        out = self._vars_of_subtype(obj)
-        for name, t in self.ref_vars.items():
-            for f, ft in t.all_ref_fields():
-                if ft.is_subtype_of(obj):
-                    out.append("{}.{}".format(name, f))
-        return out
+        return self._ref_pools[obj.name]
+
+    def _build_pools(self) -> None:
+        """Cache the designator pools.  The declared types and variables
+        are final once statement generation begins; the RNG draws stay
+        with the callers, in their original order."""
+        self._subtype_vars: Dict[str, List[str]] = {
+            obj.name: [n for n, t in self.ref_vars.items() if t.is_subtype_of(obj)]
+            for obj in self.obj_types
+        }
+        self._ref_pools: Dict[str, List[str]] = {
+            obj.name: self._subtype_vars[obj.name] + [
+                "{}.{}".format(name, f)
+                for name, t in self.ref_vars.items()
+                for f, ft in t.all_ref_fields()
+                if ft.is_subtype_of(obj)
+            ]
+            for obj in self.obj_types
+        }
+        self._int_fields = [
+            "{}.{}".format(name, f)
+            for name, t in self.ref_vars.items()
+            for f in t.all_int_fields()
+        ]
+        # One-hop paths through ref fields (may trap on NIL; tolerated):
+        # the prefix and the int fields of its target.
+        self._hops = [
+            ("{}.{}".format(name, f), ints)
+            for name, t in self.ref_vars.items()
+            for f, ft in t.all_ref_fields()
+            for ints in [ft.all_int_fields()]
+            if ints
+        ]
 
     def _int_designator(self) -> str:
         rng = self.rng
@@ -242,15 +269,9 @@ class _Generator:
             choices.append(
                 "arr^[{} MOD {}]".format(rng.choice(self.int_vars), ARRAY_LEN)
             )
-        for name, t in self.ref_vars.items():
-            for f in t.all_int_fields():
-                choices.append("{}.{}".format(name, f))
-        # One-hop paths through ref fields (may trap on NIL; tolerated).
-        for name, t in self.ref_vars.items():
-            for f, ft in t.all_ref_fields():
-                ints = ft.all_int_fields()
-                if ints:
-                    choices.append("{}.{}.{}".format(name, f, rng.choice(ints)))
+        choices += self._int_fields
+        for prefix, ints in self._hops:
+            choices.append("{}.{}".format(prefix, rng.choice(ints)))
         return rng.choice(choices)
 
     def _int_expr(self) -> str:
@@ -388,6 +409,7 @@ class _Generator:
         self._gen_types(out)
         self._gen_vars(out)
         self._gen_procs(out)
+        self._build_pools()
 
         # Prologue: allocate every global so early statements can
         # dereference them; supertype variables deliberately receive

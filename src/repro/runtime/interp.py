@@ -14,6 +14,31 @@ conventions (Table 4 of the paper):
 simulated address, loaded/stored value, instruction and activation id —
 the information ATOM recorded for the limit study.
 
+Execution is *pre-decoded*.  The first time a run enters a basic block,
+the block is decoded into a tuple of closures, one per instruction, each
+specialised for its instruction: temp and variable slots, field names,
+the operator function, a global's address, and whether a machine model
+or a tracer is attached are fixed at decode time, so executing an
+instruction is one call with no dispatch.  The terminator becomes a
+``(kind, operands)`` record.  A frame is one flat list — temps, then a
+slot per variable, then the activation id — copied from a per-procedure
+template that holds the variables' defaults.
+
+The counts are those of executing one instruction at a time: a counted
+body instruction is counted *before* it runs, so one that traps is
+counted, and a terminator after its block; the step budget and the
+deadline poll (every 2048 instructions) run at every terminator,
+callees' included.  A block's counts are therefore added in segments:
+a call adds the counted instructions since the previous call, itself
+included, before it enters the callee; the terminator adds the rest;
+and when an instruction raises, the block loop adds those up to and
+including it.
+
+Decoded code lives for one run.  Its closures refer back to the
+interpreter, so ``run()`` drops it on the way out; kept, it would form
+a reference cycle that holds the run's simulated heap until the next
+full garbage collection.
+
 Cache simulation is *deferred*: during execution every counted memory
 access appends its address to a log, and the machine model replays the
 log once the program finishes.  A direct-mapped cache depends only on
@@ -23,11 +48,12 @@ simulation become two separately-timed phases (``run.interp`` and
 ``run.cachesim`` spans) and the per-access cost drops to a list append.
 """
 
+import operator
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ir import instructions as ins
-from repro.ir.cfg import ProgramIR, ProcIR
+from repro.ir.cfg import BasicBlock, ProcIR, ProgramIR
 from repro.lang import types as ty
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
@@ -51,6 +77,16 @@ from repro.runtime.values import (
 
 _GLOBAL_BASE = 0x1000
 _STACK_BASE = 0x8000_0000
+#: Instructions between two polls of the wall-clock deadline.
+_POLL_EVERY = 2048
+
+#: Terminator kinds of a decoded block.
+_JUMP, _BRANCH, _RETURN = range(3)
+
+#: A decoded instruction: runs it against a frame.
+Op = Callable[[list], None]
+#: ``(ops, fixups, tail, kind, x, y, z)`` — see ``Interpreter._decode_block``.
+Code = Tuple[Tuple[Op, ...], Tuple[int, ...], int, int, object, object, object]
 
 
 class ExecutionStats:
@@ -89,33 +125,39 @@ class ExecutionStats:
         )
 
 
-class _Store:
-    """Anything with a ``vars`` mapping — frames and the global area."""
+class _Proc:
+    """A procedure's frame layout, built on its first call in a run.
 
-    __slots__ = ("vars",)
+    A frame is one list: the temps, one slot per variable, then the
+    activation id and the activation's ``AddrVar`` address table.
+    """
 
-    def __init__(self) -> None:
-        self.vars: Dict[Symbol, object] = {}
+    __slots__ = ("ir", "slots", "params", "act", "template")
 
-
-class Frame(_Store):
-    """One procedure activation."""
-
-    __slots__ = ("temps", "activation_id", "base_addr", "_addrs")
-
-    def __init__(self, n_temps: int, activation_id: int, base_addr: int):
-        super().__init__()
-        self.temps: List[object] = [None] * n_temps
-        self.activation_id = activation_id
-        self.base_addr = base_addr
-        self._addrs: Dict[Symbol, int] = {}
-
-    def var_addr(self, symbol: Symbol) -> int:
-        addr = self._addrs.get(symbol)
-        if addr is None:
-            addr = self.base_addr + len(self._addrs) * 8
-            self._addrs[symbol] = addr
-        return addr
+    def __init__(self, proc: ProcIR):
+        self.ir = proc
+        checked = proc.checked
+        # A slot per parameter and per local the body uses.  No symbol
+        # list has them all: inlining copies a callee's body but not its
+        # shadow variables (a FOR loop's bound, an inlined call's result).
+        symbols = list(checked.params)
+        for block in proc.blocks():
+            for instr in block.instrs:
+                symbol = getattr(instr, "symbol", None)
+                if symbol is not None and not symbol.is_global:
+                    symbols.append(symbol)
+        self.slots: Dict[Symbol, int] = {}
+        template: List[object] = [None] * proc.n_temps
+        for symbol in symbols:
+            if symbol not in self.slots:
+                self.slots[symbol] = len(template)
+                template.append(None)
+        for symbol in checked.all_symbols:
+            if symbol in self.slots and symbol.type is not None:
+                template[self.slots[symbol]] = default_value(symbol.type)
+        self.params = [self.slots[symbol] for symbol in checked.params]
+        self.act = len(template)
+        self.template = template + [0, None]
 
 
 class Interpreter:
@@ -136,54 +178,44 @@ class Interpreter:
         self.deadline = deadline
         self.stats = ExecutionStats()
         self.heap = HeapAllocator()
-        self.globals = _Store()
-        self._global_addrs: Dict[Symbol, int] = {}
+        self.globals: List[object] = []
+        self._global_slot: Dict[Symbol, int] = {}
         self._activations = 0
         # Deferred cache simulation: loads append ``addr``, stores append
         # ``~addr`` (addresses are non-negative, so the complement is an
         # unambiguous store marker).  Replayed by ``run()``.
         self._mem_log: List[int] = []
-        self._init_globals()
-
-    # ------------------------------------------------------------------
-
-    def _init_globals(self) -> None:
-        for i, symbol in enumerate(self.program.checked.globals):
+        # The current run's decoded code (None between runs).
+        self._procs: Optional[Dict[str, _Proc]] = None
+        self._blocks: Optional[Dict[BasicBlock, Code]] = None
+        for i, symbol in enumerate(program.checked.globals):
             assert symbol.type is not None
-            self.globals.vars[symbol] = default_value(symbol.type)
-            self._global_addrs[symbol] = _GLOBAL_BASE + i * 8
+            self._global_slot[symbol] = i
+            self.globals.append(default_value(symbol.type))
 
     def run(self) -> ExecutionStats:
         """Execute the module body and return the statistics."""
         old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(max(old_limit, 100_000))
+        self._procs, self._blocks = {}, {}
         try:
             with obs.span("run.interp", module=self.program.checked.name):
-                self.call_proc(MAIN_PROC, [])
+                self._enter(MAIN_PROC, [])
         finally:
+            self._procs = self._blocks = None  # see the module docstring
             sys.setrecursionlimit(old_limit)
             # Replay (and export counters) even when execution dies on a
             # trap or resource limit, so partial runs stay accounted for.
             if self.machine is not None and self._mem_log:
                 with obs.span("run.cachesim", accesses=len(self._mem_log)):
-                    self._replay_machine()
+                    self.machine.replay(self._mem_log)
+                self._mem_log = []
             self._export_metrics()
         self.stats.allocations = self.heap.allocations
         self.stats.cycles = self.stats.instructions + (
             self.machine.cycles if self.machine else 0
         )
         return self.stats
-
-    def _replay_machine(self) -> None:
-        """Feed the buffered access log through the machine model."""
-        load = self.machine.load
-        store = self.machine.store
-        for entry in self._mem_log:
-            if entry >= 0:
-                load(entry)
-            else:
-                store(~entry)
-        self._mem_log = []
 
     def _export_metrics(self) -> None:
         """Bulk-increment the registry counters for this run (one call
@@ -203,364 +235,615 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Procedure execution
 
-    def call_proc(self, name: str, args: List[object]) -> object:
-        proc = self.program.procs[name]
-        self._activations += 1
-        self.stats.calls += 1
-        frame = Frame(
-            proc.n_temps,
-            self._activations,
-            _STACK_BASE + (self._activations % 4096) * 512,
-        )
-        checked = proc.checked
-        for symbol, value in zip(checked.params, args):
-            frame.vars[symbol] = value
-        for symbol in checked.all_symbols:
-            if symbol not in frame.vars and symbol.type is not None:
-                frame.vars[symbol] = default_value(symbol.type)
-        return self._run_frame(proc, frame)
-
-    def _run_frame(self, proc: ProcIR, frame: Frame) -> object:
+    def _enter(self, name: str, args: List[object]) -> object:
+        """Call procedure *name*: build its frame, then run its blocks."""
+        proc = self._procs.get(name)
+        if proc is None:
+            proc = self._procs[name] = _Proc(self.program.procs[name])
         stats = self.stats
-        block = proc.entry
+        self._activations += 1
+        stats.calls += 1
+        t = proc.template.copy()
+        t[proc.act] = self._activations
+        for slot, value in zip(proc.params, args):
+            t[slot] = value
+        blocks = self._blocks
+        block = proc.ir.entry
         max_steps = self.max_steps
-        deadline = self.deadline
         last_poll = stats.instructions
+        # The first count at which the step budget or the poll is due.
+        check_at = last_poll + _POLL_EVERY
+        if max_steps is not None:
+            check_at = min(check_at, max_steps + 1)
         while True:
-            for instr in block.instrs:
-                if instr.counted:
-                    stats.instructions += 1
-                self._execute(instr, frame)
-            terminator = block.terminator
-            if terminator is None:
-                raise M3RuntimeError(
-                    "procedure {} fell off the end of block {}".format(
-                        proc.name, block.name
+            code = blocks.get(block)
+            if code is None:
+                code = blocks[block] = self._decode_block(proc, block)
+            ops, fixups, tail, kind, x, y, z = code
+            it = iter(ops)
+            try:
+                for op in it:
+                    op(t)
+            except BaseException:
+                # ``it`` stopped just past the op that raised.
+                stats.instructions += fixups[len(ops) - 1 - it.__length_hint__()]
+                raise
+            stats.instructions += tail
+            if stats.instructions >= check_at:
+                count = stats.instructions
+                if max_steps is not None and count > max_steps:
+                    raise ResourceLimitError(
+                        "execution exceeded the step budget of {}".format(max_steps),
+                        kind="steps",
                     )
-                )
-            stats.instructions += 1
-            if max_steps is not None and stats.instructions > max_steps:
-                raise ResourceLimitError(
-                    "execution exceeded the step budget of {}".format(max_steps),
-                    kind="steps",
-                )
-            # Poll the wall clock every ~2048 instructions: cheap enough
-            # to leave on, frequent enough that runaway programs (and
-            # runaway *interpretation*) die promptly.
-            if stats.instructions - last_poll >= 2048:
-                last_poll = stats.instructions
-                if deadline is not None:
-                    deadline.check()
-                else:
-                    guards.check_active()
-            if isinstance(terminator, ins.Jump):
-                block = terminator.target
-            elif isinstance(terminator, ins.Branch):
-                cond = frame.temps[terminator.cond.index]
-                block = terminator.if_true if cond else terminator.if_false
-            elif isinstance(terminator, ins.Return):
-                if terminator.value is None:
-                    return None
-                return frame.temps[terminator.value.index]
-            else:  # pragma: no cover
-                raise M3RuntimeError("unknown terminator {!r}".format(terminator))
+                # Poll the wall clock every ~2048 instructions: cheap
+                # enough to leave on, frequent enough that runaway
+                # programs (and runaway *interpretation*) die promptly.
+                if count - last_poll >= _POLL_EVERY:
+                    last_poll = count
+                    if self.deadline is not None:
+                        self.deadline.check()
+                    else:
+                        guards.check_active()
+                check_at = last_poll + _POLL_EVERY
+                if max_steps is not None:
+                    check_at = min(check_at, max_steps + 1)
+            if kind is _BRANCH:
+                block = y if t[x] else z
+            elif kind is _JUMP:
+                block = x
+            else:
+                return None if x is None else t[x]
 
     # ------------------------------------------------------------------
-    # Instruction dispatch
+    # Decoding
 
-    def _execute(self, instr: ins.Instr, frame: Frame) -> None:
-        handler = _HANDLERS.get(type(instr))
-        if handler is None:  # pragma: no cover
-            raise M3RuntimeError("unknown instruction {!r}".format(instr))
-        handler(self, instr, frame)
+    def _decode_block(self, proc: _Proc, block: BasicBlock) -> Code:
+        """Decode *block* into ``(ops, fixups, tail, kind, x, y, z)``.
+
+        ``fixups[i]`` is added to the instruction count when op *i*
+        raises, ``tail`` once every op ran (the terminator included); a
+        call op adds its own share before it enters the callee.  ``kind``
+        and ``x, y, z`` are the terminator: a jump's target, a branch's
+        condition slot and targets, or a return's value slot.
+        """
+        ops: List[Op] = []
+        fixups: List[int] = []
+        pending = 0
+        for instr in block.instrs:
+            pending += instr.counted
+            if instr.is_call:
+                ops.append(self._decode_call(proc, instr, pending))
+                pending = 0
+            else:
+                decode = _DECODERS.get(type(instr))
+                if decode is None:  # pragma: no cover
+                    raise M3RuntimeError("unknown instruction {!r}".format(instr))
+                ops.append(decode(self, proc, instr))
+            fixups.append(pending)
+        term = block.terminator
+        if term is None:
+            ops.append(_fell_off(proc.ir.name, block.name))
+            fixups.append(pending)
+            return tuple(ops), tuple(fixups), 0, _RETURN, None, None, None
+        if isinstance(term, ins.Jump):
+            record = (_JUMP, term.target, None, None)
+        elif isinstance(term, ins.Branch):
+            record = (_BRANCH, term.cond.index, term.if_true, term.if_false)
+        elif isinstance(term, ins.Return):
+            value = None if term.value is None else term.value.index
+            record = (_RETURN, value, None, None)
+        else:  # pragma: no cover
+            raise M3RuntimeError("unknown terminator {!r}".format(term))
+        return (tuple(ops), tuple(fixups), pending + 1) + record
+
+    def _hooks(self) -> Tuple[Optional[Callable], Optional[Callable], Optional[Callable]]:
+        """The access log's ``append`` (with a machine model) and the
+        tracer's ``on_load``/``on_store`` (with a tracer), else None."""
+        log = self._mem_log.append if self.machine is not None else None
+        if not self.tracer:
+            return log, None, None
+        return log, self.tracer.on_load, self.tracer.on_store
 
     # -- scalar plumbing -------------------------------------------------
 
-    def _ex_const(self, instr: ins.ConstInstr, frame: Frame) -> None:
-        frame.temps[instr.dest.index] = instr.value
+    def _decode_const(self, proc: _Proc, instr: ins.ConstInstr) -> Op:
+        d, value = instr.dest.index, instr.value
 
-    def _ex_move(self, instr: ins.Move, frame: Frame) -> None:
-        frame.temps[instr.dest.index] = frame.temps[instr.src.index]
+        def op(t):
+            t[d] = value
+        return op
 
-    def _ex_loadvar(self, instr: ins.LoadVar, frame: Frame) -> None:
-        symbol = instr.symbol
-        if symbol.is_global:
-            value = self.globals.vars[symbol]
-            self.stats.other_loads += 1
-            if self.machine:
-                self._mem_log.append(self._global_addrs[symbol])
-        else:
-            value = frame.vars[symbol]
-        frame.temps[instr.dest.index] = value
+    def _decode_move(self, proc: _Proc, instr: ins.Move) -> Op:
+        return _copy(instr.dest.index, instr.src.index)
 
-    def _ex_storevar(self, instr: ins.StoreVar, frame: Frame) -> None:
-        symbol = instr.symbol
-        value = frame.temps[instr.src.index]
-        if symbol.is_global:
-            self.globals.vars[symbol] = value
-            self.stats.other_stores += 1
-            if self.machine:
-                self._mem_log.append(~self._global_addrs[symbol])
-        else:
-            frame.vars[symbol] = value
+    def _decode_loadvar(self, proc: _Proc, instr: ins.LoadVar) -> Op:
+        d, symbol = instr.dest.index, instr.symbol
+        if not symbol.is_global:
+            return _copy(d, proc.slots[symbol])
+        g, i = self.globals, self._global_slot[symbol]
+        addr = _GLOBAL_BASE + i * 8
+        stats, log = self.stats, self._hooks()[0]
 
-    def _ex_binop(self, instr: ins.BinOp, frame: Frame) -> None:
-        a = frame.temps[instr.left.index]
-        b = frame.temps[instr.right.index]
-        frame.temps[instr.dest.index] = _BINOPS[instr.op](a, b)
+        def op(t):
+            t[d] = g[i]
+            stats.other_loads += 1
+            if log is not None:
+                log(addr)
+        return op
 
-    def _ex_unop(self, instr: ins.UnOp, frame: Frame) -> None:
-        a = frame.temps[instr.operand.index]
-        frame.temps[instr.dest.index] = (-a) if instr.op == "neg" else (not a)
+    def _decode_storevar(self, proc: _Proc, instr: ins.StoreVar) -> Op:
+        s, symbol = instr.src.index, instr.symbol
+        if not symbol.is_global:
+            return _copy(proc.slots[symbol], s)
+        g, i = self.globals, self._global_slot[symbol]
+        mark = ~(_GLOBAL_BASE + i * 8)
+        stats, log = self.stats, self._hooks()[0]
+
+        def op(t):
+            g[i] = t[s]
+            stats.other_stores += 1
+            if log is not None:
+                log(mark)
+        return op
+
+    def _decode_binop(self, proc: _Proc, instr: ins.BinOp) -> Op:
+        d, a, b = instr.dest.index, instr.left.index, instr.right.index
+        fn = _BINOPS[instr.op]
+
+        def op(t):
+            t[d] = fn(t[a], t[b])
+        return op
+
+    def _decode_unop(self, proc: _Proc, instr: ins.UnOp) -> Op:
+        d, a = instr.dest.index, instr.operand.index
+        fn = operator.neg if instr.op == "neg" else operator.not_
+
+        def op(t):
+            t[d] = fn(t[a])
+        return op
 
     # -- heap loads/stores -----------------------------------------------
 
-    def _heap_load(self, instr: ins.Instr, addr: int, value: object, frame: Frame) -> None:
-        self.stats.heap_loads += 1
-        if self.machine:
-            self._mem_log.append(addr)
-        if self.tracer:
-            self.tracer.on_load(instr, addr, value, frame.activation_id)
+    def _decode_loadfield(self, proc: _Proc, instr: ins.LoadField) -> Op:
+        d, b, field = instr.dest.index, instr.base.index, instr.field
+        spec, loc, act = instr.speculative, instr.loc, proc.act
+        stats = self.stats
+        log, on_load, _ = self._hooks()
+        watch = log is not None or on_load is not None
 
-    def _heap_store(self, instr: ins.Instr, addr: int, value: object, frame: Frame) -> None:
-        self.stats.heap_stores += 1
-        if self.machine:
-            self._mem_log.append(~addr)
-        if self.tracer:
-            self.tracer.on_store(instr, addr, value, frame.activation_id)
+        def op(t):
+            base = t[b]
+            if base is None:
+                if spec:
+                    t[d] = None
+                    return
+                raise M3RuntimeError("NIL dereference at {}".format(loc))
+            value = base.slots[field]
+            stats.heap_loads += 1
+            if watch:
+                addr = base.addr + base.offsets[field]
+                if log is not None:
+                    log(addr)
+                if on_load is not None:
+                    on_load(instr, addr, value, t[act])
+            t[d] = value
+        return op
 
-    def _ex_loadfield(self, instr: ins.LoadField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        value = base.slots[instr.field]
-        self._heap_load(instr, base.field_addr(instr.field), value, frame)
-        frame.temps[instr.dest.index] = value
+    def _decode_storefield(self, proc: _Proc, instr: ins.StoreField) -> Op:
+        b, field, s = instr.base.index, instr.field, instr.src.index
+        loc, act = instr.loc, proc.act
+        stats = self.stats
+        log, _, on_store = self._hooks()
+        watch = log is not None or on_store is not None
 
-    def _ex_storefield(self, instr: ins.StoreField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        value = frame.temps[instr.src.index]
-        base.slots[instr.field] = value
-        self._heap_store(instr, base.field_addr(instr.field), value, frame)
+        def op(t):
+            base = t[b]
+            if base is None:
+                raise M3RuntimeError("NIL dereference at {}".format(loc))
+            value = t[s]
+            base.slots[field] = value
+            stats.heap_stores += 1
+            if watch:
+                addr = base.addr + base.offsets[field]
+                if log is not None:
+                    log(~addr)
+                if on_store is not None:
+                    on_store(instr, addr, value, t[act])
+        return op
 
-    def _ex_loadelem(self, instr: ins.LoadElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        index = frame.temps[instr.index.index]
-        if instr.speculative:
-            if (
+    def _decode_loadelem(self, proc: _Proc, instr: ins.LoadElem) -> Op:
+        d, b, x = instr.dest.index, instr.base.index, instr.index.index
+        spec, loc, act = instr.speculative, instr.loc, proc.act
+        stats = self.stats
+        log, on_load, _ = self._hooks()
+
+        def op(t):
+            array = t[b]
+            index = t[x]
+            if spec and (
                 array is None
                 or not isinstance(index, int)
                 or index < 0
                 or index >= len(array.data)
             ):
-                frame.temps[instr.dest.index] = None
+                t[d] = None
                 return
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        array.check_index(index)
-        value = array.data[index]
-        self._heap_load(instr, array.elem_addr(index), value, frame)
-        frame.temps[instr.dest.index] = value
+            if array is None:
+                raise M3RuntimeError("NIL array at {}".format(loc))
+            array.check_index(index)
+            value = array.data[index]
+            stats.heap_loads += 1
+            if log is not None:
+                log(array.elem_addr(index))
+            if on_load is not None:
+                on_load(instr, array.elem_addr(index), value, t[act])
+            t[d] = value
+        return op
 
-    def _ex_storeelem(self, instr: ins.StoreElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        index = frame.temps[instr.index.index]
-        array.check_index(index)
-        value = frame.temps[instr.src.index]
-        array.data[index] = value
-        self._heap_store(instr, array.elem_addr(index), value, frame)
+    def _decode_storeelem(self, proc: _Proc, instr: ins.StoreElem) -> Op:
+        b, x, s = instr.base.index, instr.index.index, instr.src.index
+        loc, act = instr.loc, proc.act
+        stats = self.stats
+        log, _, on_store = self._hooks()
 
-    def _ex_loadrope_data(self, instr: ins.LoadDopeData, frame: Frame) -> None:
-        dope = frame.temps[instr.base.index]
-        if dope is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL open array at {}".format(instr.loc))
-        value = dope.data
-        self._heap_load(instr, dope.data_addr, value, frame)
-        frame.temps[instr.dest.index] = value
+        def op(t):
+            array = t[b]
+            if array is None:
+                raise M3RuntimeError("NIL array at {}".format(loc))
+            index = t[x]
+            array.check_index(index)
+            value = t[s]
+            array.data[index] = value
+            stats.heap_stores += 1
+            if log is not None:
+                log(~array.elem_addr(index))
+            if on_store is not None:
+                on_store(instr, array.elem_addr(index), value, t[act])
+        return op
 
-    def _ex_loadrope_count(self, instr: ins.LoadDopeCount, frame: Frame) -> None:
-        dope = frame.temps[instr.base.index]
-        if dope is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = 0
-                return
-            raise M3RuntimeError("NIL open array at {}".format(instr.loc))
-        value = dope.count
-        self._heap_load(instr, dope.count_addr, value, frame)
-        frame.temps[instr.dest.index] = value
+    def _decode_dope(self, proc: _Proc, instr: ins.Instr) -> Op:
+        """``LoadDopeData`` and ``LoadDopeCount``."""
+        count = isinstance(instr, ins.LoadDopeCount)
+        offset = DopeRef.COUNT_OFFSET if count else DopeRef.DATA_OFFSET
+        junk = 0 if count else None  # a speculative load's NIL default
+        d, b = instr.dest.index, instr.base.index
+        spec, loc, act = instr.speculative, instr.loc, proc.act
+        stats = self.stats
+        log, on_load, _ = self._hooks()
+
+        def op(t):
+            dope = t[b]
+            if dope is None:
+                if spec:
+                    t[d] = junk
+                    return
+                raise M3RuntimeError("NIL open array at {}".format(loc))
+            value = dope.count if count else dope.data
+            stats.heap_loads += 1
+            if log is not None:
+                log(dope.addr + offset)
+            if on_load is not None:
+                on_load(instr, dope.addr + offset, value, t[act])
+            t[d] = value
+        return op
 
     # -- indirect (handles and scalar REF cells) ---------------------------
 
-    def _ex_loadind(self, instr: ins.LoadInd, frame: Frame) -> None:
-        handle = frame.temps[instr.handle.index]
-        if handle is None:
-            if instr.speculative:
-                frame.temps[instr.dest.index] = None
-                return
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        if isinstance(handle, VarLoc):
-            value = handle.store.vars[handle.symbol]
-            self.stats.other_loads += 1
-            if self.machine:
-                self._mem_log.append(handle.addr)
-        elif isinstance(handle, FieldLoc):
-            value = handle.ref.slots[handle.field]
-            self._heap_load(instr, handle.ref.field_addr(handle.field), value, frame)
-        elif isinstance(handle, ElemLoc):
-            handle.array.check_index(handle.index)
-            value = handle.array.data[handle.index]
-            self._heap_load(instr, handle.array.elem_addr(handle.index), value, frame)
-        elif isinstance(handle, RecordRef):
-            value = handle.slots[RecordRef.SCALAR_SLOT]
-            self._heap_load(
-                instr, handle.field_addr(RecordRef.SCALAR_SLOT), value, frame
-            )
-        else:
-            raise M3RuntimeError("bad indirect load target {!r}".format(handle))
-        frame.temps[instr.dest.index] = value
+    def _decode_loadind(self, proc: _Proc, instr: ins.LoadInd) -> Op:
+        d, h = instr.dest.index, instr.handle.index
+        spec, loc, act = instr.speculative, instr.loc, proc.act
+        stats = self.stats
+        log, on_load, _ = self._hooks()
 
-    def _ex_storeind(self, instr: ins.StoreInd, frame: Frame) -> None:
-        handle = frame.temps[instr.handle.index]
-        value = frame.temps[instr.src.index]
-        if handle is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        if isinstance(handle, VarLoc):
-            handle.store.vars[handle.symbol] = value
-            self.stats.other_stores += 1
-            if self.machine:
-                self._mem_log.append(~handle.addr)
-        elif isinstance(handle, FieldLoc):
-            handle.ref.slots[handle.field] = value
-            self._heap_store(instr, handle.ref.field_addr(handle.field), value, frame)
-        elif isinstance(handle, ElemLoc):
-            handle.array.check_index(handle.index)
-            handle.array.data[handle.index] = value
-            self._heap_store(instr, handle.array.elem_addr(handle.index), value, frame)
-        elif isinstance(handle, RecordRef):
-            handle.slots[RecordRef.SCALAR_SLOT] = value
-            self._heap_store(
-                instr, handle.field_addr(RecordRef.SCALAR_SLOT), value, frame
-            )
-        else:
-            raise M3RuntimeError("bad indirect store target {!r}".format(handle))
+        def op(t):
+            handle = t[h]
+            if handle is None:
+                if spec:
+                    t[d] = None
+                    return
+                raise M3RuntimeError("NIL dereference at {}".format(loc))
+            if isinstance(handle, VarLoc):
+                value = handle.cells[handle.index]
+                stats.other_loads += 1
+                if log is not None:
+                    log(handle.addr)
+                t[d] = value
+                return
+            cells, key, addr = _heap_cell(handle, "load")
+            value = cells[key]
+            stats.heap_loads += 1
+            if log is not None:
+                log(addr)
+            if on_load is not None:
+                on_load(instr, addr, value, t[act])
+            t[d] = value
+        return op
+
+    def _decode_storeind(self, proc: _Proc, instr: ins.StoreInd) -> Op:
+        h, s, loc, act = instr.handle.index, instr.src.index, instr.loc, proc.act
+        stats = self.stats
+        log, _, on_store = self._hooks()
+
+        def op(t):
+            handle = t[h]
+            value = t[s]
+            if handle is None:
+                raise M3RuntimeError("NIL dereference at {}".format(loc))
+            if isinstance(handle, VarLoc):
+                handle.cells[handle.index] = value
+                stats.other_stores += 1
+                if log is not None:
+                    log(~handle.addr)
+                return
+            cells, key, addr = _heap_cell(handle, "store")
+            cells[key] = value
+            stats.heap_stores += 1
+            if log is not None:
+                log(~addr)
+            if on_store is not None:
+                on_store(instr, addr, value, t[act])
+        return op
 
     # -- address-of --------------------------------------------------------
 
-    def _ex_addrvar(self, instr: ins.AddrVar, frame: Frame) -> None:
-        symbol = instr.symbol
+    def _decode_addrvar(self, proc: _Proc, instr: ins.AddrVar) -> Op:
+        d, symbol = instr.dest.index, instr.symbol
         if symbol.is_global:
-            loc = VarLoc(self.globals, symbol, self._global_addrs[symbol])
-        else:
-            loc = VarLoc(frame, symbol, frame.var_addr(symbol))
-        frame.temps[instr.dest.index] = loc
+            g, i = self.globals, self._global_slot[symbol]
+            addr = _GLOBAL_BASE + i * 8
 
-    def _ex_addrfield(self, instr: ins.AddrField, frame: Frame) -> None:
-        base = frame.temps[instr.base.index]
-        if base is None:
-            raise M3RuntimeError("NIL dereference at {}".format(instr.loc))
-        frame.temps[instr.dest.index] = FieldLoc(base, instr.field)
+            def op(t):
+                t[d] = VarLoc(g, i, symbol, addr)
+            return op
+        slot, act = proc.slots[symbol], proc.act
 
-    def _ex_addrelem(self, instr: ins.AddrElem, frame: Frame) -> None:
-        array = frame.temps[instr.base.index]
-        if array is None:
-            raise M3RuntimeError("NIL array at {}".format(instr.loc))
-        index = frame.temps[instr.index.index]
-        array.check_index(index)
-        frame.temps[instr.dest.index] = ElemLoc(array, index)
+        def op(t):
+            # Stack addresses go out in order of first use per activation.
+            addrs = t[act + 1]
+            if addrs is None:
+                addrs = t[act + 1] = {}
+            addr = addrs.get(symbol)
+            if addr is None:
+                base = _STACK_BASE + (t[act] % 4096) * 512
+                addr = addrs[symbol] = base + len(addrs) * 8
+            t[d] = VarLoc(t, slot, symbol, addr)
+        return op
+
+    def _decode_addrfield(self, proc: _Proc, instr: ins.AddrField) -> Op:
+        d, b, field, loc = instr.dest.index, instr.base.index, instr.field, instr.loc
+
+        def op(t):
+            base = t[b]
+            if base is None:
+                raise M3RuntimeError("NIL dereference at {}".format(loc))
+            t[d] = FieldLoc(base, field)
+        return op
+
+    def _decode_addrelem(self, proc: _Proc, instr: ins.AddrElem) -> Op:
+        d, b, x, loc = instr.dest.index, instr.base.index, instr.index.index, instr.loc
+
+        def op(t):
+            array = t[b]
+            if array is None:
+                raise M3RuntimeError("NIL array at {}".format(loc))
+            index = t[x]
+            array.check_index(index)
+            t[d] = ElemLoc(array, index)
+        return op
 
     # -- allocation ---------------------------------------------------------
 
-    def _ex_newobject(self, instr: ins.NewObject, frame: Frame) -> None:
-        addr = self.heap.allocate(ObjectRef.size_of(instr.object_type))
-        frame.temps[instr.dest.index] = ObjectRef(instr.object_type, addr)
+    def _decode_newobject(self, proc: _Proc, instr: ins.NewObject) -> Op:
+        d, otype, allocate = instr.dest.index, instr.object_type, self.heap.allocate
+        size, layout = ObjectRef.size_of(otype), ObjectRef.layout(otype)
 
-    def _ex_newrecord(self, instr: ins.NewRecord, frame: Frame) -> None:
-        addr = self.heap.allocate(RecordRef.size_of(instr.ref_type))
-        frame.temps[instr.dest.index] = RecordRef(instr.ref_type, addr)
+        def op(t):
+            t[d] = ObjectRef(otype, allocate(size), layout)
+        return op
 
-    def _ex_newfixedarray(self, instr: ins.NewFixedArray, frame: Frame) -> None:
+    def _decode_newrecord(self, proc: _Proc, instr: ins.NewRecord) -> Op:
+        d, rtype, allocate = instr.dest.index, instr.ref_type, self.heap.allocate
+        size = RecordRef.size_of(rtype)
+
+        def op(t):
+            t[d] = RecordRef(rtype, allocate(size))
+        return op
+
+    def _decode_newfixedarray(self, proc: _Proc, instr: ins.NewFixedArray) -> Op:
         target = instr.ref_type.target
         assert isinstance(target, ty.ArrayType) and target.length is not None
-        addr = self.heap.allocate(ArrayRef.size_of(target.element, target.length))
-        frame.temps[instr.dest.index] = ArrayRef(target.element, target.length, addr)
+        d, element, length = instr.dest.index, target.element, target.length
+        size, allocate = ArrayRef.size_of(element, length), self.heap.allocate
 
-    def _ex_newopenarray(self, instr: ins.NewOpenArray, frame: Frame) -> None:
+        def op(t):
+            t[d] = ArrayRef(element, length, allocate(size))
+        return op
+
+    def _decode_newopenarray(self, proc: _Proc, instr: ins.NewOpenArray) -> Op:
         target = instr.ref_type.target
         assert isinstance(target, ty.ArrayType) and target.is_open
-        size = frame.temps[instr.size.index]
-        if not isinstance(size, int) or size < 0:
-            raise M3RuntimeError("bad open array size {!r}".format(size))
-        data_addr = self.heap.allocate(ArrayRef.size_of(target.element, size))
-        data = ArrayRef(target.element, size, data_addr)
-        dope_addr = self.heap.allocate(DopeRef.SIZE)
-        frame.temps[instr.dest.index] = DopeRef(data, dope_addr)
+        d, n, element, allocate = (
+            instr.dest.index, instr.size.index, target.element, self.heap.allocate)
+
+        def op(t):
+            size = t[n]
+            if not isinstance(size, int) or size < 0:
+                raise M3RuntimeError("bad open array size {!r}".format(size))
+            data = ArrayRef(element, size, allocate(ArrayRef.size_of(element, size)))
+            t[d] = DopeRef(data, allocate(DopeRef.SIZE))
+        return op
 
     # -- calls ---------------------------------------------------------------
 
-    def _ex_call(self, instr: ins.Call, frame: Frame) -> None:
-        args = [frame.temps[a.index] for a in instr.args]
-        if self.machine:
-            self.machine.cycles += self.machine.CALL_OVERHEAD
-        result = self.call_proc(instr.proc_name, args)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
+    def _decode_call(self, proc: _Proc, instr: ins.Instr, count: int) -> Op:
+        """``Call`` and ``CallMethod``.  *count* is the block's counted
+        instructions since the previous call, this one included: added
+        before the callee runs, so its terminators see them."""
+        stats, enter, machine = self.stats, self._enter, self.machine
+        args = tuple(a.index for a in instr.args)
+        d = None if instr.dest is None else instr.dest.index
+        if isinstance(instr, ins.Call):
+            name = instr.proc_name
+            overhead = machine.CALL_OVERHEAD if machine is not None else 0
 
-    def _ex_callmethod(self, instr: ins.CallMethod, frame: Frame) -> None:
-        receiver = frame.temps[instr.receiver.index]
-        if receiver is None:
-            raise M3RuntimeError("method call on NIL at {}".format(instr.loc))
-        impl = receiver.otype.method_impl(instr.method_name)
-        if impl is None:
-            raise M3RuntimeError(
-                "method {} unimplemented for {}".format(
-                    instr.method_name, receiver.otype.name
-                )
-            )
-        args = [frame.temps[a.index] for a in instr.args]
-        if self.machine:
-            self.machine.cycles += (
-                self.machine.CALL_OVERHEAD + self.machine.METHOD_DISPATCH_OVERHEAD
-            )
-        result = self.call_proc(impl, [receiver] + args)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
+            def op(t):
+                stats.instructions += count
+                if machine is not None:
+                    machine.cycles += overhead
+                result = enter(name, [t[a] for a in args])
+                if d is not None:
+                    t[d] = result
+            return op
 
-    def _ex_builtin(self, instr: ins.Builtin, frame: Frame) -> None:
-        args = [frame.temps[a.index] for a in instr.args]
-        result = _BUILTIN_IMPLS[instr.name](self, args, instr)
-        if instr.dest is not None:
-            frame.temps[instr.dest.index] = result
+        r, method, loc = instr.receiver.index, instr.method_name, instr.loc
+        overhead = (
+            machine.CALL_OVERHEAD + machine.METHOD_DISPATCH_OVERHEAD
+            if machine is not None else 0
+        )
+        impls: Dict[ty.ObjectType, str] = {}  # receiver type -> procedure
 
-    def _ex_typetest(self, instr: ins.TypeTest, frame: Frame) -> None:
-        value = frame.temps[instr.src.index]
-        if value is None:
-            result = True  # NIL is a member of every object type
-        elif isinstance(value, ObjectRef):
-            result = ty.is_subtype(value.otype, instr.target_type)
+        def op(t):
+            stats.instructions += count
+            receiver = t[r]
+            if receiver is None:
+                raise M3RuntimeError("method call on NIL at {}".format(loc))
+            otype = receiver.otype
+            impl = impls.get(otype)
+            if impl is None:
+                impl = otype.method_impl(method)
+                if impl is None:
+                    raise M3RuntimeError(
+                        "method {} unimplemented for {}".format(method, otype.name))
+                impls[otype] = impl
+            if machine is not None:
+                machine.cycles += overhead
+            result = enter(impl, [receiver] + [t[a] for a in args])
+            if d is not None:
+                t[d] = result
+        return op
+
+    def _decode_builtin(self, proc: _Proc, instr: ins.Builtin) -> Op:
+        name, out = instr.name, self.stats.output.append
+        if name in ("PutText", "PutChar"):
+            fn = out
+        elif name == "PutInt":
+            def fn(value):
+                out(str(value))
+        elif name == "ASSERT":
+            loc = instr.loc
+
+            def fn(cond):
+                if not cond:
+                    raise M3RuntimeError("assertion failed at {}".format(loc))
         else:
-            result = False
-        frame.temps[instr.dest.index] = result
+            fn = _BUILTINS[name]
+        args = tuple(a.index for a in instr.args)
+        d = None if instr.dest is None else instr.dest.index
 
-    def _ex_narrow(self, instr: ins.NarrowChk, frame: Frame) -> None:
-        value = frame.temps[instr.src.index]
-        if value is not None:
-            if not isinstance(value, ObjectRef) or not ty.is_subtype(
-                value.otype, instr.target_type
+        def op(t):
+            result = fn(*[t[a] for a in args])
+            if d is not None:
+                t[d] = result
+        return op
+
+    def _decode_typetest(self, proc: _Proc, instr: ins.TypeTest) -> Op:
+        d, s, below = instr.dest.index, instr.src.index, _Subtypes(instr.target_type)
+
+        def op(t):
+            value = t[s]
+            # NIL is a member of every object type.
+            t[d] = value is None or (isinstance(value, ObjectRef) and below[value.otype])
+        return op
+
+    def _decode_narrow(self, proc: _Proc, instr: ins.NarrowChk) -> Op:
+        d, s, target, loc = instr.dest.index, instr.src.index, instr.target_type, instr.loc
+        below = _Subtypes(target)
+
+        def op(t):
+            value = t[s]
+            if value is not None and not (
+                isinstance(value, ObjectRef) and below[value.otype]
             ):
                 raise M3RuntimeError(
-                    "NARROW to {} fails at {}".format(instr.target_type.name, instr.loc)
-                )
-        frame.temps[instr.dest.index] = value
+                    "NARROW to {} fails at {}".format(target.name, loc))
+            t[d] = value
+        return op
+
+
+# ----------------------------------------------------------------------
+# Decoding helpers
+
+
+def _copy(d: int, s: int) -> Op:
+    """A register move; also a local variable's load or store, since
+    variables live in frame slots next to the temps."""
+
+    def op(t):
+        t[d] = t[s]
+    return op
+
+
+def _fell_off(proc_name: str, block_name: str) -> Op:
+    def op(t):
+        raise M3RuntimeError(
+            "procedure {} fell off the end of block {}".format(proc_name, block_name))
+    return op
+
+
+def _heap_cell(handle: object, access: str) -> Tuple[object, object, int]:
+    """``(cells, key, addr)`` of the heap location a handle names — a
+    field, an element or a scalar REF cell — for an indirect *access*."""
+    if isinstance(handle, FieldLoc):
+        return handle.ref.slots, handle.field, handle.ref.field_addr(handle.field)
+    if isinstance(handle, ElemLoc):
+        handle.array.check_index(handle.index)
+        return handle.array.data, handle.index, handle.array.elem_addr(handle.index)
+    if isinstance(handle, RecordRef):
+        slot = RecordRef.SCALAR_SLOT
+        return handle.slots, slot, handle.field_addr(slot)
+    raise M3RuntimeError("bad indirect {} target {!r}".format(access, handle))
+
+
+class _Subtypes(dict):
+    """Object type -> whether it is a subtype of *target*, computed on
+    first use (``is_subtype`` walks the ancestor chain)."""
+
+    def __init__(self, target: ty.ObjectType):
+        super().__init__()
+        self.target = target
+
+    def __missing__(self, otype: ty.ObjectType) -> bool:
+        result = self[otype] = ty.is_subtype(otype, self.target)
+        return result
+
+
+_DECODERS: Dict[type, Callable[[Interpreter, _Proc, ins.Instr], Op]] = {
+    ins.ConstInstr: Interpreter._decode_const,
+    ins.Move: Interpreter._decode_move,
+    ins.LoadVar: Interpreter._decode_loadvar,
+    ins.StoreVar: Interpreter._decode_storevar,
+    ins.BinOp: Interpreter._decode_binop,
+    ins.UnOp: Interpreter._decode_unop,
+    ins.LoadField: Interpreter._decode_loadfield,
+    ins.StoreField: Interpreter._decode_storefield,
+    ins.LoadElem: Interpreter._decode_loadelem,
+    ins.StoreElem: Interpreter._decode_storeelem,
+    ins.LoadDopeData: Interpreter._decode_dope,
+    ins.LoadDopeCount: Interpreter._decode_dope,
+    ins.LoadInd: Interpreter._decode_loadind,
+    ins.StoreInd: Interpreter._decode_storeind,
+    ins.AddrVar: Interpreter._decode_addrvar,
+    ins.AddrField: Interpreter._decode_addrfield,
+    ins.AddrElem: Interpreter._decode_addrelem,
+    ins.NewObject: Interpreter._decode_newobject,
+    ins.NewRecord: Interpreter._decode_newrecord,
+    ins.NewFixedArray: Interpreter._decode_newfixedarray,
+    ins.NewOpenArray: Interpreter._decode_newopenarray,
+    ins.Builtin: Interpreter._decode_builtin,
+    ins.TypeTest: Interpreter._decode_typetest,
+    ins.NarrowChk: Interpreter._decode_narrow,
+}
 
 
 # ----------------------------------------------------------------------
@@ -580,78 +863,47 @@ def _mod(a: int, b: int) -> int:
 
 
 _BINOPS: Dict[str, Callable[[object, object], object]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "DIV": _div,
     "MOD": _mod,
-    "=": lambda a, b: a == b,
-    "#": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "=": operator.eq,
+    "#": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
     "AND": lambda a, b: bool(a and b),
     "OR": lambda a, b: bool(a or b),
 }
 
 
-def _bi_textchar(interp: Interpreter, args: List[object], instr: ins.Instr) -> object:
-    text, index = args
+def _val(code: int) -> str:
+    """``VAL (code, CHAR)``."""
+    try:
+        return chr(code)
+    except (ValueError, OverflowError, TypeError):
+        raise M3RuntimeError("VAL ({}, CHAR) out of range".format(code)) from None
+
+
+def _text_char(text: str, index: int) -> str:
     if not isinstance(index, int) or index < 0 or index >= len(text):
         raise M3RuntimeError("TextChar index {} out of range".format(index))
     return text[index]
 
 
-def _bi_assert(interp: Interpreter, args: List[object], instr: ins.Instr) -> object:
-    if not args[0]:
-        raise M3RuntimeError("assertion failed at {}".format(instr.loc))
-    return None
-
-
-_BUILTIN_IMPLS: Dict[str, Callable[[Interpreter, List[object], ins.Instr], object]] = {
-    "ORD": lambda i, a, _: ord(a[0]) if isinstance(a[0], str) else int(a[0]),
-    "VAL": lambda i, a, _: chr(a[0]),
-    "ABS": lambda i, a, _: abs(a[0]),
-    "MIN": lambda i, a, _: min(a[0], a[1]),
-    "MAX": lambda i, a, _: max(a[0], a[1]),
-    "TextLen": lambda i, a, _: len(a[0]),
-    "TextChar": _bi_textchar,
-    "TextCat": lambda i, a, _: a[0] + a[1],
-    "IntToText": lambda i, a, _: str(a[0]),
-    "CharToText": lambda i, a, _: a[0],
-    "PutText": lambda i, a, _: i.stats.output.append(a[0]),
-    "PutInt": lambda i, a, _: i.stats.output.append(str(a[0])),
-    "PutChar": lambda i, a, _: i.stats.output.append(a[0]),
-    "ASSERT": _bi_assert,
-}
-
-
-_HANDLERS = {
-    ins.ConstInstr: Interpreter._ex_const,
-    ins.Move: Interpreter._ex_move,
-    ins.LoadVar: Interpreter._ex_loadvar,
-    ins.StoreVar: Interpreter._ex_storevar,
-    ins.BinOp: Interpreter._ex_binop,
-    ins.UnOp: Interpreter._ex_unop,
-    ins.LoadField: Interpreter._ex_loadfield,
-    ins.StoreField: Interpreter._ex_storefield,
-    ins.LoadElem: Interpreter._ex_loadelem,
-    ins.StoreElem: Interpreter._ex_storeelem,
-    ins.LoadDopeData: Interpreter._ex_loadrope_data,
-    ins.LoadDopeCount: Interpreter._ex_loadrope_count,
-    ins.LoadInd: Interpreter._ex_loadind,
-    ins.StoreInd: Interpreter._ex_storeind,
-    ins.AddrVar: Interpreter._ex_addrvar,
-    ins.AddrField: Interpreter._ex_addrfield,
-    ins.AddrElem: Interpreter._ex_addrelem,
-    ins.NewObject: Interpreter._ex_newobject,
-    ins.NewRecord: Interpreter._ex_newrecord,
-    ins.NewFixedArray: Interpreter._ex_newfixedarray,
-    ins.NewOpenArray: Interpreter._ex_newopenarray,
-    ins.Call: Interpreter._ex_call,
-    ins.CallMethod: Interpreter._ex_callmethod,
-    ins.Builtin: Interpreter._ex_builtin,
-    ins.TypeTest: Interpreter._ex_typetest,
-    ins.NarrowChk: Interpreter._ex_narrow,
+#: The builtins that compute a value; output and ASSERT are decoded
+#: against the run's output list and the instruction's location.
+_BUILTINS: Dict[str, Callable[..., object]] = {
+    "ORD": lambda c: ord(c) if isinstance(c, str) else int(c),
+    "VAL": _val,
+    "ABS": abs,
+    "MIN": min,
+    "MAX": max,
+    "TextLen": len,
+    "TextChar": _text_char,
+    "TextCat": operator.add,
+    "IntToText": str,
+    "CharToText": lambda c: c,
 }

@@ -11,7 +11,7 @@ Eliminating a redundant load therefore saves ``1 + latency`` cycles — the
 same first-order effect the paper's Figure 8 reports.
 """
 
-from typing import Optional
+from typing import Iterable, Optional
 
 
 class CacheSim:
@@ -72,6 +72,35 @@ class MachineModel:
 
     def store(self, addr: int) -> None:
         self.cache.access(addr)
+
+    def replay(self, accesses: Iterable[int]) -> None:
+        """Feed a logged access stream through the cache: a load is its
+        address, a store its complement ``~addr``.  The same cycles, hits
+        and misses as calling :meth:`load`/:meth:`store` per entry, with
+        the cache lookup inlined."""
+        cache = self.cache
+        tags, line_size, n_lines = cache._tags, cache.line_size, cache.n_lines
+        load_hits = load_misses = store_hits = store_misses = 0
+        for entry in accesses:
+            if entry >= 0:
+                line = entry // line_size
+                index = line % n_lines
+                if tags[index] == line:
+                    load_hits += 1
+                else:
+                    tags[index] = line
+                    load_misses += 1
+            else:
+                line = ~entry // line_size
+                index = line % n_lines
+                if tags[index] == line:
+                    store_hits += 1
+                else:
+                    tags[index] = line
+                    store_misses += 1
+        cache.hits += load_hits + store_hits
+        cache.misses += load_misses + store_misses
+        self.cycles += load_hits * self.HIT_LATENCY + load_misses * self.MISS_LATENCY
 
     def reset(self) -> None:
         self.cycles = 0

@@ -13,10 +13,12 @@ address streams:
   dope load, the paper's "Encapsulation" effect.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang.symtab import Symbol
-from repro.lang.types import ArrayType, ObjectType, RecordType, RefType, Type, CHAR
+from repro.lang.types import (
+    BOOLEAN, CHAR, INTEGER, TEXT, ArrayType, ObjectType, RecordType, RefType, Type,
+)
 
 
 class M3RuntimeError(Exception):
@@ -52,21 +54,30 @@ class HeapAllocator:
 class ObjectRef:
     """An allocated OBJECT instance: typed slots at field offsets."""
 
-    __slots__ = ("otype", "slots", "addr", "_offsets")
+    __slots__ = ("otype", "slots", "addr", "offsets")
 
-    def __init__(self, otype: ObjectType, addr: int):
+    def __init__(
+        self,
+        otype: ObjectType,
+        addr: int,
+        layout: Optional[Tuple[Dict[str, object], Dict[str, int]]] = None,
+    ):
         self.otype = otype
         self.addr = addr
-        fields = otype.all_fields()
-        self.slots: Dict[str, object] = {
-            name: default_value(ftype) for name, ftype in fields
-        }
-        self._offsets: Dict[str, int] = {
-            name: i * SLOT_SIZE for i, (name, _) in enumerate(fields)
-        }
+        defaults, self.offsets = layout or ObjectRef.layout(otype)
+        self.slots: Dict[str, object] = dict(defaults)
 
     def field_addr(self, field: str) -> int:
-        return self.addr + self._offsets[field]
+        return self.addr + self.offsets[field]
+
+    @staticmethod
+    def layout(otype: ObjectType) -> Tuple[Dict[str, object], Dict[str, int]]:
+        """Slot defaults and field offsets of *otype*.  An allocator can
+        compute them once per type; instances share the offsets."""
+        fields = otype.all_fields()
+        defaults = {name: default_value(ftype) for name, ftype in fields}
+        offsets = {name: i * SLOT_SIZE for i, (name, _) in enumerate(fields)}
+        return defaults, offsets
 
     @staticmethod
     def size_of(otype: ObjectType) -> int:
@@ -79,7 +90,7 @@ class ObjectRef:
 class RecordRef:
     """A ``REF RECORD`` referent, or a scalar REF cell (one ``$value`` slot)."""
 
-    __slots__ = ("rtype", "slots", "addr", "_offsets")
+    __slots__ = ("rtype", "slots", "addr", "offsets")
 
     SCALAR_SLOT = "$value"
 
@@ -89,15 +100,15 @@ class RecordRef:
         target = ref_type.target
         if isinstance(target, RecordType):
             self.slots = {name: default_value(t) for name, t in target.fields}
-            self._offsets = {
+            self.offsets = {
                 name: i * SLOT_SIZE for i, (name, _) in enumerate(target.fields)
             }
         else:
             self.slots = {self.SCALAR_SLOT: default_value(target)}
-            self._offsets = {self.SCALAR_SLOT: 0}
+            self.offsets = {self.SCALAR_SLOT: 0}
 
     def field_addr(self, field: str) -> int:
-        return self.addr + self._offsets[field]
+        return self.addr + self.offsets[field]
 
     @staticmethod
     def size_of(ref_type: RefType) -> int:
@@ -169,12 +180,14 @@ class DopeRef:
 
 
 class VarLoc:
-    """Handle to a variable slot (frame locals or the global area)."""
+    """Handle to a variable slot: ``cells[index]``, where *cells* is a
+    frame (for locals) or the global area."""
 
-    __slots__ = ("store", "symbol", "addr")
+    __slots__ = ("cells", "index", "symbol", "addr")
 
-    def __init__(self, store: "object", symbol: Symbol, addr: int):
-        self.store = store  # a Frame or the interpreter's global store
+    def __init__(self, cells: List[object], index: int, symbol: Symbol, addr: int):
+        self.cells = cells
+        self.index = index
         self.symbol = symbol
         self.addr = addr
 
@@ -210,14 +223,12 @@ class ElemLoc:
 
 def default_value(t: Type) -> object:
     """Modula-3-style defaults: 0 / FALSE / NUL / empty text / NIL."""
-    from repro.lang import types as ty
-
-    if t is ty.INTEGER:
+    if t is INTEGER:
         return 0
-    if t is ty.BOOLEAN:
+    if t is BOOLEAN:
         return False
-    if t is ty.CHAR:
+    if t is CHAR:
         return "\0"
-    if t is ty.TEXT:
+    if t is TEXT:
         return ""
     return None

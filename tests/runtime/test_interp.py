@@ -43,6 +43,22 @@ class TestScalars:
     def test_char_ord_val(self):
         assert out("PutInt (ORD ('a')); PutChar (VAL (98, CHAR));") == "97b"
 
+    @pytest.mark.parametrize("code", [-1, 0x110000, 2 ** 70])
+    def test_val_out_of_range_traps(self, code):
+        # Every code chr() rejects is a checked runtime error, not a
+        # ValueError/OverflowError escaping the interpreter.
+        with pytest.raises(M3RuntimeError, match="out of range"):
+            run("i := {}; PutChar (VAL (i, CHAR));".format(code),
+                "VAR i: INTEGER;")
+
+    def test_val_extremes_accepted(self):
+        assert out("i := {}; PutInt (ORD (VAL (i, CHAR)));".format(0x10FFFF),
+                   "VAR i: INTEGER;") == str(0x10FFFF)
+
+    def test_text_char_out_of_range_traps(self):
+        with pytest.raises(M3RuntimeError, match="TextChar index 5"):
+            run('PutChar (TextChar ("ab", 5));')
+
     def test_min_max_abs(self):
         assert out("PutInt (MIN (2, 1) + MAX (2, 1) + ABS (-4));") == "7"
 

@@ -1,5 +1,7 @@
 """Cache simulator and cost model tests."""
 
+import random
+
 from repro.runtime.machine import CacheSim, MachineModel
 
 
@@ -62,3 +64,22 @@ class TestMachineModel:
         m.load(0)
         m.reset()
         assert m.cycles == 0
+
+    def test_replay_matches_per_access_model(self):
+        # The interpreter replays its access log through one inlined
+        # loop; load/store per entry is the reference it must match.
+        rng = random.Random(7)
+        log = [rng.randrange(0, 4096) for _ in range(5000)]
+        log = [addr if rng.random() < 0.7 else ~addr for addr in log]
+        inlined = MachineModel(CacheSim(size=1024, line_size=32))
+        inlined.replay(log)
+        reference = MachineModel(CacheSim(size=1024, line_size=32))
+        for entry in log:
+            if entry >= 0:
+                reference.load(entry)
+            else:
+                reference.store(~entry)
+        assert inlined.cycles == reference.cycles
+        assert (inlined.cache.hits, inlined.cache.misses) == (
+            reference.cache.hits, reference.cache.misses)
+        assert inlined.cache._tags == reference.cache._tags

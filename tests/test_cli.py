@@ -1,6 +1,8 @@
 """CLI tests (python -m repro)."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +57,44 @@ def test_check_error_renders_caret(tmp_path, capsys):
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/x.m3"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+TRAPS = {
+    "nil": ("VAR t: T;", "PutInt (t.n);", "NIL dereference"),
+    "textchar": ("VAR s: TEXT;", 's := "ab"; PutChar (TextChar (s, 5));',
+                 "TextChar index 5 out of range"),
+    "val": ("VAR i: INTEGER;", "i := -1; PutChar (VAL (i, CHAR));",
+            "VAL (-1, CHAR) out of range"),
+}
+
+
+def _trap_file(tmp_path, kind):
+    decl, body, _ = TRAPS[kind]
+    path = tmp_path / "trap.m3"
+    path.write_text("MODULE Trap;\nTYPE T = OBJECT n: INTEGER; END;\n{}\n"
+                    "BEGIN\n  PutText (\"x\");\n  {}\nEND Trap.\n".format(decl, body))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", sorted(TRAPS))
+def test_run_trap_is_one_error_line(tmp_path, capsys, kind):
+    assert main(["run", _trap_file(tmp_path, kind)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: runtime error: ")
+    assert TRAPS[kind][2] in err[0]
+
+
+def test_run_trap_prints_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", _trap_file(tmp_path, "nil")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: runtime error: NIL dereference")
 
 
 def test_run(demo_file, capsys):
