@@ -101,10 +101,10 @@ chaos-smoke:
 		--plan stdio-flaky --plan ledger-torn --plan tracestore-torn
 
 # Live-observability smoke: boot a daemon with tracing + SLO tracking +
-# access log on, run a traced --debug query end to end, lint the
-# /v1/metrics Prometheus exposition, check the request journal and the
-# slow-request access log carry the trace id, and render `repro top
-# --once` against the live daemon (DESIGN.md §6j).
+# access log on, run a traced --debug query end to end, parse every
+# line of the /v1/metrics Prometheus exposition, check the request
+# journal and the slow-request access log carry the trace id, and
+# render `repro top --once` against the live daemon (DESIGN.md §6j).
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro -q client --obs-smoke
 

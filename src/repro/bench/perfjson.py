@@ -218,11 +218,6 @@ def report_phases(report: Dict[str, object]) -> Dict[str, Dict[str, float]]:
         round(table5["reference_ms"] / 1000.0, 6)
     phases[history.SUITE_BUCKET]["quick.table5.fast"] = \
         round(table5["fast_ms"] / 1000.0, 6)
-    serve = report["serve"]
-    phases[history.SUITE_BUCKET]["serve.cold"] = \
-        round(serve["cold_ms"] / 1000.0, 6)
-    phases[history.SUITE_BUCKET]["serve.warm"] = \
-        round(serve["warm_ms"] / 1000.0, 6)
     return phases
 
 

@@ -44,6 +44,7 @@ from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
 from repro.obs import log
 from repro.obs.sampler import DEFAULT_SAMPLE_RATE as SERVE_SAMPLE_RATE
+from repro.qa import guards
 from repro.runtime.limit import Category
 from repro.runtime.values import M3RuntimeError
 from repro.util.tables import render_table
@@ -232,14 +233,13 @@ class _HistoryRecording:
             obs.disable()
         return False
 
-    def append(self, path: str, label: str,
-               extra_phases: Optional[dict] = None) -> Optional[dict]:
+    def append(self, path: str, label: str) -> Optional[dict]:
         """Collect a ledger record from the recorded run and append it."""
         if not self.enabled:
             return None
         from repro.obs import history, jsonl
 
-        record = history.collect_record(label, extra_phases=extra_phases)
+        record = history.collect_record(label)
         jsonl.append(path, record)
         log.info("history: appended {} record to {} (sha {})".format(
             label, path, (record["git_sha"] or "unknown")[:12]))
@@ -454,7 +454,6 @@ def _cmd_bench_serve(args, rest: List[str]) -> int:
         ServeBenchError,
         check_speedup,
         run_serve_bench,
-        serve_phases,
     )
 
     if rest:
@@ -465,8 +464,7 @@ def _cmd_bench_serve(args, rest: List[str]) -> int:
     recording = _HistoryRecording(enabled=not args.no_history)
     with recording:
         result = run_serve_bench(names=names, repeats=max(args.repeats, 1))
-    recording.append(args.history, label="bench-serve",
-                     extra_phases=serve_phases(result))
+    recording.append(args.history, label="bench-serve")
     print(render_table(
         ["Mode", "Wall ms", "Queries/s"],
         [
@@ -1215,9 +1213,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not write bundles or the JSON report")
     p.add_argument("--no-reduce", action="store_true",
                    help="skip delta-debugging of failing programs")
-    p.add_argument("--per-program-seconds", type=float, default=10.0,
-                   help="wall-clock bulkhead per program (default 10)")
-    p.add_argument("--max-steps", type=int, default=400_000,
+    p.add_argument("--per-program-seconds", type=float,
+                   default=guards.PER_PROGRAM_SECONDS,
+                   help="wall-clock bulkhead per program "
+                   "(default %(default)g)")
+    p.add_argument("--max-steps", type=int, default=guards.MAX_STEPS,
                    help="interpreter step budget per traced run")
     p.add_argument("--max-stmts", type=int, default=22,
                    help="statement bound for generated programs")
@@ -1281,9 +1281,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the soundness oracle battery per "
                     "program (regenerates each seed and cross-checks the "
                     "stored hash first)")
-    cr.add_argument("--per-program-seconds", type=float, default=10.0,
-                    help="wall-clock bulkhead per program (default 10)")
-    cr.add_argument("--max-steps", type=int, default=400_000,
+    cr.add_argument("--per-program-seconds", type=float,
+                    default=guards.PER_PROGRAM_SECONDS,
+                    help="wall-clock bulkhead per program "
+                    "(default %(default)g)")
+    cr.add_argument("--max-steps", type=int, default=guards.MAX_STEPS,
                     help="interpreter step budget for --oracles runs")
     cr.add_argument("--max-shards", type=int, default=None, metavar="N",
                     help="only process the first N shards")

@@ -19,9 +19,9 @@ job:
 * :mod:`~repro.obs.quantile` — the one exact quantile helper;
 * :mod:`~repro.obs.reqlog` — the daemon's one request ring (recent
   requests, burn rates, per-op latency gauges) and access log;
-* :mod:`~repro.obs.promtext` — Prometheus text rendering and the one
-  parser of that format;
-* :mod:`~repro.obs.promlint` — promtool-style checks over parsed text;
+* :mod:`~repro.obs.promtext` — Prometheus text rendering (a formatter
+  over the registry, which owns metric naming) and the one parser of
+  that format;
 * :mod:`~repro.obs.top` — ``repro top``, the live daemon dashboard.
 
 Instrumented code imports the conveniences re-exported here::

@@ -27,13 +27,40 @@ Metrics live in a :class:`MetricsRegistry`.  Two registration styles:
   write), so the per-instance numbers and the global export come from
   the same objects — one source of truth.
 
+The registry also owns metric naming, so everything it holds renders
+as valid Prometheus text.  The first registration of a name checks it
+against ``[a-z][a-z0-9_]*(\\.[a-z0-9_]+)*`` and checks that its exported
+name (:func:`metric_name`) and, for a histogram, its
+``_bucket``/``_sum``/``_count`` sample names are not written by any
+other metric; a new series checks its label names (``le`` is reserved
+on histograms); a histogram family keeps one tuple of distinct finite
+buckets.  Each rule raises ``ValueError`` and leaves the registry as it
+was; the get-or-create path for an existing series does no extra work.
+
 Everything here is dependency-free and importable from any layer.
 """
 
+import math
+import re
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 LabelKey = Tuple[Tuple[str, str], ...]
+
+_NAME_RE = re.compile(r"[a-z][a-z0-9_]*(\.[a-z0-9_]+)*\Z")
+_LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
+_EXPORT_RE = re.compile(r"[^a-zA-Z0-9_:]")
+
+#: The sample names a histogram writes besides its family name.
+HISTOGRAM_SUFFIXES = ("_bucket", "_sum", "_count")
+
+
+def metric_name(name: str) -> str:
+    """``alias.cache.hits`` -> ``repro_alias_cache_hits``."""
+    sanitised = _EXPORT_RE.sub("_", name)
+    if not sanitised.startswith("repro_"):
+        sanitised = "repro_" + sanitised
+    return sanitised
 
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
@@ -54,6 +81,10 @@ class Counter:
         self._lock = threading.Lock()
 
     def inc(self, n: int = 1) -> None:
+        """Add *n*; a negative or NaN *n* raises ``ValueError``."""
+        if not n >= 0:
+            raise ValueError("counter {} cannot decrease by {!r}".format(
+                self.name, n))
         with self._lock:
             self.value += n
 
@@ -154,68 +185,101 @@ class MetricsRegistry:
         # name -> kind; name -> {labelkey -> [children]}
         self._kinds: Dict[str, str] = {}
         self._series: Dict[str, Dict[LabelKey, List[object]]] = {}
+        # histogram name -> its one sorted bucket tuple
+        self._buckets: Dict[str, Tuple[float, ...]] = {}
+        # exported sample name -> the metric that writes it
+        self._exported: Dict[str, str] = {}
 
     # -- registration ---------------------------------------------------
 
-    def _family(self, name: str, kind: str) -> Dict[LabelKey, List[object]]:
+    def _family(self, name: str, kind: str,
+                buckets: Tuple[float, ...]) -> Dict[LabelKey, List[object]]:
         known = self._kinds.get(name)
         if known is None:
-            self._kinds[name] = kind
-            self._series[name] = {}
+            self._register(name, kind, buckets)
         elif known != kind:
             raise ValueError(
                 "metric {!r} already registered as {} (got {})".format(
                     name, known, kind))
         return self._series[name]
 
-    def _get_or_create(self, name: str, kind: str, factory, labels):
-        key = _label_key(labels)
-        with self._lock:
-            children = self._family(name, kind).setdefault(key, [])
-            if not children:
-                children.append(factory(name, key))
-            return children[0]
+    def _register(self, name: str, kind: str,
+                  buckets: Tuple[float, ...]) -> None:
+        """First registration of *name*: the naming rules, then the entry."""
+        if not _NAME_RE.match(name):
+            raise ValueError("bad metric name {!r}".format(name))
+        suffixes = ("",) + (HISTOGRAM_SUFFIXES if kind == "histogram" else ())
+        samples = [metric_name(name) + suffix for suffix in suffixes]
+        for sample in samples:
+            if sample in self._exported:
+                raise ValueError(
+                    "metric {!r} would export {} already written by "
+                    "{!r}".format(name, sample, self._exported[sample]))
+        if kind == "histogram":
+            bounds = tuple(sorted(buckets))
+            if len(set(bounds)) != len(bounds) or \
+                    not all(map(math.isfinite, bounds)):
+                raise ValueError(
+                    "histogram {!r} needs distinct finite buckets, got "
+                    "{!r}".format(name, buckets))
+            self._buckets[name] = bounds
+        self._exported.update(dict.fromkeys(samples, name))
+        self._kinds[name] = kind
+        self._series[name] = {}
 
-    def _new_child(self, name: str, kind: str, factory, labels):
+    def _child(self, name: str, kind: str, labels: Dict[str, object],
+               fresh: bool, buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
+        """The shared child of ``(name, labels)``, or a *fresh* one."""
         key = _label_key(labels)
         with self._lock:
-            children = self._family(name, kind).setdefault(key, [])
-            child = factory(name, key)
-            children.append(child)
+            series = self._series.get(name)
+            children = series.get(key) if series else None
+            if children is None:  # a new series: check before registering
+                for label, _ in key:
+                    if not _LABEL_NAME_RE.match(label) or (
+                            label == "le" and kind == "histogram"):
+                        raise ValueError("metric {!r}: bad label name "
+                                         "{!r}".format(name, label))
+            series = self._family(name, kind, buckets)
+            if children and not fresh:
+                return children[0]
+            if kind == "counter":
+                child = Counter(name, key)
+            elif kind == "gauge":
+                child = Gauge(name, key)
+            elif tuple(sorted(buckets)) != self._buckets[name]:
+                raise ValueError(
+                    "histogram {!r} has buckets {!r}, got {!r}".format(
+                        name, self._buckets[name], buckets))
+            else:
+                child = Histogram(name, key, buckets)
+            series.setdefault(key, []).append(child)
             return child
 
     def counter(self, name: str, **labels) -> Counter:
         """Get-or-create the shared counter for ``(name, labels)``."""
-        return self._get_or_create(name, "counter", Counter, labels)
+        return self._child(name, "counter", labels, fresh=False)
 
     def new_counter(self, name: str, **labels) -> Counter:
         """A fresh per-owner child counter under ``(name, labels)``."""
-        return self._new_child(name, "counter", Counter, labels)
+        return self._child(name, "counter", labels, fresh=True)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get_or_create(name, "gauge", Gauge, labels)
+        return self._child(name, "gauge", labels, fresh=False)
 
     def new_gauge(self, name: str, **labels) -> Gauge:
-        return self._new_child(name, "gauge", Gauge, labels)
+        return self._child(name, "gauge", labels, fresh=True)
 
     def histogram(self, name: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
-        key = _label_key(labels)
-        with self._lock:
-            children = self._family(name, "histogram").setdefault(key, [])
-            if not children:
-                children.append(Histogram(name, key, buckets))
-            return children[0]  # type: ignore[return-value]
+        return self._child(name, "histogram", labels, fresh=False,
+                           buckets=buckets)
 
     def new_histogram(self, name: str,
                       buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                       **labels) -> Histogram:
-        key = _label_key(labels)
-        with self._lock:
-            children = self._family(name, "histogram").setdefault(key, [])
-            child = Histogram(name, key, buckets)
-            children.append(child)
-            return child
+        return self._child(name, "histogram", labels, fresh=True,
+                           buckets=buckets)
 
     # -- reading --------------------------------------------------------
 
@@ -257,23 +321,23 @@ class MetricsRegistry:
             return sorted(self._series)
 
 
-def _merge_histograms(children: Iterable[Histogram]) -> dict:
-    children = list(children)
+def _merge_histograms(children: List[Histogram]) -> dict:
     buckets = children[0].buckets
     counts = [0] * (len(buckets) + 1)
     total, acc = 0, 0.0
     lo: Optional[float] = None
     hi: Optional[float] = None
     for child in children:
-        assert child.buckets == buckets, "histogram bucket mismatch"
-        for i, n in enumerate(child.bucket_counts):
-            counts[i] += n
-        total += child.count
-        acc += child.sum
-        if child.min is not None and (lo is None or child.min < lo):
-            lo = child.min
-        if child.max is not None and (hi is None or child.max > hi):
-            hi = child.max
+        # Under the child's lock: observe() bumps count before its bucket.
+        with child._lock:
+            for i, n in enumerate(child.bucket_counts):
+                counts[i] += n
+            total += child.count
+            acc += child.sum
+            if child.min is not None and (lo is None or child.min < lo):
+                lo = child.min
+            if child.max is not None and (hi is None or child.max > hi):
+                hi = child.max
     return {
         "buckets": list(buckets),
         "bucket_counts": counts,

@@ -1,11 +1,13 @@
 """Prometheus text-format export of the metrics registry.
 
 Renders the registry snapshot in the Prometheus exposition format
-(version 0.0.4): ``# TYPE`` headers, ``name{label="v"} value`` samples,
-histogram ``_bucket``/``_sum``/``_count`` series with cumulative ``le``
-buckets.  Metric names are prefixed ``repro_`` and sanitised to the
-legal charset; gauges additionally export ``_min``/``_max`` where
-observed.
+(version 0.0.4): ``# HELP``/``# TYPE`` headers, ``name{label="v"}
+value`` samples, histogram ``_bucket``/``_sum``/``_count`` series with
+cumulative ``le`` buckets.  :func:`render` is only a formatter: the
+registry owns naming (:func:`repro.obs.metrics.metric_name` and the
+rules it enforces at registration), so every family it renders has one
+exported name, written as one contiguous block.  Any value formats
+(NaN and +/-Inf in exposition form), and any label value is escaped.
 
 ``make bench-quick`` dumps a snapshot to ``BENCH_obs.prom`` next to
 ``BENCH_alias.json`` so perf PRs can diff analysis behaviour, not just
@@ -13,18 +15,18 @@ wall time.
 
 The one parser of the format lives here too: :func:`parse` turns
 exposition text into ``# HELP``/``# TYPE``/sample lines, each with the
-first problem that makes it unreadable.  :mod:`repro.obs.promlint`
-lints its output; :func:`parse_prom` keeps the readable samples
-(``repro top`` and the serving benchmark's metrics scrape).
+first problem that makes it unreadable, and :func:`parse_prom` keeps
+the readable samples (``repro top`` and the serving benchmark's metrics
+scrape).
 """
 
+import math
 import re
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.obs import metrics
+from repro.obs.metrics import metric_name
 
-_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 _SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(.*)\})?\s+(\S+)"
@@ -39,14 +41,6 @@ _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 PromSamples = Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float]
 
 
-def metric_name(name: str) -> str:
-    """``alias.cache.hits`` -> ``repro_alias_cache_hits``."""
-    sanitised = _NAME_RE.sub("_", name)
-    if not sanitised.startswith("repro_"):
-        sanitised = "repro_" + sanitised
-    return sanitised
-
-
 def _label_str(labels: dict, extra: Optional[dict] = None) -> str:
     merged = dict(labels)
     if extra:
@@ -55,16 +49,21 @@ def _label_str(labels: dict, extra: Optional[dict] = None) -> str:
         return ""
     parts = []
     for key in sorted(merged):
-        name = _LABEL_RE.sub("_", str(key))
-        value = str(merged[key]).replace("\\", "\\\\").replace('"', '\\"')
-        parts.append('{}="{}"'.format(name, value))
+        value = str(merged[key]).replace("\\", "\\\\").replace('"', '\\"') \
+            .replace("\n", "\\n")
+        parts.append('{}="{}"'.format(key, value))
     return "{" + ",".join(parts) + "}"
 
 
 def _fmt(value) -> str:
-    if value is None:
+    if isinstance(value, int):
+        return str(int(value))  # bools as 0/1
+    value = math.nan if value is None else float(value)
+    if math.isnan(value):
         return "NaN"
-    if isinstance(value, float) and value == int(value):
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    if value == int(value):
         return str(int(value))
     return str(value)
 
@@ -85,15 +84,17 @@ def render(registry: Optional[metrics.MetricsRegistry] = None,
         helps[metric_name(key)] = str(text).replace("\\", "\\\\") \
             .replace("\n", "\\n")
     lines: List[str] = []
-    typed = set()
+    family = None
     for entry in registry.snapshot():
         name = metric_name(entry["name"])
         kind = entry["kind"]
-        if name not in typed:
+        if name != family:
+            # snapshot() lists a metric's series together and the
+            # registry keeps exported names unique: a family starts here.
+            family = name
             if name in helps:
                 lines.append("# HELP {} {}".format(name, helps[name]))
             lines.append("# TYPE {} {}".format(name, kind))
-            typed.add(name)
         labels = entry["labels"]
         if kind in ("counter", "gauge"):
             lines.append("{}{} {}".format(
@@ -110,7 +111,7 @@ def render(registry: Optional[metrics.MetricsRegistry] = None,
             lines.append("{}_sum{} {}".format(
                 name, _label_str(labels), _fmt(entry["sum"])))
             lines.append("{}_count{} {}".format(
-                name, _label_str(labels), _fmt(entry["count"])))
+                name, _label_str(labels), cumulative))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -180,7 +181,8 @@ def _parse_labels(text: str) -> Tuple[Dict[str, str], Optional[str]]:
 
 def parse(text: str) -> Iterator[PromLine]:
     """Every ``# HELP``, ``# TYPE`` and sample line of *text*."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # Only "\n" ends a line: other separators may sit in label values.
+    for lineno, raw in enumerate(text.split("\n"), 1):
         line = raw.rstrip()
         if not line.strip():
             continue

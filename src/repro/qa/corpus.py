@@ -47,7 +47,8 @@ from repro.obs import core as obs
 from repro.obs import metrics
 from repro.qa import chaos
 from repro.qa.generator import GenConfig, generate_program
-from repro.qa.guards import guarded
+from repro.qa.guards import (MAX_STEPS, PER_PROGRAM_SECONDS, default_jobs,
+                             guarded)
 
 __all__ = [
     "CorpusSpec",
@@ -77,9 +78,6 @@ MANIFEST_NAME = "manifest.json"
 
 #: v2 sidecar holding one shard-info JSON object per line.
 SHARDS_NAME = "shards.jsonl"
-
-#: Default per-program wall-clock bulkhead, seconds.
-PER_PROGRAM_SECONDS = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -677,10 +675,6 @@ def _merge_worker_counters(snapshot: List[dict]) -> None:
                 entry["count"])
 
 
-def default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 #: Watchdog poll interval, seconds.
 _POOL_POLL_SECONDS = 0.02
 
@@ -774,7 +768,7 @@ def run_corpus(
     engine: str = DEFAULT_ENGINE,
     oracles: bool = False,
     per_program_seconds: Optional[float] = PER_PROGRAM_SECONDS,
-    max_steps: int = 400_000,
+    max_steps: int = MAX_STEPS,
     max_shards: Optional[int] = None,
     shard_timeout_seconds: Optional[float] = None,
     max_shard_retries: int = 1,

@@ -13,7 +13,10 @@ such hangs into clean, catchable failures:
   :func:`check_active` without threading a handle through every call;
 * step budgets (``Interpreter(max_steps=...)``) and parser nesting caps
   (:data:`repro.lang.parser.MAX_NESTING_DEPTH`) live with their owners
-  but raise the same ``ResourceLimitError``.
+  but raise the same ``ResourceLimitError``;
+* the batch drivers' default budgets (``repro fuzz``, ``repro corpus
+  run``): :data:`PER_PROGRAM_SECONDS`, :data:`MAX_STEPS` and
+  :func:`default_jobs`.
 
 ``check_active`` is called on hot paths, so the no-guard case is a
 single truthiness test of a per-thread list.
@@ -22,6 +25,7 @@ This module must stay import-light (stdlib + :mod:`repro.lang.errors`
 only): the runtime and analysis layers import it at module load.
 """
 
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -30,12 +34,26 @@ from typing import Iterator, List, Optional
 from repro.lang.errors import ResourceLimitError
 
 __all__ = [
+    "MAX_STEPS",
+    "PER_PROGRAM_SECONDS",
     "Deadline",
     "ResourceLimitError",
     "active_deadline",
     "check_active",
+    "default_jobs",
     "guarded",
 ]
+
+#: Default per-program wall-clock bulkhead of the batch drivers, seconds.
+PER_PROGRAM_SECONDS = 10.0
+
+#: Default interpreter step budget per traced run of a batch program.
+MAX_STEPS = 400_000
+
+
+def default_jobs() -> int:
+    """Worker processes used when callers pass ``jobs=None``."""
+    return os.cpu_count() or 1
 
 
 class Deadline:

@@ -34,6 +34,7 @@ from repro import AliasPairCounter, Program, compile_program
 from repro.ir.access_path import AccessPath, strip_index
 from repro.lang.errors import CompileError, ResourceLimitError
 from repro.qa.generator import GeneratedProgram
+from repro.qa.guards import MAX_STEPS
 from repro.runtime import Interpreter
 from repro.runtime.values import M3RuntimeError
 
@@ -132,7 +133,7 @@ def check_program(
     source: Union[str, GeneratedProgram],
     name: str = "<fuzz>",
     seed: Optional[int] = None,
-    max_steps: int = 400_000,
+    max_steps: int = MAX_STEPS,
 ) -> OracleReport:
     """Run every oracle over one program and report all violations."""
     if isinstance(source, GeneratedProgram):

@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,17 +38,12 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.obs import core as obs
 from repro.qa.generator import GenConfig, GeneratedProgram, generate_program
-from repro.qa.guards import guarded
+from repro.qa.guards import (MAX_STEPS, PER_PROGRAM_SECONDS, default_jobs,
+                             guarded)
 from repro.qa.oracles import OracleReport, check_program
 from repro.qa.reduce import reduce_program, write_crash_bundle
 
 __all__ = ["FailureRecord", "FuzzReport", "run_fuzz", "default_jobs"]
-
-#: Default per-program wall-clock bulkhead, seconds.
-PER_PROGRAM_SECONDS = 10.0
-
-#: Default interpreter step budget per traced run.
-MAX_STEPS = 400_000
 
 
 @dataclass
@@ -124,11 +118,6 @@ def failure_digest(phase: str, kind: str, message: str) -> str:
     shape = "".join("#" if ch.isdigit() else ch for ch in message)
     blob = "{}|{}|{}".format(phase, kind, shape).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def default_jobs() -> int:
-    """Worker processes used when callers pass ``jobs=None``."""
-    return os.cpu_count() or 1
 
 
 def run_fuzz(

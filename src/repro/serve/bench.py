@@ -16,10 +16,10 @@ daemon that is fast but wrong fails here, not in production.
 
 The measured loops run under ``serve.cold`` / ``serve.warm`` spans so
 :func:`repro.obs.history.phase_seconds` lands them in the benchmark
-ledger, where ``repro bench gate`` regresses them like any other phase;
-:func:`serve_phases` exposes the same numbers as explicit extra phases
-for the quick-bench record.  :func:`check_speedup` is the acceptance
-gate: warm throughput must clear ``min_speedup`` × cold throughput.
+ledger (the spans are their only source there), where ``repro bench
+gate`` regresses them like any other phase.  :func:`check_speedup` is
+the acceptance gate: warm throughput must clear ``min_speedup`` × cold
+throughput.
 """
 
 import time
@@ -29,7 +29,7 @@ from repro import compile_program
 from repro.analysis import ANALYSIS_NAMES, AliasPairCounter
 from repro.bench import registry
 from repro.obs import core as obs
-from repro.obs import history, metrics
+from repro.obs import metrics
 
 #: The acceptance threshold: warm served queries must be at least this
 #: many times faster than cold single-shot CLI queries.
@@ -132,16 +132,6 @@ def _tables_request(source: str, name: str):
     from repro.serve.protocol import Request
 
     return Request(op="tables", id=name, source=source, name=name)
-
-
-def serve_phases(result: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """The serve numbers as ledger phase series (seconds)."""
-    return {
-        history.SUITE_BUCKET: {
-            "serve.cold": round(result["cold_ms"] / 1000.0, 6),
-            "serve.warm": round(result["warm_ms"] / 1000.0, 6),
-        }
-    }
 
 
 def check_speedup(result: Dict[str, object],

@@ -464,14 +464,14 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
     checks the whole observability surface: the client-chosen trace id
     comes back in the response, on every collected span, in
     ``/v1/requests`` and in the access-log JSONL (every line read back
-    through the shared JSONL reader); ``/v1/metrics`` passes the
-    promtool-style self-lint and carries the quantile gauges + SLO
-    counters; and ``repro top --once`` renders a frame from the live
-    daemon in a subprocess.
+    through the shared JSONL reader); every ``/v1/metrics`` line reads
+    back through the one exposition parser and the body carries the
+    quantile gauges + SLO counters; and ``repro top --once`` renders a
+    frame from the live daemon in a subprocess.
     """
     from pathlib import Path
 
-    from repro.obs import jsonl, promlint
+    from repro.obs import jsonl, promtext
     from repro.serve.daemon import Daemon
     from repro.serve.factcache import FactStore
     from repro.serve.session import SessionManager
@@ -507,7 +507,11 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
         _assert_ok(warm, "obs-warm")
 
         metrics_body = client.metrics_text()
-        promlint.check(metrics_body, source="/v1/metrics")
+        unreadable = [line for line in promtext.parse(metrics_body)
+                      if line.problem is not None]
+        if unreadable:
+            raise AssertionError(
+                "/v1/metrics has unreadable lines: {}".format(unreadable[:3]))
         for needle in ("repro_serve_request_ms_p50",
                        "repro_serve_request_ms_p95",
                        "repro_serve_request_ms_p99",

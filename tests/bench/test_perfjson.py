@@ -7,6 +7,8 @@ test failing, then checks the CLI writer round-trips through JSON.
 
 import json
 
+import pytest
+
 from repro.bench import perfjson
 
 
@@ -26,8 +28,6 @@ def test_quick_bench_schema(tmp_path):
 
 
 def test_validate_rejects_missing_keys():
-    import pytest
-
     with pytest.raises(AssertionError):
         perfjson.validate_report({"schema": perfjson.SCHEMA_VERSION})
 
@@ -47,15 +47,12 @@ def test_report_phases_maps_report_numbers_to_seconds():
         "construction_ms": {"TypeDecl": 2.5},
         "query_throughput": {"TypeDecl": {"ms": 10.0}},
         "table5": {"reference_ms": 100.0, "fast_ms": 20.0},
-        "serve": {"cold_ms": 50.0, "warm_ms": 1.0},
     }
     phases = perfjson.report_phases(report)
     assert phases["m3cg"]["quick.construction.TypeDecl"] == 0.0025
     assert phases["m3cg"]["quick.query.TypeDecl"] == 0.01
     assert phases[SUITE_BUCKET]["quick.table5.reference"] == 0.1
     assert phases[SUITE_BUCKET]["quick.table5.fast"] == 0.02
-    assert phases[SUITE_BUCKET]["serve.cold"] == 0.05
-    assert phases[SUITE_BUCKET]["serve.warm"] == 0.001
 
 
 def test_perfjson_main_appends_history(tmp_path, capsys):
@@ -73,5 +70,10 @@ def test_perfjson_main_appends_history(tmp_path, capsys):
     bench = report["query_benchmark"]
     assert any(p.startswith("quick.query.")
                for p in record["phases"][bench])
+    # The serve loops' spans are the only source of their phases.
+    suite = record["phases"][history.SUITE_BUCKET]
+    for phase in ("cold", "warm"):
+        assert suite["serve." + phase] == pytest.approx(
+            report["serve"][phase + "_ms"] / 1000.0, rel=0.02)
     captured = capsys.readouterr()
     assert "appended bench-quick record" in captured.out

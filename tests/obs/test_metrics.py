@@ -112,3 +112,84 @@ def test_label_values_are_stringified(registry):
     (entry,) = registry.snapshot()
     assert entry["labels"] == {"open_world": "False", "n": "3"}
     assert c.labels == (("n", "3"), ("open_world", "False"))
+
+
+@pytest.mark.parametrize("name", ["", "Upper", "1st", "a..b", "a.", "a-b",
+                                  "a b", "_a", "a.B"])
+def test_bad_metric_names_are_rejected(registry, name):
+    with pytest.raises(ValueError, match="bad metric name"):
+        registry.counter(name)
+
+
+@pytest.mark.parametrize("first,second", [
+    (("counter", "a.b"), ("gauge", "a_b")),
+    (("counter", "x"), ("counter", "repro_x")),
+    (("histogram", "lat"), ("counter", "lat.count")),
+    (("counter", "lat.count"), ("histogram", "lat")),
+    (("histogram", "lat"), ("gauge", "lat_bucket")),
+    (("histogram", "lat"), ("histogram", "lat.sum")),
+])
+def test_colliding_exported_names_are_rejected(registry, first, second):
+    getattr(registry, first[0])(first[1])
+    with pytest.raises(ValueError, match="already written by"):
+        getattr(registry, second[0])(second[1])
+    assert registry.names() == [first[1]]
+
+
+def test_bad_label_names_are_rejected(registry):
+    with pytest.raises(ValueError, match="bad label name '1st'"):
+        registry.counter("c", **{"1st": "x"})
+    with pytest.raises(ValueError, match="bad label name 'le'"):
+        registry.histogram("lat", le="x")
+    with pytest.raises(ValueError, match="bad label name 'le'"):
+        registry.new_histogram("lat", le="x")
+    registry.gauge("g", le="x")  # only histograms reserve le
+    assert registry.names() == ["g"]  # a refused series leaves no trace
+
+
+def test_histogram_family_keeps_one_bucket_tuple(registry):
+    registry.new_histogram("sizes", buckets=(1.0, 10.0))
+    registry.new_histogram("sizes", buckets=(10, 1))  # same bounds
+    with pytest.raises(ValueError, match="has buckets"):
+        registry.new_histogram("sizes", buckets=(1.0, 5.0))
+    with pytest.raises(ValueError, match="has buckets"):
+        registry.histogram("sizes", buckets=(2.0,), op="other")
+    registry.histogram("sizes", buckets=(1.0, 10.0), op="other").observe(3)
+    assert [(e["labels"], e["buckets"], e["count"])
+            for e in registry.snapshot()] == [({}, [1.0, 10.0], 0),
+                                              ({"op": "other"}, [1.0, 10.0], 1)]
+
+
+@pytest.mark.parametrize("buckets", [(1.0, 1.0), (1.0, float("inf")),
+                                     (float("nan"),)])
+def test_histogram_buckets_must_be_distinct_and_finite(registry, buckets):
+    with pytest.raises(ValueError, match="distinct finite"):
+        registry.histogram("lat", buckets=buckets)
+
+
+def test_counter_refuses_to_decrease(registry):
+    c = registry.counter("q.total")
+    c.inc(2)
+    for n in (-5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="cannot decrease"):
+            c.inc(n)
+    c.inc(0)
+    assert c.value == 2
+
+
+def test_snapshot_reads_each_histogram_under_its_lock(registry):
+    h = registry.histogram("lat", buckets=(1.0,))
+    snapshots = []
+    reader = threading.Thread(
+        target=lambda: snapshots.append(registry.snapshot()))
+    with h._lock:  # an observe() half done: count bumped, bucket not yet
+        h.count += 1
+        reader.start()
+        reader.join(0.2)
+        h.bucket_counts[0] += 1
+        h.sum += 0.5
+    reader.join(10)
+    assert not reader.is_alive()
+    ((entry,),) = snapshots
+    assert entry["count"] == sum(entry["bucket_counts"]) == 1
+    assert entry["sum"] == 0.5

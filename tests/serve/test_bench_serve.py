@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import cli
 from repro.obs import history, metrics
+from repro.serve import bench
 from repro.serve.bench import (
     DEFAULT_MIN_SPEEDUP,
     ServeBenchError,
     check_speedup,
     run_serve_bench,
-    serve_phases,
 )
 
 
@@ -44,11 +45,27 @@ def test_bench_sets_gauges(result):
         result["warm_qps"]
 
 
-def test_serve_phases_land_in_suite_bucket(result):
-    phases = serve_phases(result)
-    bucket = phases[history.SUITE_BUCKET]
-    assert bucket["serve.cold"] == round(result["cold_ms"] / 1000.0, 6)
-    assert bucket["serve.warm"] == round(result["warm_ms"] / 1000.0, 6)
+def test_serve_phases_land_in_suite_bucket(tmp_path, monkeypatch):
+    # The serve.cold/serve.warm spans are the ledger's only source of
+    # those phases, so a `bench serve` record holds each loop's time once.
+    results = []
+
+    def recorded(**kwargs):
+        results.append(run_serve_bench(**kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "run_serve_bench", recorded)
+    ledger = str(tmp_path / "history.jsonl")
+    assert cli.main(["-q", "bench", "serve", "--only", "format",
+                     "--repeats", "4", "--min-speedup", "0",
+                     "--history", ledger]) == 0
+    [result] = results
+    [record] = history.read_history(ledger)
+    bucket = record["phases"][history.SUITE_BUCKET]
+    assert bucket["serve.cold"] == pytest.approx(result["cold_ms"] / 1000.0,
+                                                 rel=0.02)
+    assert bucket["serve.warm"] == pytest.approx(result["warm_ms"] / 1000.0,
+                                                 rel=0.02)
     assert bucket["serve.warm"] < bucket["serve.cold"]
 
 

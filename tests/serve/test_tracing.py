@@ -16,12 +16,13 @@ import pytest
 from repro.obs import core as obs
 from repro.obs import jsonl, metrics
 from repro.obs.profile import render_span_tree
-from repro.obs.promlint import lint
 from repro.serve import protocol
 from repro.serve.client import SMOKE_SOURCE, HttpClient
 from repro.serve.daemon import Daemon, mint_trace_id
 from repro.serve.factcache import FactStore
 from repro.serve.session import SessionManager
+
+from tests.obs.promcheck import assert_valid_exposition
 
 BAD_SOURCE = "MODULE Broken; this does not parse"
 
@@ -195,7 +196,7 @@ def test_metrics_endpoint_is_lint_clean_prometheus(daemon):
         assert resp.headers["Content-Type"] == \
             "text/plain; version=0.0.4; charset=utf-8"
         text = resp.read().decode("utf-8")
-    assert lint(text) == [], text
+    assert_valid_exposition(text)
     for needle in ("repro_serve_request_ms_p50",
                    "repro_serve_request_ms_p95",
                    "repro_serve_request_ms_p99",
