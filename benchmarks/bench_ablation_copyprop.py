@@ -10,6 +10,7 @@ could not.
 """
 
 from repro.bench.suite import RunConfig
+from repro.bench.tables import relative_time
 from repro.util.tables import render_table
 
 NAMES = ["format", "dformat", "k-tree", "slisp", "pp", "m2tom3", "m3cg"]
@@ -40,8 +41,8 @@ def test_copyprop_ablation(benchmark, suite, emit):
                 name,
                 plain.heap_loads,
                 cp.heap_loads,
-                round(100.0 * suite.relative_time(name, WITHOUT), 1),
-                round(100.0 * suite.relative_time(name, WITH_CP), 1),
+                round(100.0 * relative_time(suite, name, WITHOUT), 1),
+                round(100.0 * relative_time(suite, name, WITH_CP), 1),
             ]
         )
     text = render_table(

@@ -30,9 +30,10 @@ def test_dope_ablation(benchmark, suite, emit):
 
     rows = []
     for n_row, a_row in zip(normal.rows, ablated.rows):
-        speed_n = suite.relative_time(n_row[0], RunConfig(analysis="SMFieldTypeRefs"))
-        speed_a = suite.relative_time(
-            n_row[0], RunConfig(analysis="SMFieldTypeRefs", see_dope_loads=True)
+        speed_n = tables.relative_time(
+            suite, n_row[0], RunConfig(analysis="SMFieldTypeRefs"))
+        speed_a = tables.relative_time(
+            suite, n_row[0], RunConfig(analysis="SMFieldTypeRefs", see_dope_loads=True)
         )
         rows.append(
             [

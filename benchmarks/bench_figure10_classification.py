@@ -7,7 +7,7 @@ the classifying traced run.
 
 from repro.bench import tables
 from repro.bench.suite import RunConfig
-from repro.runtime import LimitStudy
+from repro.runtime import Interpreter, LoadStoreTracer, classify
 from repro.runtime.limit import Category
 
 
@@ -16,7 +16,9 @@ def test_figure10(benchmark, suite, emit):
     result = suite.build("k-tree", config)
 
     def classified_run():
-        return LimitStudy(result.program, result.load_status).run()
+        tracer = LoadStoreTracer()
+        Interpreter(result.program, tracer=tracer).run()
+        return classify(tracer, result.load_status)
 
     report = benchmark.pedantic(classified_run, rounds=3, iterations=1)
     assert report.total_heap_loads > 0

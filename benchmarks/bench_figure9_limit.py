@@ -5,15 +5,17 @@ Regenerates the dynamic redundant-load fractions before and after RLE
 """
 
 from repro.bench import tables
-from repro.bench.suite import BASE, RunConfig
-from repro.runtime import LimitStudy
+from repro.bench.suite import BASE
+from repro.runtime import Interpreter, LoadStoreTracer, classify
 
 
 def test_figure9(benchmark, suite, emit):
     result = suite.build("write-pickle", BASE)
 
     def traced_run():
-        return LimitStudy(result.program, {}).run()
+        tracer = LoadStoreTracer()
+        Interpreter(result.program, tracer=tracer).run()
+        return classify(tracer, result.load_status)
 
     report = benchmark.pedantic(traced_run, rounds=3, iterations=1)
     assert report.total_heap_loads > 0

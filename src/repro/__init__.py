@@ -44,9 +44,10 @@ from repro.opt import OptimizationPipeline, PipelineResult
 from repro.runtime import (
     Interpreter,
     ExecutionStats,
+    LoadStoreTracer,
     MachineModel,
-    LimitStudy,
     RedundancyReport,
+    classify,
 )
 
 __version__ = "1.0.0"
@@ -69,7 +70,6 @@ __all__ = [
     "Interpreter",
     "ExecutionStats",
     "MachineModel",
-    "LimitStudy",
     "RedundancyReport",
     "__version__",
 ]
@@ -144,10 +144,15 @@ class Program:
         return interp.run()
 
     def limit_study(self, result: Optional[PipelineResult] = None) -> RedundancyReport:
-        """Figure 9/10's dynamic redundancy measurement."""
+        """Figure 9/10's dynamic redundancy measurement: one execution
+        under the tracer alone (no machine model), then classification."""
+        from repro.obs import core as obs
+
         result = result or self.base()
-        study = LimitStudy(result.program, result.load_status)
-        return study.run()
+        tracer = LoadStoreTracer()
+        with obs.span("limit.replay", module=result.program.checked.name):
+            Interpreter(result.program, tracer=tracer).run()
+        return classify(tracer, result.load_status)
 
 
 def compile_program(source: str, unit: str = "<input>") -> Program:

@@ -2,8 +2,9 @@
 
 The figures re-run the same programs under several configurations (base,
 three TBAA levels, open world, Minv+Inlining combos); the suite memoises
-compiled programs and execution results so each (benchmark, config) pair
-is computed once per process.
+compiled programs, builds and executions so each (benchmark, config)
+pair executes once per suite: under the machine model, and traced too
+when :meth:`BenchmarkSuite.limit_study` asks for it first.
 
 A suite is either the registered paper benchmarks (the default) or an
 arbitrary directory of ``.m3`` files (:meth:`BenchmarkSuite.from_directory`);
@@ -19,7 +20,8 @@ from repro import Program, compile_program
 from repro.bench import registry
 from repro.obs import core as obs
 from repro.opt.pipeline import PipelineResult
-from repro.runtime import ExecutionStats, Interpreter, LimitStudy, MachineModel, RedundancyReport
+from repro.runtime import (ExecutionStats, Interpreter, LoadStoreTracer,
+                           MachineModel, RedundancyReport, classify)
 
 
 class RunConfig:
@@ -77,8 +79,9 @@ class BenchmarkSuite:
         self._sources = dict(sources) if sources is not None else None
         self._programs: Dict[str, Program] = {}
         self._pipelines: Dict[Tuple[str, Tuple], PipelineResult] = {}
-        self._runs: Dict[Tuple[str, Tuple], ExecutionStats] = {}
-        self._limits: Dict[Tuple[str, Tuple], RedundancyReport] = {}
+        # (name, config key) -> (stats, limit-study report if traced)
+        self._executions: Dict[Tuple[str, Tuple],
+                               Tuple[ExecutionStats, Optional[RedundancyReport]]] = {}
 
     @classmethod
     def from_directory(cls, directory: str) -> "BenchmarkSuite":
@@ -174,34 +177,29 @@ class BenchmarkSuite:
         return result
 
     def run(self, name: str, config: RunConfig = BASE) -> ExecutionStats:
-        """Execute under the machine model; cached per configuration."""
+        """Stats of the cached execution; executes untraced if none is."""
         key = (name, config.key())
-        stats = self._runs.get(key)
-        if stats is None:
-            result = self.build(name, config)
-            with obs.span("bench.run", program=name,
-                          config=repr(config.key())):
-                interp = Interpreter(result.program, machine=MachineModel())
-                stats = interp.run()
-            self._runs[key] = stats
-        return stats
+        if key not in self._executions:
+            self._executions[key] = (self._execute(name, config), None)
+        return self._executions[key][0]
 
     def limit_study(self, name: str, config: RunConfig = BASE) -> RedundancyReport:
-        """Dynamic redundancy measurement (no machine model: traces only)."""
+        """Dynamic redundancy of the cached traced execution; executes
+        traced (machine model attached) if the config has none yet."""
         key = (name, config.key())
-        report = self._limits.get(key)
+        report = self._executions.get(key, (None, None))[1]
         if report is None:
-            result = self.build(name, config)
+            tracer = LoadStoreTracer()
+            stats = self._execute(name, config, tracer)
             with obs.span("bench.limit_study", program=name):
-                study = LimitStudy(result.program, result.load_status)
-                report = study.run()
-            self._limits[key] = report
+                report = classify(tracer, self.build(name, config).load_status)
+                del tracer  # its per-address map is freed inside the span
+            self._executions[key] = (stats, report)
         return report
 
-    # ------------------------------------------------------------------
-
-    def relative_time(self, name: str, config: RunConfig) -> float:
-        """Simulated time of *config* relative to base (1.0 = no change)."""
-        base_cycles = self.run(name, BASE).cycles
-        opt_cycles = self.run(name, config).cycles
-        return opt_cycles / base_cycles if base_cycles else 1.0
+    def _execute(self, name: str, config: RunConfig,
+                 tracer: Optional[LoadStoreTracer] = None) -> ExecutionStats:
+        result = self.build(name, config)
+        with obs.span("bench.run", program=name, config=repr(config.key())):
+            return Interpreter(result.program, machine=MachineModel(),
+                               tracer=tracer).run()

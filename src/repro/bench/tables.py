@@ -16,8 +16,15 @@ from typing import Dict, List, Optional, Sequence
 from repro.analysis import ANALYSIS_NAMES, AliasPairCounter
 from repro.analysis.alias_pairs import DEFAULT_ENGINE
 from repro.bench.suite import BASE, BenchmarkSuite, RunConfig
+from repro.runtime import ExecutionStats
 from repro.runtime.limit import Category
 from repro.util.tables import render_table
+
+#: The configs Figures 9 and 10 study: before and after RLE.  Whichever
+#: generator executes one of them first asks for it traced, so the limit
+#: study classifies the execution Table 4 and Figure 8 use.
+LIMIT_CONFIGS = (BASE, RunConfig(analysis="SMFieldTypeRefs"))
+_TRACED = {config.key() for config in LIMIT_CONFIGS}
 
 
 class TableResult:
@@ -48,6 +55,19 @@ class TableResult:
 
 def _pct(x: float) -> str:
     return "{:.0f}".format(100.0 * x)
+
+
+def _stats(suite: BenchmarkSuite, name: str, config: RunConfig) -> ExecutionStats:
+    if config.key() in _TRACED:
+        suite.limit_study(name, config)
+    return suite.run(name, config)
+
+
+def relative_time(suite: BenchmarkSuite, name: str, config: RunConfig) -> float:
+    """Simulated time of *config* relative to base (1.0 = no change)."""
+    base_cycles = _stats(suite, name, BASE).cycles
+    opt_cycles = _stats(suite, name, config).cycles
+    return opt_cycles / base_cycles if base_cycles else 1.0
 
 
 def count_source_lines(source: str) -> int:
@@ -86,7 +106,7 @@ def table4(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableRes
         source = suite.load_source(name)
         lines = count_source_lines(source)
         if suite.is_dynamic(name):
-            stats = suite.run(name, BASE)
+            stats = _stats(suite, name, BASE)
             rows.append(
                 [
                     name,
@@ -218,7 +238,7 @@ def figure8(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableRe
     for name in names or suite.dynamic_names():
         row: List[object] = [name, 100]
         for analysis_name in ANALYSIS_NAMES:
-            rel = suite.relative_time(name, RunConfig(analysis=analysis_name))
+            rel = relative_time(suite, name, RunConfig(analysis=analysis_name))
             row.append(round(100.0 * rel, 1))
         rows.append(row)
     return TableResult(
@@ -235,8 +255,7 @@ def figure8(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableRe
 def figure9(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableResult:
     rows: List[List[object]] = []
     for name in names or suite.dynamic_names():
-        before = suite.limit_study(name, BASE)
-        after = suite.limit_study(name, RunConfig(analysis="SMFieldTypeRefs"))
+        before, after = (suite.limit_study(name, c) for c in LIMIT_CONFIGS)
         rows.append(
             [
                 name,
@@ -266,7 +285,7 @@ def figure10(
     ``see_dope_loads=True`` runs the ablation where RLE can eliminate
     dope-vector loads (beyond the paper, which could not)."""
     rows: List[List[object]] = []
-    config = RunConfig(analysis="SMFieldTypeRefs", see_dope_loads=see_dope_loads)
+    config = RunConfig(analysis=LIMIT_CONFIGS[1].analysis, see_dope_loads=see_dope_loads)
     for name in names or suite.dynamic_names():
         report = suite.limit_study(name, config)
         rows.append(
@@ -296,9 +315,9 @@ def figure11(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableR
             [
                 name,
                 100,
-                round(100.0 * suite.relative_time(name, rle), 1),
-                round(100.0 * suite.relative_time(name, minv), 1),
-                round(100.0 * suite.relative_time(name, both), 1),
+                round(100.0 * relative_time(suite, name, rle), 1),
+                round(100.0 * relative_time(suite, name, minv), 1),
+                round(100.0 * relative_time(suite, name, both), 1),
             ]
         )
     return TableResult(
@@ -321,8 +340,8 @@ def figure12(suite: BenchmarkSuite, names: Optional[List[str]] = None) -> TableR
         rows.append(
             [
                 name,
-                round(100.0 * suite.relative_time(name, closed), 1),
-                round(100.0 * suite.relative_time(name, opened), 1),
+                round(100.0 * relative_time(suite, name, closed), 1),
+                round(100.0 * relative_time(suite, name, opened), 1),
             ]
         )
     return TableResult(

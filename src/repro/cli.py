@@ -767,20 +767,26 @@ def cmd_tables(args) -> int:
             return 2
     for key in wanted:
         generator = generators[key]
-        started = time.perf_counter()
-        try:
-            if key == "table5":
-                result = generator(suite, engine=args.engine)
-            else:
-                result = generator(suite)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            failures.append(_failure_entry(
-                key, "table", exc, seconds=time.perf_counter() - started))
-            continue
-        print(result.text)
-        print()
+        kwargs = {"engine": args.engine} if key == "table5" else {}
+        names = (suite.names() if key in ("table4", "table5")
+                 else suite.dynamic_names())
+        # One bulkhead per (artifact, program): a program that fails to
+        # build or run loses its own rows, and the table covers the rest.
+        parts = []
+        for name in names:
+            started = time.perf_counter()
+            try:
+                parts.append(generator(suite, names=[name], **kwargs))
+            except (KeyboardInterrupt, SystemExit):
+                raise
+            except Exception as exc:
+                failures.append(_failure_entry(
+                    name, key, exc, seconds=time.perf_counter() - started))
+        if parts:
+            rows = [row for part in parts for row in part.rows]
+            print(tables.TableResult(parts[0].title, parts[0].headers,
+                                     rows).text)
+            print()
     _emit_failures(failures)
     return 1 if failures else 0
 

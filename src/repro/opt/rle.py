@@ -563,9 +563,13 @@ class _ProcRLE:
     def _hoist_one_loop(self, loop: NaturalLoop) -> None:
         killed_roots, store_aps, has_unknown_call_kill, call_instrs = self._loop_kills(loop)
 
-        # Blocks loading each path inside the loop.
+        # Blocks loading each path inside the loop, walked in reverse
+        # postorder: the body is a set hashed by identity, and the
+        # candidates' order is the order their loads land in the preheader.
         loading_blocks: Dict[AccessPath, Set[BasicBlock]] = {}
-        for block in loop.body:
+        for block in self.proc.blocks():
+            if block not in loop.body:
+                continue
             for instr in block.instrs:
                 if self.owner.visible_load(instr):
                     ap = instr.ap

@@ -10,9 +10,11 @@ workstation simulator and the ATOM binary instrumenter — with:
   load/store trace hook (the ATOM substitute);
 * :mod:`repro.runtime.machine` — a load-latency cost model with a direct
   mapped cache (the paper simulated a 32 KB primary cache);
-* :mod:`repro.runtime.tracing` — trace recording utilities;
+* :mod:`repro.runtime.tracing` — the load/store tracer, which records
+  every dynamically redundant heap load of one execution;
 * :mod:`repro.runtime.limit` — the dynamic redundant-load limit study of
-  Section 3.5, including the five-way classification of Figure 10.
+  Section 3.5: the five-way classification of Figure 10 over a tracer's
+  events.
 """
 
 from repro.runtime.values import (
@@ -28,7 +30,7 @@ from repro.runtime.values import (
 from repro.runtime.interp import Interpreter, ExecutionStats
 from repro.runtime.machine import CacheSim, MachineModel
 from repro.runtime.tracing import LoadStoreTracer
-from repro.runtime.limit import LimitStudy, RedundancyReport, Category
+from repro.runtime.limit import RedundancyReport, Category, classify
 
 __all__ = [
     "ObjectRef",
@@ -44,7 +46,7 @@ __all__ = [
     "CacheSim",
     "MachineModel",
     "LoadStoreTracer",
-    "LimitStudy",
     "RedundancyReport",
     "Category",
+    "classify",
 ]

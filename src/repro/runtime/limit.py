@@ -18,17 +18,17 @@ We reproduce the classification automatically by joining three facts per
 redundant load occurrence: the instruction kind (dope or not), the static
 reason RLE left the load in place (recorded by the optimizer), and
 whether a store to the address actually intervened at run time.
+
+:func:`classify` executes nothing: it reads the events a tracer recorded
+during an execution, which can also serve Figure 8's machine model.
 """
 
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from repro.ir import instructions as ins
-from repro.ir.cfg import ProgramIR
 from repro.obs import core as obs
 from repro.obs import metrics
-from repro.runtime.interp import ExecutionStats, Interpreter
-from repro.runtime.machine import MachineModel
 from repro.runtime.tracing import LoadStoreTracer
 
 
@@ -52,13 +52,12 @@ STATUS_FRESH = "fresh"
 
 
 class RedundancyReport:
-    """Result of one limit-study run."""
+    """Figure 9/10's numbers for one traced execution."""
 
     def __init__(self) -> None:
         self.total_heap_loads = 0
         self.redundant_loads = 0
         self.by_category: Dict[Category, int] = {c: 0 for c in Category}
-        self.stats: Optional[ExecutionStats] = None
 
     @property
     def redundant_fraction(self) -> float:
@@ -78,77 +77,40 @@ class RedundancyReport:
         )
 
 
-class LimitStudy:
-    """Runs a program under the tracer and classifies redundant loads.
+def classify(tracer: LoadStoreTracer, load_status: Dict[int, str]) -> RedundancyReport:
+    """Classify the redundant loads a finished traced execution recorded.
 
     ``load_status`` maps heap-load instruction uid → static status string
-    (the constants above); pass the optimizer's record for optimized
-    programs, or ``None`` for unoptimized baselines (everything then
-    classifies by kind and dynamics only).
+    (the constants above): the optimizer's record for optimized programs,
+    empty for unoptimized baselines (everything then classifies by kind
+    and dynamics only).  The Figure 9/10 numbers are also exported as
+    registry counters, in bulk.
     """
+    report = RedundancyReport()
+    report.total_heap_loads = tracer.total_loads
+    report.redundant_loads = tracer.redundant_loads
+    with obs.span("limit.classify", events=len(tracer.events)):
+        for instr, prev_instr, stored in tracer.events:
+            report.by_category[_category(instr, prev_instr, stored, load_status)] += 1
+    registry = metrics.registry()
+    registry.counter("limit.loads.total").inc(report.total_heap_loads)
+    registry.counter("limit.loads.redundant").inc(report.redundant_loads)
+    for category, count in report.by_category.items():
+        registry.counter("limit.category", category=category.value).inc(count)
+    return report
 
-    def __init__(
-        self,
-        program: ProgramIR,
-        load_status: Optional[Dict[int, str]] = None,
-        machine: Optional[MachineModel] = None,
-    ):
-        self.program = program
-        self.load_status = load_status or {}
-        self.machine = machine
-        self.report = RedundancyReport()
 
-    def run(self) -> RedundancyReport:
-        # Two separately-timed phases: ``limit.replay`` re-executes the
-        # program under the tracer, buffering every redundant-load event;
-        # ``limit.classify`` then joins the static/dynamic facts per
-        # event.  Deferring classification does not change any count —
-        # the category function only looks at per-event arguments.
-        events: List[Tuple[ins.Instr, ins.Instr, bool]] = []
-        tracer = LoadStoreTracer(
-            on_redundant=lambda instr, prev, stored: events.append(
-                (instr, prev, stored)))
-        interp = Interpreter(self.program, machine=self.machine, tracer=tracer)
-        with obs.span("limit.replay", module=self.program.checked.name):
-            stats = interp.run()
-        self.report.stats = stats
-        self.report.total_heap_loads = tracer.total_loads
-        self.report.redundant_loads = tracer.redundant_loads
-        with obs.span("limit.classify", events=len(events)):
-            for instr, prev, store_intervened in events:
-                self._classify(instr, prev, store_intervened)
-        self._export_metrics()
-        return self.report
-
-    def _export_metrics(self) -> None:
-        """Figure 9/10 numbers as registry counters (bulk, per run)."""
-        registry = metrics.registry()
-        registry.counter("limit.loads.total").inc(self.report.total_heap_loads)
-        registry.counter("limit.loads.redundant").inc(
-            self.report.redundant_loads)
-        for category, count in self.report.by_category.items():
-            registry.counter(
-                "limit.category", category=category.value).inc(count)
-
-    # ------------------------------------------------------------------
-
-    def _classify(
-        self, instr: ins.Instr, prev_instr: ins.Instr, store_intervened: bool
-    ) -> None:
-        self.report.by_category[self._category(instr, prev_instr, store_intervened)] += 1
-
-    def _category(
-        self, instr: ins.Instr, prev_instr: ins.Instr, store_intervened: bool
-    ) -> Category:
-        if instr.is_dope:
-            return Category.ENCAPSULATION
-        status = self.load_status.get(instr.uid)
-        if status == STATUS_PARTIAL:
-            return Category.CONDITIONAL
-        # The same address was last loaded through a different lexical
-        # path: a copy/naming failure, not an analysis failure.
-        if prev_instr.ap is not None and instr.ap is not None and prev_instr.ap != instr.ap:
-            return Category.BREAKUP
-        if status == STATUS_KILLED_STORE and not store_intervened:
-            return Category.ALIAS_FAILURE
-        return Category.REST
+def _category(instr: ins.Instr, prev_instr: ins.Instr, store_intervened: bool,
+              load_status: Dict[int, str]) -> Category:
+    if instr.is_dope:
+        return Category.ENCAPSULATION
+    status = load_status.get(instr.uid)
+    if status == STATUS_PARTIAL:
+        return Category.CONDITIONAL
+    # The same address was last loaded through a different lexical
+    # path: a copy/naming failure, not an analysis failure.
+    if prev_instr.ap is not None and instr.ap is not None and prev_instr.ap != instr.ap:
+        return Category.BREAKUP
+    if status == STATUS_KILLED_STORE and not store_intervened:
+        return Category.ALIAS_FAILURE
+    return Category.REST

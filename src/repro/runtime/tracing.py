@@ -3,80 +3,55 @@
 The paper instrumented every load in the executable with ATOM, recording
 address and value, to find *dynamically redundant* loads.  Our tracer
 receives the same events from the interpreter.  It does not retain the
-full trace (which would be huge); instead it maintains exactly the state
-the redundancy definition needs:
+full trace (which would be huge); instead it keeps exactly the state the
+redundancy definition needs:
 
     "A redundant load is when two consecutive loads of the same address
      load the same value in the same procedure activation."
 
-For each activation we keep ``address -> (value, instr uid of the last
-load)``; a global per-address store clock lets the classifier distinguish
-"no store intervened" (a spurious alias kill) from "a store wrote the
-same value back".
+For each ``(activation, address)`` it keeps the value, instruction and
+the address's store clock of the last load there, so the classifier can
+tell "no store intervened" (a spurious alias kill) from "a store wrote
+the same value back".  Each redundant load appends ``(instr, prev_instr,
+store_intervened)`` to :attr:`LoadStoreTracer.events`.
 """
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir import instructions as ins
 
 
 class LoadStoreTracer:
-    """Observes heap loads/stores; feeds the limit study.
+    """Observes heap loads/stores and records the redundant loads."""
 
-    ``on_redundant`` (if given) is called for every dynamically redundant
-    load occurrence with ``(instr, prev_instr, store_intervened)``.
-    """
-
-    def __init__(
-        self,
-        on_redundant: Optional[
-            Callable[[ins.Instr, ins.Instr, bool], None]
-        ] = None,
-    ):
-        # (activation, address) -> (value, last loading instr)
-        self._last_load: Dict[Tuple[int, int], Tuple[object, ins.Instr]] = {}
-        # address -> monotonically increasing store clock
+    def __init__(self) -> None:
+        # (activation, address) -> (value, instr, store clock at that load)
+        self._last_load: Dict[Tuple[int, int], Tuple[object, ins.Instr, int]] = {}
+        # address -> clock of the last store to it
         self._store_clock: Dict[int, int] = {}
-        # (activation, address) -> store clock observed at last load
-        self._load_clock: Dict[Tuple[int, int], int] = {}
         self._clock = 0
-        self.on_redundant = on_redundant
-
         self.total_loads = 0
-        self.redundant_loads = 0
-        # per-instruction dynamic counts
-        self.loads_by_instr: Dict[int, int] = {}
-        self.redundant_by_instr: Dict[int, int] = {}
+        #: ``(instr, prev_instr, store_intervened)`` per redundant load.
+        self.events: List[Tuple[ins.Instr, ins.Instr, bool]] = []
+
+    @property
+    def redundant_loads(self) -> int:
+        return len(self.events)
 
     # -- interpreter hook API -------------------------------------------
 
     def on_load(self, instr: ins.Instr, addr: int, value: object, activation: int) -> None:
         self.total_loads += 1
-        uid = instr.uid
-        self.loads_by_instr[uid] = self.loads_by_instr.get(uid, 0) + 1
         key = (activation, addr)
+        clock = self._store_clock.get(addr, 0)
         previous = self._last_load.get(key)
         if previous is not None and _same_value(previous[0], value):
-            self.redundant_loads += 1
-            self.redundant_by_instr[uid] = self.redundant_by_instr.get(uid, 0) + 1
-            if self.on_redundant is not None:
-                store_clock = self._store_clock.get(addr, 0)
-                seen_clock = self._load_clock.get(key, 0)
-                store_intervened = store_clock > seen_clock
-                self.on_redundant(instr, previous[1], store_intervened)
-        self._last_load[key] = (value, instr)
-        self._load_clock[key] = self._store_clock.get(addr, 0)
+            self.events.append((instr, previous[1], clock > previous[2]))
+        self._last_load[key] = (value, instr, clock)
 
     def on_store(self, instr: ins.Instr, addr: int, value: object, activation: int) -> None:
         self._clock += 1
         self._store_clock[addr] = self._clock
-
-    # -- results -----------------------------------------------------------
-
-    @property
-    def redundant_fraction(self) -> float:
-        """Redundant loads as a fraction of all traced heap loads."""
-        return self.redundant_loads / self.total_loads if self.total_loads else 0.0
 
 
 def _same_value(a: object, b: object) -> bool:

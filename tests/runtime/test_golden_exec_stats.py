@@ -8,8 +8,10 @@ of the output, and for every dynamic program the limit study's totals
 and per-category counts before and after RLE (Figures 9 and 10).
 
 Everything is read through the session ``suite`` fixture, so no program
-runs twice in a test session.  Regenerate the file after a deliberate
-change to the runtime's cost model with::
+runs twice there; one more check executes the limit-study configs in a
+fresh suite, traced before any untraced run, and matches both records
+against the same goldens.  Regenerate the file after a deliberate change
+to the runtime's cost model with::
 
     PYTHONPATH=src python -m tests.runtime.test_golden_exec_stats
 """
@@ -75,6 +77,23 @@ def test_execution_stats(suite, golden, name, config_name):
 def test_limit_study_counts(suite, golden, name, config_name):
     assert limit_record(suite, name, config_name) == \
         golden["limit"][name][config_name]
+
+
+@pytest.fixture(scope="module")
+def fresh_suite():
+    return BenchmarkSuite()
+
+
+@pytest.mark.parametrize("name", registry.dynamic_benchmark_names())
+@pytest.mark.parametrize("config_name", sorted(LIMIT_CONFIGS))
+def test_traced_execution_counts_as_untraced(fresh_suite, golden, name,
+                                             config_name):
+    """The limit study's execution, tracer and machine attached together
+    and before any untraced run, is the one ``run()`` then returns."""
+    limit = limit_record(fresh_suite, name, config_name)
+    assert run_record(fresh_suite, name, config_name) == \
+        golden["runs"][name][config_name]
+    assert limit == golden["limit"][name][config_name]
 
 
 def regenerate(path: str = GOLDEN) -> None:

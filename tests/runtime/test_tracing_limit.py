@@ -6,7 +6,7 @@ from repro.ir.access_path import Qualify, VarRoot
 from repro.lang import types as ty
 from repro.lang.errors import UNKNOWN_LOCATION
 from repro.lang.symtab import Symbol
-from repro.runtime import Interpreter, LimitStudy, LoadStoreTracer
+from repro.runtime import LoadStoreTracer
 from repro.runtime.limit import Category
 
 
@@ -55,24 +55,20 @@ class TestTracerDefinition:
         """ATOM compared values only: a store of the same value between
         two loads leaves them 'redundant' (the classifier uses the store
         clock to tell this case apart)."""
-        events = []
-        tracer = LoadStoreTracer(
-            on_redundant=lambda i, p, s: events.append(s)
-        )
+        tracer = LoadStoreTracer()
         load = fake_load()
         tracer.on_load(load, 100, 7, activation=1)
         tracer.on_store(load, 100, 7, activation=1)
         tracer.on_load(load, 100, 7, activation=1)
         assert tracer.redundant_loads == 1
-        assert events == [True]  # a store did intervene
+        assert tracer.events == [(load, load, True)]  # a store did intervene
 
     def test_no_store_intervened_flag(self):
-        events = []
-        tracer = LoadStoreTracer(on_redundant=lambda i, p, s: events.append(s))
+        tracer = LoadStoreTracer()
         load = fake_load()
         tracer.on_load(load, 100, 7, activation=1)
         tracer.on_load(load, 100, 7, activation=1)
-        assert events == [False]
+        assert tracer.events == [(load, load, False)]
 
     def test_reference_values_compared_by_identity(self):
         tracer = LoadStoreTracer()
@@ -94,8 +90,9 @@ class TestTracerDefinition:
         load = fake_load()
         for _ in range(3):
             tracer.on_load(load, 100, 7, activation=1)
-        assert tracer.loads_by_instr[load.uid] == 3
-        assert tracer.redundant_by_instr[load.uid] == 2
+        assert tracer.total_loads == 3
+        assert tracer.redundant_loads == 2
+        assert tracer.events == [(load, load, False)] * 2
 
 
 class TestLimitStudyEndToEnd:

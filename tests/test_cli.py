@@ -355,6 +355,38 @@ def test_tables_over_directory_isolates_broken_input(program_dir, capsys):
     assert "undeclared" in entry["message"]
 
 
+TRAPPING_DIR_PROGRAM = """
+MODULE DirTrap;
+TYPE T = OBJECT n: INTEGER; END;
+VAR t: T; x: INTEGER;
+BEGIN
+  x := t.n;
+END DirTrap.
+"""
+
+
+def test_tables_over_directory_isolates_trapping_program(program_dir, capsys):
+    import json
+
+    (program_dir / "dirbad.m3").unlink()
+    (program_dir / "dirtrap.m3").write_text(TRAPPING_DIR_PROGRAM)
+    exit_code = main(["tables", "table4", "figure9",
+                      "--programs", str(program_dir)])
+    assert exit_code == 1
+    captured = capsys.readouterr()
+    # dirgood's rows survive in both tables ...
+    table4, figure9 = captured.out.split("Figure 9")
+    assert "Table 4" in table4 and "dirgood" in table4
+    assert "dirgood" in figure9
+    assert "dirtrap" not in captured.out
+    # ... and each failure entry names the program and the artifact.
+    payload = captured.err.split("--- failures ---", 1)[1]
+    entries = json.loads(payload)
+    assert [(e["name"], e["phase"]) for e in entries] == [
+        ("dirtrap", "table4"), ("dirtrap", "figure9")]
+    assert all("NIL dereference" in e["message"] for e in entries)
+
+
 def test_tables_over_directory_all_good_exits_zero(program_dir, capsys):
     (program_dir / "dirbad.m3").unlink()
     assert main(["tables", "table4", "--programs", str(program_dir)]) == 0

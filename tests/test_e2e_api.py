@@ -34,13 +34,15 @@ def _repro_imports():
 
 def _resolves(module: str, name) -> bool:
     target = importlib.import_module(module)
-    if name is None or hasattr(target, name):
+    if name is None:
         return True
-    try:  # ``from package import submodule``
-        importlib.import_module("{}.{}".format(module, name))
+    try:  # ``from package import submodule`` must give the submodule
+        submodule = importlib.import_module("{}.{}".format(module, name))
     except ImportError:
-        return False
-    return True
+        return hasattr(target, name)
+    # A package that rebinds a submodule's name (``from repro.obs import
+    # core as obs`` in ``repro/__init__.py``) would hand out the wrong module.
+    return getattr(target, name, None) is submodule
 
 
 def test_e2e_benchmark_repro_imports_resolve():
