@@ -279,15 +279,15 @@ class AliasPairCounter:
 
     def _record_fast_metrics(self, references: int, distinct: int,
                              n_classes: int) -> None:
-        """Partition statistics of one fast-engine count (one child per
-        count, so the series sums across programs and analyses)."""
+        """Partition statistics of one fast-engine count, summed per
+        analysis across programs."""
         registry = metrics.registry()
         name = self.analysis.name
-        registry.new_counter("aliaspairs.fast.references", analysis=name).inc(
+        registry.counter("aliaspairs.fast.references", analysis=name).inc(
             references)
-        registry.new_counter("aliaspairs.fast.distinct_paths",
-                             analysis=name).inc(distinct)
-        registry.new_counter("aliaspairs.fast.classes", analysis=name).inc(
+        registry.counter("aliaspairs.fast.distinct_paths",
+                         analysis=name).inc(distinct)
+        registry.counter("aliaspairs.fast.classes", analysis=name).inc(
             n_classes)
 
     def _pairs_generic(self, distinct: List[_RefGroup], acc: _PairAccumulator) -> None:

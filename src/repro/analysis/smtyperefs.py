@@ -233,7 +233,8 @@ class SMTypeRefsOracle(TypeOracle):
 
     def _record_build_metrics(self, group: UnionFind, pruned_refs: int,
                               n_pointer_types: int) -> None:
-        """One set of child metrics per oracle build (DESIGN.md §6e).
+        """Add this oracle build's counts to the per-world series
+        (DESIGN.md §6e).
 
         ``pruned_refs`` is the total number of (type, referenced-type)
         entries Step 3's ``∩ Subtypes(t)`` removed from the raw merge
@@ -241,13 +242,13 @@ class SMTypeRefsOracle(TypeOracle):
         """
         registry = metrics.registry()
         world = "open" if self.open_world else "closed"
-        registry.new_counter(
+        registry.counter(
             "smtyperefs.unionfind.finds", world=world).inc(group.finds)
-        registry.new_counter(
+        registry.counter(
             "smtyperefs.unionfind.merges", world=world).inc(group.merges)
-        registry.new_counter(
+        registry.counter(
             "smtyperefs.typerefs.pruned_refs", world=world).inc(pruned_refs)
-        registry.new_counter(
+        registry.counter(
             "smtyperefs.assignments.merging", world=world).inc(len(self.merges))
         registry.gauge("smtyperefs.pointer_types", world=world).set(
             n_pointer_types)

@@ -81,11 +81,11 @@ class SteensgaardTypesOracle(TypeOracle):
         # (cf. oversharing diagnostics in unification-based analyses):
         # record the equivalence-class size distribution per build.
         registry = metrics.registry()
-        sizes = registry.new_histogram("steensgaard.group.size")
+        sizes = registry.histogram("steensgaard.group.size")
         for cls in group.classes():
             sizes.observe(len(cls))
         registry.gauge("steensgaard.groups").set(group.n_classes)
-        registry.new_counter("steensgaard.unionfind.merges").inc(group.merges)
+        registry.counter("steensgaard.unionfind.merges").inc(group.merges)
 
     def class_mask(self, t: Type) -> int:
         mask = self._mask_table.get(id(t))

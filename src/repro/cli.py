@@ -233,13 +233,14 @@ class _HistoryRecording:
             obs.disable()
         return False
 
-    def append(self, path: str, label: str) -> Optional[dict]:
+    def append(self, path: str, label: str,
+               extra_phases: Optional[dict] = None) -> Optional[dict]:
         """Collect a ledger record from the recorded run and append it."""
         if not self.enabled:
             return None
         from repro.obs import history, jsonl
 
-        record = history.collect_record(label)
+        record = history.collect_record(label, extra_phases=extra_phases)
         jsonl.append(path, record)
         log.info("history: appended {} record to {} (sha {})".format(
             label, path, (record["git_sha"] or "unknown")[:12]))
@@ -368,6 +369,7 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
     bench_failed = False
     trace_active = obs.enabled()
     for repeat in range(repeats):
+        serve_phases = None
         log.info("gate: measuring repeat {}/{}".format(repeat + 1, repeats))
         # Each repeat needs a fresh recorder segment *and* a fresh suite
         # (the suite memoises runs, which would turn repeat 2 into a
@@ -399,12 +401,14 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
                         bench_failed = True
             if args.serve:
                 # Same idea for the serving layer: the serve.cold /
-                # serve.warm phases land in the gate record, and the
-                # warm-vs-cold speedup floor is enforced outright.
+                # serve.warm / serve.transport phases land in the gate
+                # record, and the warm-vs-cold speedup floor is enforced
+                # outright.
                 from repro.serve.bench import (
                     DEFAULT_MIN_SPEEDUP,
                     ServeBenchError,
                     check_speedup,
+                    ledger_phases,
                     run_serve_bench,
                 )
 
@@ -413,6 +417,7 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
                         names=([n for n in args.only.split(",") if n]
                                if args.only else None),
                         repeats=1)
+                    serve_phases = ledger_phases(serve_result)
                     check_speedup(
                         serve_result,
                         DEFAULT_MIN_SPEEDUP if args.min_speedup is None
@@ -428,7 +433,7 @@ def _cmd_bench_gate(args, rest: List[str]) -> int:
         finally:
             if not trace_active:
                 obs.disable()
-        record = history.collect_record("gate")
+        record = history.collect_record("gate", extra_phases=serve_phases)
         new_records.append(record)
         if not args.no_history:
             jsonl.append(args.history, record)
@@ -453,6 +458,7 @@ def _cmd_bench_serve(args, rest: List[str]) -> int:
         DEFAULT_MIN_SPEEDUP,
         ServeBenchError,
         check_speedup,
+        ledger_phases,
         run_serve_bench,
     )
 
@@ -464,12 +470,14 @@ def _cmd_bench_serve(args, rest: List[str]) -> int:
     recording = _HistoryRecording(enabled=not args.no_history)
     with recording:
         result = run_serve_bench(names=names, repeats=max(args.repeats, 1))
-    recording.append(args.history, label="bench-serve")
+    recording.append(args.history, label="bench-serve",
+                     extra_phases=ledger_phases(result))
     print(render_table(
         ["Mode", "Wall ms", "Queries/s"],
         [
             ["serve.cold", result["cold_ms"], result["cold_qps"]],
             ["serve.warm", result["warm_ms"], result["warm_qps"]],
+            ["serve.transport", result["transport_ms"], "-"],
         ],
         title="Serve throughput over {} ({} queries, {:.2f}x warm)".format(
             ", ".join(result["benchmarks"]), result["queries"],
@@ -616,7 +624,8 @@ def cmd_client(args) -> int:
     if args.debug:
         request["debug"] = True
     if args.port is not None:
-        response = serve_client.HttpClient(args.port).query(request)
+        with serve_client.HttpClient(args.port) as http:
+            response = http.query(request)
     else:
         with serve_client.StdioClient(cache_dir=args.cache_dir) as stdio:
             response = stdio.query(request)
@@ -1180,8 +1189,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gate: limit --corpus to its first N shards")
     p.add_argument("--serve", action="store_true",
                    help="gate: also run the serve warm-vs-cold benchmark "
-                   "each repeat, gating the serve.cold/serve.warm phases "
-                   "and enforcing --min-speedup outright")
+                   "each repeat, gating the serve.cold/serve.warm/"
+                   "serve.transport phases and enforcing --min-speedup "
+                   "outright")
     p.add_argument("--min-speedup", type=float, default=None, metavar="X",
                    help="serve/gate --serve: fail unless warm served "
                    "throughput reaches X times the cold single-shot "

@@ -19,13 +19,15 @@ Metrics live in a :class:`MetricsRegistry`.  Two registration styles:
 * :meth:`MetricsRegistry.counter` (and ``gauge``/``histogram``) —
   get-or-create one shared instance per ``(name, labels)``, for
   process-wide totals;
-* :meth:`MetricsRegistry.new_counter` (and friends) — always allocate a
-  fresh *child* instance under the same ``(name, labels)`` series.
-  Per-object state (each :class:`~repro.analysis.alias_base.AliasAnalysis`
-  owns its query cache) keeps its own child; :meth:`snapshot` aggregates
-  children per series (counters/histograms sum, gauges take the last
-  write), so the per-instance numbers and the global export come from
-  the same objects — one source of truth.
+* :meth:`MetricsRegistry.new_counter` — always allocate a fresh *child*
+  counter under the same ``(name, labels)`` series, for an owner that
+  reads its own count back (each
+  :class:`~repro.analysis.alias_base.AliasAnalysis` owns its query
+  cache).  :meth:`snapshot` sums children per series, so the
+  per-instance numbers and the global export come from the same
+  objects — one source of truth.  A child lives as long as the
+  registry, so a count that is incremented once and dropped goes to
+  the shared :meth:`~MetricsRegistry.counter` instead.
 
 The registry also owns metric naming, so everything it holds renders
 as valid Prometheus text.  The first registration of a name checks it
@@ -267,18 +269,9 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._child(name, "gauge", labels, fresh=False)
 
-    def new_gauge(self, name: str, **labels) -> Gauge:
-        return self._child(name, "gauge", labels, fresh=True)
-
     def histogram(self, name: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
         return self._child(name, "histogram", labels, fresh=False,
-                           buckets=buckets)
-
-    def new_histogram(self, name: str,
-                      buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
-                      **labels) -> Histogram:
-        return self._child(name, "histogram", labels, fresh=True,
                            buckets=buckets)
 
     # -- reading --------------------------------------------------------
@@ -286,9 +279,8 @@ class MetricsRegistry:
     def snapshot(self) -> List[dict]:
         """Aggregate every series into one plain dict per series.
 
-        Counters and histograms sum their children; gauges report the
-        most recently allocated child's value (children are appended in
-        creation order and shared gauges have exactly one).
+        Counters sum their children; a gauge or histogram series has
+        exactly one, the shared child.
         """
         out: List[dict] = []
         with self._lock:
@@ -302,9 +294,9 @@ class MetricsRegistry:
                     if kind == "counter":
                         entry["value"] = sum(c.value for c in children)
                     elif kind == "gauge":
-                        entry["value"] = children[-1].value
+                        entry["value"] = children[0].value
                     else:
-                        entry.update(_merge_histograms(children))
+                        entry.update(_histogram_entry(children[0]))
                     out.append(entry)
         return out
 
@@ -321,31 +313,17 @@ class MetricsRegistry:
             return sorted(self._series)
 
 
-def _merge_histograms(children: List[Histogram]) -> dict:
-    buckets = children[0].buckets
-    counts = [0] * (len(buckets) + 1)
-    total, acc = 0, 0.0
-    lo: Optional[float] = None
-    hi: Optional[float] = None
-    for child in children:
-        # Under the child's lock: observe() bumps count before its bucket.
-        with child._lock:
-            for i, n in enumerate(child.bucket_counts):
-                counts[i] += n
-            total += child.count
-            acc += child.sum
-            if child.min is not None and (lo is None or child.min < lo):
-                lo = child.min
-            if child.max is not None and (hi is None or child.max > hi):
-                hi = child.max
-    return {
-        "buckets": list(buckets),
-        "bucket_counts": counts,
-        "count": total,
-        "sum": acc,
-        "min": lo,
-        "max": hi,
-    }
+def _histogram_entry(histogram: Histogram) -> dict:
+    # Under the lock: observe() bumps count before its bucket.
+    with histogram._lock:
+        return {
+            "buckets": list(histogram.buckets),
+            "bucket_counts": list(histogram.bucket_counts),
+            "count": histogram.count,
+            "sum": histogram.sum,
+            "min": histogram.min,
+            "max": histogram.max,
+        }
 
 
 #: The process-wide registry every layer records into.

@@ -261,7 +261,7 @@ def generate_corpus(
     manifest = CorpusManifest(spec=spec, shards=tuple(shards))
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n")
-    metrics.registry().new_counter("corpus.gen.programs").inc(spec.count)
+    metrics.registry().counter("corpus.gen.programs").inc(spec.count)
     return manifest
 
 
@@ -829,10 +829,10 @@ def run_corpus(
             if outcome.counters is not None:
                 _merge_worker_counters(outcome.counters)
                 outcome.counters = None
-            registry.new_counter("corpus.shard.programs").inc(outcome.programs)
-            registry.new_counter("corpus.shard.pairs").inc(
+            registry.counter("corpus.shard.programs").inc(outcome.programs)
+            registry.counter("corpus.shard.pairs").inc(
                 outcome.local_pairs + outcome.global_pairs)
-            registry.new_counter("corpus.shard.seconds").inc(outcome.seconds)
+            registry.counter("corpus.shard.seconds").inc(outcome.seconds)
             with obs.span("corpus.shard", index=outcome.index,
                           programs=outcome.programs):
                 pass  # marker span: shard boundaries in the trace timeline
@@ -840,5 +840,5 @@ def run_corpus(
             if progress is not None:
                 progress(outcome)
     report.duration = time.monotonic() - started
-    registry.new_counter("corpus.run.shards").inc(len(report.shards))
+    registry.counter("corpus.run.shards").inc(len(report.shards))
     return report

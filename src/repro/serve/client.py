@@ -6,7 +6,8 @@ Two transports, one interface:
   and exchanges JSONL lines over its pipes — what editors and scripts
   embed.
 * :class:`HttpClient` POSTs the same payloads to a running daemon's
-  ``/v1/query`` using only :mod:`urllib` (no external deps).
+  ``/v1/query`` over one kept-alive :mod:`http.client` connection (no
+  external deps).
 
 Both expose :meth:`query` (one request) and :meth:`batch` (a list, one
 round trip).  :func:`run_smoke` is the ``make serve-smoke`` entry: it
@@ -16,14 +17,13 @@ agree with each other and with the cold CLI path, and checks clean
 shutdown — returning a JSON-able report the CLI prints.
 """
 
+import http.client
 import json
 import random
 import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Callable, List, Optional
 
 from repro.obs import metrics
@@ -238,21 +238,39 @@ class StdioClient:
 
 
 class HttpClient:
-    """Talk to a daemon's localhost HTTP shim."""
+    """Talk to a daemon's localhost HTTP shim over one kept-alive
+    connection.
+
+    A transport error closes the connection and raises
+    :class:`ServeClientError`; the next call opens a fresh one.  An HTTP
+    error status raises it too.  A lock serialises round trips, so
+    threads may share a client.
+    """
 
     def __init__(self, port: int, host: str = "127.0.0.1"):
-        self.base = "http://{}:{}".format(host, port)
+        self._conn = http.client.HTTPConnection(host, port,
+                                                timeout=SMOKE_TIMEOUT)
+        self._lock = threading.Lock()
+
+    def _request(self, method: str, path: str, body=None) -> bytes:
+        headers = {"Content-Type": "application/json"} if body else {}
+        with self._lock:
+            try:
+                self._conn.request(method, path, body=body, headers=headers)
+                response = self._conn.getresponse()
+                data = response.read()
+            except (http.client.HTTPException, OSError) as err:
+                self._conn.close()
+                raise ServeClientError("HTTP {} {} failed: {}".format(
+                    method, path, err))
+        if response.status >= 400:
+            raise ServeClientError("HTTP {} {} failed: {} {}".format(
+                method, path, response.status, response.reason))
+        return data
 
     def _post(self, payload) -> object:
         data = json.dumps(_inject_traceparent(payload)).encode()
-        req = urllib.request.Request(
-            self.base + "/v1/query", data=data,
-            headers={"Content-Type": "application/json"})
-        try:
-            with urllib.request.urlopen(req, timeout=SMOKE_TIMEOUT) as resp:
-                return json.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError) as err:
-            raise ServeClientError("HTTP query failed: {}".format(err))
+        return json.loads(self._request("POST", "/v1/query", data))
 
     def query(self, request: dict) -> dict:
         return self._post(request)
@@ -261,21 +279,11 @@ class HttpClient:
         return self._post(list(requests))
 
     def ping(self) -> dict:
-        try:
-            with urllib.request.urlopen(
-                    self.base + "/v1/ping", timeout=SMOKE_TIMEOUT) as resp:
-                return json.loads(resp.read().decode())
-        except (urllib.error.URLError, OSError) as err:
-            raise ServeClientError("HTTP ping failed: {}".format(err))
+        return json.loads(self._request("GET", "/v1/ping"))
 
     def get(self, path: str) -> str:
         """Raw GET of a daemon endpoint (``/v1/metrics``, ...)."""
-        try:
-            with urllib.request.urlopen(
-                    self.base + path, timeout=SMOKE_TIMEOUT) as resp:
-                return resp.read().decode("utf-8")
-        except (urllib.error.URLError, OSError) as err:
-            raise ServeClientError("HTTP GET {} failed: {}".format(path, err))
+        return self._request("GET", path).decode("utf-8")
 
     def metrics_text(self) -> str:
         """The live ``/v1/metrics`` Prometheus exposition body."""
@@ -287,6 +295,17 @@ class HttpClient:
         if limit is not None:
             path += "?limit={}".format(int(limit))
         return json.loads(self.get(path))
+
+    def close(self) -> None:
+        with self._lock:
+            self._conn.close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.close()
+        return False
 
 
 class ResilientHttpClient:

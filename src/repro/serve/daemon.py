@@ -11,7 +11,15 @@ dispatch into one :class:`Daemon`:
   JSON payloads, plus ``GET /v1/ping``, ``GET /v1/stats``, ``GET
   /v1/metrics`` (live registry in Prometheus text format) and ``GET
   /v1/requests`` (the recent-request journal).  The port is OS-assigned
-  by default and printed/returned so clients can find it.
+  by default and printed/returned so clients can find it.  Connections
+  are HTTP/1.1 and kept alive.  A reply leaves in two writes (headers,
+  then body), so every connection sets ``TCP_NODELAY``: with Nagle on,
+  the body would wait ~40 ms for the client's delayed ACK on every
+  request after a connection's first.  A POST whose body length is not
+  one plain ``Content-Length`` gets a typed ``protocol`` error and the
+  connection closes.  :meth:`Daemon.stop_http` shuts the read side of
+  every open connection, so a stopped daemon answers nothing more; a
+  reply already being written still goes out.
 
 Observability (DESIGN.md §6j): every request gets a ``trace_id``
 (client-supplied or daemon-minted), runs inside a thread-local
@@ -37,6 +45,7 @@ say so loudly rather than die silently.
 """
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -141,7 +150,7 @@ class Daemon:
                 sample=access_log_sample)
         self._inflight = 0
         self._inflight_cond = threading.Condition()
-        self._http_server: Optional[ThreadingHTTPServer] = None
+        self._http_server: Optional[_HttpServer] = None
         self._http_thread: Optional[threading.Thread] = None
 
     # -- dispatch -------------------------------------------------------
@@ -407,68 +416,7 @@ class Daemon:
 
     def start_http(self, port: int = 0) -> int:
         """Start the localhost HTTP shim; returns the bound port."""
-        daemon = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, *args):  # quiet by default
-                pass
-
-            def _reply(self, status: int, payload) -> None:
-                body = json.dumps(payload, sort_keys=True).encode()
-                self._raw_reply(status, body, "application/json")
-
-            def _raw_reply(self, status: int, body: bytes,
-                           content_type: str) -> None:
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):
-                parsed = urlparse(self.path)
-                if parsed.path == "/v1/ping":
-                    self._reply(200, daemon.handle_request(
-                        protocol.Request(op="ping")))
-                elif parsed.path == "/v1/stats":
-                    self._reply(200, daemon.handle_request(
-                        protocol.Request(op="stats")))
-                elif parsed.path == "/v1/metrics":
-                    self._raw_reply(
-                        200, daemon.metrics_text().encode("utf-8"),
-                        "text/plain; version=0.0.4; charset=utf-8")
-                elif parsed.path == "/v1/requests":
-                    self._reply(200, daemon.requests_payload(
-                        parse_qs(parsed.query)))
-                elif parsed.path == "/v1/traces":
-                    self._reply(*daemon.traces_payload(
-                        parse_qs(parsed.query)))
-                else:
-                    self._reply(404, {"ok": False, "error": {
-                        "kind": "http", "message": "unknown path"}})
-
-            def do_POST(self):
-                if self.path != "/v1/query":
-                    self._reply(404, {"ok": False, "error": {
-                        "kind": "http", "message": "unknown path"}})
-                    return
-                length = int(self.headers.get("Content-Length") or 0)
-                body = self.rfile.read(length).decode("utf-8", "replace")
-                try:
-                    parsed = protocol.parse_line(body)
-                except protocol.ProtocolError as err:
-                    self._reply(400, protocol.error_response(
-                        None, "protocol", str(err)))
-                    return
-                if isinstance(parsed, list):
-                    self._reply(200, [daemon.handle_request(r)
-                                      for r in parsed])
-                else:
-                    self._reply(200, daemon.handle_request(parsed))
-
-        self._http_server = ThreadingHTTPServer(("127.0.0.1", port), Handler)
+        self._http_server = _HttpServer(port, self)
         self._http_thread = threading.Thread(
             target=self._http_server.serve_forever, daemon=True,
             name="repro-serve-http")
@@ -476,8 +424,11 @@ class Daemon:
         return self._http_server.server_address[1]
 
     def stop_http(self) -> None:
+        """Stop accepting, then end every open connection: a request
+        read after this returns gets no answer."""
         if self._http_server is not None:
             self._http_server.shutdown()
+            self._http_server.close_connections()
             self._http_server.server_close()
             self._http_server = None
             self._http_thread = None
@@ -515,3 +466,135 @@ class Daemon:
             self.manager.store.flush()
         self.stop_http()
         return drained
+
+
+# ----------------------------------------------------------------------
+# HTTP transport
+
+
+def _content_length(headers) -> int:
+    """The body length of a POST; :class:`protocol.ProtocolError` unless
+    it is one plain decimal ``Content-Length`` (or absent: no body)."""
+    if "Transfer-Encoding" in headers:
+        raise protocol.ProtocolError(
+            "Transfer-Encoding is not supported; send Content-Length")
+    raw = (headers.get("Content-Length") or "0").strip()
+    if not (raw.isascii() and raw.isdigit()):
+        raise protocol.ProtocolError(
+            "bad Content-Length {!r}".format(raw))
+    return int(raw)
+
+
+class Handler(BaseHTTPRequestHandler):
+    """One kept-alive connection to the daemon at ``self.server.daemon``."""
+
+    protocol_version = "HTTP/1.1"
+    #: Headers and body leave in two writes; see the module docstring.
+    disable_nagle_algorithm = True
+
+    def log_message(self, *args):  # quiet by default
+        pass
+
+    def parse_request(self) -> bool:
+        # A request read after stop_http (already buffered, or racing
+        # the read-side shutdown) ends the connection unanswered.
+        if self.server.stopped:
+            self.close_connection = True
+            return False
+        return super().parse_request()
+
+    def _reply(self, status: int, payload, close: bool = False) -> None:
+        body = json.dumps(payload, sort_keys=True).encode()
+        self._raw_reply(status, body, "application/json", close)
+
+    def _raw_reply(self, status: int, body: bytes, content_type: str,
+                   close: bool = False) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        if close:  # also sets self.close_connection
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        daemon = self.server.daemon
+        parsed = urlparse(self.path)
+        if parsed.path == "/v1/ping":
+            self._reply(200, daemon.handle_request(
+                protocol.Request(op="ping")))
+        elif parsed.path == "/v1/stats":
+            self._reply(200, daemon.handle_request(
+                protocol.Request(op="stats")))
+        elif parsed.path == "/v1/metrics":
+            self._raw_reply(
+                200, daemon.metrics_text().encode("utf-8"),
+                "text/plain; version=0.0.4; charset=utf-8")
+        elif parsed.path == "/v1/requests":
+            self._reply(200, daemon.requests_payload(
+                parse_qs(parsed.query)))
+        elif parsed.path == "/v1/traces":
+            self._reply(*daemon.traces_payload(parse_qs(parsed.query)))
+        else:
+            self._reply(404, {"ok": False, "error": {
+                "kind": "http", "message": "unknown path"}})
+
+    def do_POST(self):
+        daemon = self.server.daemon
+        if self.path != "/v1/query":
+            self._reply(404, {"ok": False, "error": {
+                "kind": "http", "message": "unknown path"}})
+            return
+        try:
+            length = _content_length(self.headers)
+        except protocol.ProtocolError as err:
+            # Where the body ends is unknown, so nothing after it on
+            # this connection can be read as a request.
+            self._reply(400, protocol.error_response(
+                None, "protocol", str(err)), close=True)
+            return
+        body = self.rfile.read(length).decode("utf-8", "replace")
+        try:
+            parsed = protocol.parse_line(body)
+        except protocol.ProtocolError as err:
+            self._reply(400, protocol.error_response(
+                None, "protocol", str(err)))
+            return
+        if isinstance(parsed, list):
+            self._reply(200, [daemon.handle_request(r) for r in parsed])
+        else:
+            self._reply(200, daemon.handle_request(parsed))
+
+
+class _HttpServer(ThreadingHTTPServer):
+    """The daemon's HTTP server; it tracks open connections so that
+    :meth:`close_connections` can end them."""
+
+    def __init__(self, port: int, daemon: Daemon):
+        super().__init__(("127.0.0.1", port), Handler)
+        self.daemon = daemon
+        self.stopped = False
+        self._connections = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut the read side of every open connection: an idle handler
+        reads EOF and exits, and a reply being written still goes out."""
+        with self._connections_lock:
+            self.stopped = True
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the handler closed it meanwhile

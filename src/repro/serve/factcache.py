@@ -14,6 +14,12 @@ plus an ``index.json`` carrying sizes and an LRU clock, so:
 * the store enforces a byte budget with least-recently-used eviction
   (``serve.factcache.evict`` counts what the cap cost us).
 
+The index is rewritten on every store, drop and eviction, and by
+:meth:`FactStore.flush` at drain.  A hit only bumps the in-memory LRU
+clock: rewriting the whole index on every read cost most of a hit's
+time, under the store lock.  A crash therefore loses the recency of the
+hits since the last write, never a partition.
+
 Counters (shared series in :mod:`repro.obs.metrics`):
 ``serve.factcache.hit`` / ``.miss`` / ``.store`` / ``.evict`` /
 ``.corrupt`` and the ``serve.factcache.bytes`` gauge.
@@ -116,6 +122,9 @@ class FactStore:
         """The bundle stored under *key*, or ``None`` (counted as a miss,
         a corrupt file, or a schema/version mismatch).
 
+        A hit bumps the LRU clock in memory only; the next store, drop,
+        eviction or :meth:`flush` writes it to the index.
+
         Raises :class:`OSError` only for whole-store I/O failure (the
         chaos ``factstore.load`` point simulates it); a *readable but
         corrupt* partition is always a miss, never an exception.
@@ -148,7 +157,6 @@ class FactStore:
                 self._drop(key)
                 return None
             self._touch(key)
-            self._write_index()
             _counter("hit").inc()
             obs.trace_note("factstore", "hit")
             return bundle
@@ -231,11 +239,12 @@ class FactStore:
             self._drop(key)
 
     def flush(self) -> None:
-        """Force the index to disk (graceful-drain hook).
+        """Write the index to disk (graceful-drain hook).
 
-        Every mutation already writes the index, so this is normally a
-        no-op rewrite — but after degraded-mode I/O failures it is the
-        last chance to leave a consistent index behind before exit.
+        Every mutation already writes the index; hits do not, so this
+        writes the LRU clock of every hit since the last mutation.
+        After degraded-mode I/O failures it is also the last chance to
+        leave a consistent index behind before exit.
         """
         with self._lock:
             try:

@@ -17,6 +17,7 @@ from repro.analysis.smtyperefs import SMTypeRefsOracle
 from repro.analysis.steensgaard import SteensgaardFieldTypeRefsAnalysis
 from repro.ir.access_path import VarRoot
 from repro.lang import check_module, parse_module
+from repro.obs import metrics
 
 PAPER_EXAMPLE = """
 MODULE M;
@@ -128,3 +129,17 @@ def test_factory_exposes_baseline():
     checked = check_module(parse_module(PAPER_EXAMPLE))
     analysis = make_analysis(checked, "SteensgaardFieldTypeRefs")
     assert analysis.name == "SteensgaardFieldTypeRefs"
+
+
+def test_oracle_builds_add_to_one_series_child():
+    registry = metrics.registry()
+    registry.reset()
+    build(PAPER_EXAMPLE)
+    sizes = registry.histogram("steensgaard.group.size")
+    merges = registry.counter("steensgaard.unionfind.merges")
+    observed, merged = sizes.count, merges.value
+    build(PAPER_EXAMPLE)
+    assert sizes.count == 2 * observed and merges.value == 2 * merged
+    assert [len(children) for name in ("steensgaard.group.size",
+                                       "steensgaard.unionfind.merges")
+            for children in registry._series[name].values()] == [1, 1]

@@ -49,17 +49,16 @@ def test_kind_conflict_is_rejected(registry):
 
 
 def test_gauge_set_and_last_write_wins(registry):
-    old = registry.new_gauge("groups")
-    new = registry.new_gauge("groups")
-    old.set(10)
-    new.set(3)
+    registry.gauge("groups").set(10)
+    registry.gauge("groups").set(3)
     (entry,) = registry.snapshot()
-    assert entry["value"] == 3  # most recently allocated child wins
+    assert entry["value"] == 3
 
 
 def test_histogram_buckets_and_merge(registry):
-    h1 = registry.new_histogram("sizes", buckets=(1.0, 10.0))
-    h2 = registry.new_histogram("sizes", buckets=(1.0, 10.0))
+    h1 = registry.histogram("sizes", buckets=(1.0, 10.0))
+    h2 = registry.histogram("sizes", buckets=(1.0, 10.0))
+    assert h1 is h2  # two call sites, one series child
     for v in (0.5, 5.0, 100.0):
         h1.observe(v)
     h2.observe(1.0)  # boundary lands in the first bucket (le semantics)
@@ -141,22 +140,21 @@ def test_bad_label_names_are_rejected(registry):
         registry.counter("c", **{"1st": "x"})
     with pytest.raises(ValueError, match="bad label name 'le'"):
         registry.histogram("lat", le="x")
-    with pytest.raises(ValueError, match="bad label name 'le'"):
-        registry.new_histogram("lat", le="x")
     registry.gauge("g", le="x")  # only histograms reserve le
     assert registry.names() == ["g"]  # a refused series leaves no trace
 
 
 def test_histogram_family_keeps_one_bucket_tuple(registry):
-    registry.new_histogram("sizes", buckets=(1.0, 10.0))
-    registry.new_histogram("sizes", buckets=(10, 1))  # same bounds
+    registry.histogram("sizes", buckets=(1.0, 10.0))
+    registry.histogram("sizes", buckets=(10, 1), op="b")  # same bounds
     with pytest.raises(ValueError, match="has buckets"):
-        registry.new_histogram("sizes", buckets=(1.0, 5.0))
+        registry.histogram("sizes", buckets=(1.0, 5.0), op="c")
     with pytest.raises(ValueError, match="has buckets"):
         registry.histogram("sizes", buckets=(2.0,), op="other")
     registry.histogram("sizes", buckets=(1.0, 10.0), op="other").observe(3)
     assert [(e["labels"], e["buckets"], e["count"])
             for e in registry.snapshot()] == [({}, [1.0, 10.0], 0),
+                                              ({"op": "b"}, [1.0, 10.0], 0),
                                               ({"op": "other"}, [1.0, 10.0], 1)]
 
 

@@ -172,7 +172,9 @@ def _random_registry(rng):
         name = ".".join(rng.choice(words)
                         for _ in range(rng.randint(1, 3)))
         kind = rng.choice(("counter", "gauge", "histogram"))
-        make = getattr(registry, rng.choice(("", "new_")) + kind)
+        # Only counters have per-owner children (new_counter).
+        prefix = rng.choice(("", "new_"))
+        make = getattr(registry, prefix + kind if kind == "counter" else kind)
         labels = {rng.choice(("op", "world", "le", "1st", "_x")):
                   rng.choice(AWKWARD_VALUES + ("alias", "open"))
                   for _ in range(rng.randint(0, 2))}
@@ -211,7 +213,7 @@ def test_render_keeps_count_equal_to_inf_bucket_under_concurrent_observes():
     stop = threading.Event()
 
     def observe(op):
-        h = registry.new_histogram("lat", buckets=(1.0, 2.0), op=op)
+        h = registry.histogram("lat", buckets=(1.0, 2.0), op=op)
         while not stop.is_set():
             h.observe(1.5)
 

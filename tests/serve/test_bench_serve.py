@@ -4,7 +4,7 @@ import pytest
 
 from repro import cli
 from repro.obs import history, metrics
-from repro.serve import bench
+from repro.serve import bench, daemon
 from repro.serve.bench import (
     DEFAULT_MIN_SPEEDUP,
     ServeBenchError,
@@ -25,6 +25,9 @@ def test_result_shape_and_internal_pinning(result):
     assert result["cold_ms"] > 0
     assert result["warm_ms"] > 0
     assert result["warm_qps"] > result["cold_qps"]
+    assert result["handle_ms"] > 0
+    assert result["handle_ms"] + result["transport_ms"] == pytest.approx(
+        result["warm_ms"], abs=0.002)
     # run_serve_bench already asserted warm == cold answers internally;
     # reaching here means the pinning passed.
     # speedup is computed from the unrounded rates; compare loosely.
@@ -67,6 +70,18 @@ def test_serve_phases_land_in_suite_bucket(tmp_path, monkeypatch):
     assert bucket["serve.warm"] == pytest.approx(result["warm_ms"] / 1000.0,
                                                  rel=0.02)
     assert bucket["serve.warm"] < bucket["serve.cold"]
+    assert bucket["serve.transport"] == pytest.approx(
+        result["transport_ms"] / 1000.0, rel=0.02)
+    assert bucket["serve.warm"] >= bucket["serve.transport"]
+
+
+def test_gate_fails_when_the_transport_stalls(monkeypatch):
+    # Negative control: with Nagle back on, every kept-alive reply body
+    # waits for the client's delayed ACK, and the warm loop times it.
+    monkeypatch.setattr(daemon.Handler, "disable_nagle_algorithm", False)
+    stalled = run_serve_bench(names=["format"], repeats=2)
+    with pytest.raises(ServeBenchError, match="threshold"):
+        check_speedup(stalled)
 
 
 def test_check_speedup_raises_below_threshold():

@@ -160,3 +160,38 @@ def test_limit_and_facts_ops(daemon):
     assert summary["procedures"] >= 2
     assert summary["object_types"] >= 2
     assert summary["steensgaard_classes"] >= 1
+
+
+#: Series counted once per analysis build or count; their owners never
+#: read them back, so they share one child per series.
+_SHARED_SERIES = (
+    "aliaspairs.fast.references", "aliaspairs.fast.distinct_paths",
+    "aliaspairs.fast.classes", "smtyperefs.unionfind.finds",
+    "smtyperefs.unionfind.merges", "smtyperefs.typerefs.pruned_refs",
+    "smtyperefs.assignments.merging",
+)
+
+
+def _children(registry, name):
+    return sum(len(children)
+               for children in registry._series.get(name, {}).values())
+
+
+def test_served_edits_leave_shared_series_children_flat():
+    registry = metrics.registry()
+    daemon = Daemon(SessionManager(store=None))
+
+    def edit(value):
+        source = SMOKE_SOURCE.replace("buf^[0] := 1;",
+                                      "buf^[0] := {};".format(value))
+        response = daemon.handle_request(_request(
+            op="tables", source=source, name="smoke", worlds="both"))
+        assert response["ok"], response
+
+    edit(0)
+    before = {name: _children(registry, name) for name in _SHARED_SERIES}
+    assert all(before.values()), before  # every series was written
+    for value in range(1, 101):
+        edit(value)
+    assert {name: _children(registry, name)
+            for name in _SHARED_SERIES} == before

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis.facts import FACTS_SCHEMA_VERSION, new_bundle
 from repro.obs import metrics
-from repro.serve.factcache import FactStore
+from repro.serve.factcache import INDEX_NAME, FactStore
 
 
 def _bundle(tag, n_procs=2):
@@ -85,7 +85,14 @@ def test_byte_budget_evicts_lru_but_protects_fresh_store(tmp_path):
     a, b, c = _bundle("ev-a"), _bundle("ev-b"), _bundle("ev-c")
     store.store(a)
     store.store(b)
+    index = tmp_path / "cap" / INDEX_NAME
+    stored = index.read_bytes()
     store.load(a.module_hash)  # a is now fresher than b
+    assert index.read_bytes() == stored  # a hit writes nothing...
+    store.flush()
+    assert index.read_bytes() != stored  # ...until the drain's flush
+    # A store reopened from disk still knows a is fresher than b.
+    store = FactStore(tmp_path / "cap", max_bytes=int(one_bundle * 2.5))
     store.store(c)
     assert _count("evict") >= 1
     keys = store.keys()
