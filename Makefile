@@ -90,15 +90,17 @@ serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro -q client --smoke
 
 # Chaos smoke: fixed-seed fault-injection batteries over the serving
-# stack (flaky + corrupting fact store, compile crashes, stalled
-# handlers under a deadline, daemon kill + restart with a self-healing
-# client) and the corpus pipeline (worker killed mid-shard, watchdog
-# retry).  Green means: every answer that left the system was
-# differential-pinned correct or a typed error (DESIGN.md §6i).
+# stack (flaky fact store, bit-flipped partitions, compile crashes,
+# stalled handlers under a deadline, daemon kill + restart with a
+# self-healing client) and the corpus pipeline (worker killed
+# mid-shard, watchdog retry).  Green means: every answer that left the
+# system was differential-pinned correct or a typed error, and every
+# damaged partition read as a miss (DESIGN.md §6i).
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro -q chaos --seed 0 \
-		--plan mixed --plan client-drop --plan worker-kill \
-		--plan stdio-flaky --plan ledger-torn --plan tracestore-torn
+		--plan mixed --plan cache-bitflip --plan client-drop \
+		--plan worker-kill --plan stdio-flaky --plan ledger-torn \
+		--plan tracestore-torn
 
 # Live-observability smoke: boot a daemon with tracing + SLO tracking +
 # access log on, run a traced --debug query end to end, parse every

@@ -1,28 +1,23 @@
-"""Fact (de)serialization hooks for the serving fact cache.
+"""Fact partitions: what the serving fact cache keeps per module.
 
-Every analysis in this package derives its answers from a small set of
-*facts* about one checked module — ``Subtypes(T)`` bitmasks, the
-``TypeRefsTable``, the ``AddressTaken`` record and Steensgaard's merge
-classes.  The serve layer (:mod:`repro.serve`) wants to persist
-those facts on disk keyed by content hash so an unchanged module never
-rebuilds them; this module is the bridge:
+The serve layer (:mod:`repro.serve`) persists everything it derived
+from one checked module, keyed by the module's content hash, so an
+unchanged module never recompiles.  This module owns that record and
+its layout:
 
-* :func:`export_subtype_masks` / :func:`export_typerefs_masks` /
-  :func:`export_address_taken` / :func:`export_steensgaard_classes`
-  flatten the live oracle objects into plain JSON-able structures.
-  Types are identified by ``(bit, str(type))`` where ``bit`` is the
-  subtype oracle's dense numbering — unique per type even when two
-  anonymous types render identically.
-* :class:`AnalysisWorldFacts` bundles the flattened facts of one
-  (module, world) pair; :func:`collect_world_facts` builds it from an
-  :class:`~repro.analysis.openworld.AnalysisContext` and its analyses.
 * :class:`ConfigFacts` carries the cached answer of one (analysis,
   world) configuration: its three Table 5 counts.
-* :class:`FactBundle` is the whole per-module cache partition: module
-  and per-procedure content hashes, both worlds' flattened facts, and
-  every configuration's :class:`ConfigFacts`.  It round-trips through
-  ``pickle`` and pins :data:`FACTS_SCHEMA_VERSION` so stale partitions
-  read as misses.
+* :func:`world_summary` counts the facts of one (module, world) pair —
+  object and pointer types, Steensgaard classes, address-taken fields
+  and variables — which is what the ``facts`` serve op returns.
+* :class:`FactBundle` is the whole per-module partition: module and
+  per-procedure content hashes, every served configuration's
+  :class:`ConfigFacts`, and both worlds' summaries.
+  :meth:`FactBundle.to_json` gives it as plain JSON data and
+  :meth:`FactBundle.from_json` reads that back, raising
+  :class:`ValueError` on any other shape and on any schema
+  (:data:`FACTS_SCHEMA_VERSION`) or package version but this build's,
+  so a stale partition reads as a miss.
 
 Procedure hashes are taken **at lower time** over each procedure's
 formatted IR (:func:`proc_ir_hashes`): two sources that lower to the
@@ -32,20 +27,18 @@ report invalidation at procedure granularity.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.address_taken import AddressTakenInfo
 from repro.analysis.steensgaard import SteensgaardTypesOracle
-from repro.analysis.smtyperefs import SMTypeRefsOracle
-from repro.analysis.typehierarchy import SubtypeOracle
 from repro.ir.cfg import ProgramIR
 from repro.ir.printer import format_proc
 
-#: Bumped whenever any exported fact layout changes; the fact cache
-#: treats other versions as misses.
+#: Bumped whenever the bundle layout changes; the fact cache treats
+#: other versions as misses.
 #: v2: :class:`ConfigFacts` holds the Table 5 counts only (no matrix).
-FACTS_SCHEMA_VERSION = 2
+#: v3: plain JSON data; a world is its :func:`world_summary` counts.
+FACTS_SCHEMA_VERSION = 3
 
 
 def source_hash(source: str) -> str:
@@ -83,110 +76,28 @@ def diff_proc_hashes(old: Dict[str, str], new: Dict[str, str]
 
 
 # ----------------------------------------------------------------------
-# Flattened fact exports (plain data, deterministic order)
+# World summaries
 
 
-def export_subtype_masks(subtypes: SubtypeOracle) -> List[dict]:
-    """``Subtypes(T)`` bitmasks for every object type, JSON-able."""
-    return [
-        {
-            "bit": subtypes.type_bit(obj),
-            "type": str(obj),
-            "mask": subtypes.subtype_mask(obj),
-        }
-        for obj in subtypes.checked.object_types()
-    ]
+def world_summary(context) -> dict:
+    """The ``facts`` op's counts for one
+    :class:`~repro.analysis.openworld.AnalysisContext`.
 
-
-def export_typerefs_masks(oracle: SMTypeRefsOracle) -> List[dict]:
-    """The asymmetric ``TypeRefsTable`` as per-pointer-type bitmasks."""
-    return [
-        {
-            "bit": oracle.subtypes.type_bit(t),
-            "type": str(t),
-            "mask": oracle.type_refs_mask(t),
-        }
-        for t in oracle.checked.types.pointer_types()
-    ]
-
-
-def export_steensgaard_classes(oracle: SteensgaardTypesOracle) -> List[List[dict]]:
-    """Steensgaard merge classes as lists of ``(bit, type)`` members.
-
-    Classes (and members within each class) sort by dense type bit, so
-    the export is deterministic for a given module.
+    Object and pointer types, Steensgaard merge classes (from the
+    oracle's own union-find), and address-taken fields and variables.
     """
-    from repro.util.unionfind import UnionFind
-
-    # The build's union-find is private to the oracle; replay Steps 1-2
-    # from the same assignment list (both are deterministic).
-    pointer_types = oracle.checked.types.pointer_types()
-    group: UnionFind = UnionFind(id(t) for t in pointer_types)
-    for assignment in oracle.assignments:
-        if assignment.is_merge():
-            group.union(id(assignment.dst_type), id(assignment.src_type))
-    by_root: Dict[int, List[dict]] = {}
-    for t in pointer_types:
-        by_root.setdefault(group.find(id(t)), []).append(
-            {"bit": oracle.subtypes.type_bit(t), "type": str(t)})
-    classes = [sorted(members, key=lambda m: m["bit"])
-               for members in by_root.values()]
-    return sorted(classes, key=lambda c: c[0]["bit"])
-
-
-def export_address_taken(info: AddressTakenInfo) -> dict:
-    """The ``AddressTaken`` record flattened to counts and name lists."""
-    fields = sorted({(f, str(t)) for f, t in info._fields})
-    return {
-        "open_world": info.open_world,
-        "taken_fields": [list(pair) for pair in fields],
-        "taken_array_types": sorted({str(t) for t in info._array_types}),
-        "taken_vars": sorted(s.name for s in info.taken_vars),
-        "var_formal_types": len(info._var_formal_types),
-    }
-
-
-@dataclass
-class AnalysisWorldFacts:
-    """Flattened facts of one (module, open_world) pair."""
-
-    open_world: bool
-    subtype_masks: List[dict]
-    typerefs_masks: List[dict]
-    steensgaard_classes: List[List[dict]]
-    address_taken: dict
-
-    def summary(self) -> dict:
-        """Small JSON-able digest (what the ``facts`` serve op returns)."""
-        return {
-            "open_world": self.open_world,
-            "object_types": len(self.subtype_masks),
-            "pointer_types": len(self.typerefs_masks),
-            "steensgaard_classes": len(self.steensgaard_classes),
-            "address_taken_fields": len(self.address_taken["taken_fields"]),
-            "address_taken_vars": len(self.address_taken["taken_vars"]),
-        }
-
-
-def collect_world_facts(context) -> AnalysisWorldFacts:
-    """Flatten one :class:`~repro.analysis.openworld.AnalysisContext`.
-
-    Builds the SMTypeRefs and Steensgaard oracles from the context's
-    shared assignment list (cheap relative to compile) so the exported
-    facts describe exactly what the served analyses will answer from.
-    """
-    typerefs = SMTypeRefsOracle(
-        context.checked, context.subtypes, context.assignments,
-        open_world=context.open_world)
     steensgaard = SteensgaardTypesOracle(
         context.checked, context.subtypes, context.assignments)
-    return AnalysisWorldFacts(
-        open_world=context.open_world,
-        subtype_masks=export_subtype_masks(context.subtypes),
-        typerefs_masks=export_typerefs_masks(typerefs),
-        steensgaard_classes=export_steensgaard_classes(steensgaard),
-        address_taken=export_address_taken(context.address_taken),
-    )
+    address_taken = context.address_taken
+    return {
+        "open_world": context.open_world,
+        "object_types": len(context.checked.object_types()),
+        "pointer_types": len(context.checked.types.pointer_types()),
+        "steensgaard_classes": steensgaard.n_classes,
+        "address_taken_fields": len(
+            {(f, str(t)) for f, t in address_taken._fields}),
+        "address_taken_vars": len(address_taken.taken_vars),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +122,33 @@ class ConfigFacts:
 ConfigKey = Tuple[str, bool]
 
 
+#: The JSON type of every field of a bundle, of one configuration and
+#: of one world summary: :meth:`FactBundle.from_json` accepts exactly
+#: these.
+_BUNDLE_FIELDS = {
+    "schema": int, "repro_version": str, "module_name": str,
+    "module_hash": str, "proc_hashes": dict, "configs": list, "worlds": list,
+}
+_CONFIG_FIELDS = {
+    "analysis": str, "open_world": bool, "references": int,
+    "local_pairs": int, "global_pairs": int,
+}
+_WORLD_FIELDS = {
+    "open_world": bool, "object_types": int, "pointer_types": int,
+    "steensgaard_classes": int, "address_taken_fields": int,
+    "address_taken_vars": int,
+}
+
+
+def _record(obj: object, fields: Dict[str, type], what: str) -> dict:
+    """*obj* if it is a JSON object with exactly *fields*, each of its
+    JSON type (``True`` is not an integer here); else :class:`ValueError`."""
+    if not (isinstance(obj, dict) and obj.keys() == fields.keys()
+            and all(type(obj[k]) is t for k, t in fields.items())):
+        raise ValueError("malformed {} in fact partition".format(what))
+    return obj
+
+
 @dataclass
 class FactBundle:
     """One fact-cache partition: everything derived from one module.
@@ -226,7 +164,8 @@ class FactBundle:
     module_hash: str
     proc_hashes: Dict[str, str]
     configs: Dict[ConfigKey, ConfigFacts] = field(default_factory=dict)
-    worlds: Dict[bool, AnalysisWorldFacts] = field(default_factory=dict)
+    #: ``open_world -> world_summary(...)``.
+    worlds: Dict[bool, dict] = field(default_factory=dict)
 
     def config(self, analysis: str, open_world: bool) -> Optional[ConfigFacts]:
         return self.configs.get((analysis, open_world))
@@ -236,6 +175,49 @@ class FactBundle:
 
     def n_configs(self) -> int:
         return len(self.configs)
+
+    def to_json(self) -> dict:
+        """The bundle as plain JSON data: the partition payload."""
+        return {
+            "schema": self.schema,
+            "repro_version": self.repro_version,
+            "module_name": self.module_name,
+            "module_hash": self.module_hash,
+            "proc_hashes": self.proc_hashes,
+            "configs": [asdict(facts) for facts in self.configs.values()],
+            "worlds": list(self.worlds.values()),
+        }
+
+    @classmethod
+    def from_json(cls, obj: object) -> "FactBundle":
+        """Inverse of :meth:`to_json`.
+
+        Raises :class:`ValueError` unless *obj* has exactly the shape
+        :meth:`to_json` writes, under this build's schema and package
+        version.
+        """
+        from repro import __version__
+
+        obj = _record(obj, _BUNDLE_FIELDS, "bundle")
+        if (obj["schema"], obj["repro_version"]) != \
+                (FACTS_SCHEMA_VERSION, __version__):
+            raise ValueError("fact partition of another schema or build")
+        if not all(type(h) is str for h in obj["proc_hashes"].values()):
+            raise ValueError("malformed proc_hashes in fact partition")
+        bundle = cls(
+            schema=obj["schema"],
+            repro_version=obj["repro_version"],
+            module_name=obj["module_name"],
+            module_hash=obj["module_hash"],
+            proc_hashes=obj["proc_hashes"],
+        )
+        for config in obj["configs"]:
+            bundle.add_config(
+                ConfigFacts(**_record(config, _CONFIG_FIELDS, "config")))
+        for world in obj["worlds"]:
+            world = _record(world, _WORLD_FIELDS, "world summary")
+            bundle.worlds[world["open_world"]] = world
+        return bundle
 
 
 def new_bundle(module_name: str, module_hash: str,
@@ -248,15 +230,4 @@ def new_bundle(module_name: str, module_hash: str,
         module_name=module_name,
         module_hash=module_hash,
         proc_hashes=dict(proc_hashes),
-    )
-
-
-def bundle_is_current(bundle: object) -> bool:
-    """True when *bundle* is a :class:`FactBundle` this build can serve."""
-    from repro import __version__
-
-    return (
-        isinstance(bundle, FactBundle)
-        and bundle.schema == FACTS_SCHEMA_VERSION
-        and bundle.repro_version == __version__
     )

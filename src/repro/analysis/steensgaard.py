@@ -50,6 +50,8 @@ class SteensgaardTypesOracle(TypeOracle):
         )
         self._table: Dict[int, FrozenSet[int]] = {}
         self._mask_table: Dict[int, int] = {}
+        #: Steensgaard merge classes among the pointer types.
+        self.n_classes = 0
         self._build()
 
     def _build(self) -> None:
@@ -84,6 +86,7 @@ class SteensgaardTypesOracle(TypeOracle):
         sizes = registry.histogram("steensgaard.group.size")
         for cls in group.classes():
             sizes.observe(len(cls))
+        self.n_classes = group.n_classes
         registry.gauge("steensgaard.groups").set(group.n_classes)
         registry.counter("steensgaard.unionfind.merges").inc(group.merges)
 

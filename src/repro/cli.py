@@ -550,9 +550,9 @@ def cmd_serve(args) -> int:
             # HTTP-only: print the port on stdout (clients parse it)
             # and block until a shutdown request or signal arrives.
             # SIGTERM/SIGINT drain gracefully: stop accepting analysis
-            # work, finish in-flight requests, flush the fact store,
-            # exit 0.  (Stdio mode keeps the default handlers — its
-            # drain path is EOF or the shutdown op.)
+            # work, finish in-flight requests, exit 0.  (Stdio mode
+            # keeps the default handlers — its drain path is EOF or the
+            # shutdown op.)
             def _on_signal(signum, frame):
                 log.info("serve: caught signal {}, draining".format(signum))
                 daemon.begin_drain()

@@ -102,6 +102,9 @@ POINTS: Dict[str, ChaosPoint] = {
                    "FactStore.store raises OSError (disk write failure)"),
         ChaosPoint("factstore.corrupt", "mark",
                    "partition bytes are truncated mid-byte before a read"),
+        ChaosPoint("factstore.bitflip", "mark",
+                   "one bit of the partition, at a seeded position, is "
+                   "flipped before a read"),
         ChaosPoint("session.compile", "error",
                    "SessionManager's cold compile dies mid-build"),
         ChaosPoint("daemon.handler", "sleep",
@@ -366,6 +369,17 @@ def fire(point: str, **context: object) -> Optional[FaultRule]:
     return rule  # "mark": the site applies the fault
 
 
+def draw(rule: FaultRule, n: int) -> int:
+    """A number in ``range(n)`` for a ``mark`` site to place the fault
+    *rule* just fired (e.g. which bit to flip), from the rule's seeded
+    stream: the same plan and seed draw the same numbers."""
+    state = _ARMED
+    if state is None or rule not in state.plan.rules:
+        raise ValueError("draw() needs the rule fire() just returned")
+    with state._lock:
+        return state._streams[state.plan.rules.index(rule)].randrange(n)
+
+
 def _deadline_polling_sleep(seconds: float) -> None:
     """Sleep in small slices, polling the active guard deadline.
 
@@ -438,6 +452,14 @@ _PLAN_SPECS: Tuple[ChaosPlanSpec, ...] = (
         "corruption reads as a miss, facts rebuild and self-heal",
         target="serve",
         rules=(FaultRule("factstore.corrupt"),),
+    ),
+    ChaosPlanSpec(
+        name="cache-bitflip",
+        description="every disk restore finds one flipped bit; the "
+        "checksum turns it into a miss, never a wrong answer, and facts "
+        "rebuild and self-heal",
+        target="serve",
+        rules=(FaultRule("factstore.bitflip"),),
     ),
     ChaosPlanSpec(
         name="compile-crash",
@@ -802,12 +824,22 @@ def _run_serve_battery(spec: ChaosPlanSpec, seed: int,
     finally:
         daemon.stop_http()
     registry = metrics.registry()
+    # Every damaged partition must read as a miss, even one whose wrong
+    # bundle would have happened to give the right counts.
+    damaged = injected.get("factstore.corrupt", 0) + \
+        injected.get("factstore.bitflip", 0)
+    corrupt = int(registry.counter("serve.factcache.corrupt").value)
+    if corrupt != damaged:
+        violations.append({
+            "reason": "{} partitions damaged but {} read as corrupt".format(
+                damaged, corrupt)})
     return {
         "target": "serve",
         "requests": len(requests),
         "ok_responses": ok_responses,
         "typed_errors": dict(sorted(typed_errors.items())),
         "injected": injected,
+        "store_corrupt": corrupt,
         "violations": violations,
         "restarted": restarted,
         "client_retries": int(

@@ -9,9 +9,10 @@ warm instead:
   protocol (batched ``alias`` / ``tables`` / ``limit`` / ``facts``
   queries) shared by both transports;
 * :mod:`repro.serve.factcache` — the versioned on-disk fact store:
-  content-hashed per-module partitions holding subtype bitmasks, the
-  TypeRefsTable, AddressTaken, Steensgaard classes and every served
-  configuration's Table 5 counts, with LRU eviction under a size cap;
+  one checksummed JSON partition per module content hash, holding
+  per-procedure hashes, every served configuration's Table 5 counts
+  and the ``facts`` op's world summaries, with LRU eviction under a
+  size cap;
 * :mod:`repro.serve.session` — the warm session manager: in-memory LRU
   of module sessions over the fact store, content-hash invalidation
   with per-procedure change accounting, and an optional differential

@@ -408,7 +408,7 @@ class Daemon:
             if self.shutdown_event.is_set():
                 break
         # EOF or shutdown op: same graceful exit as a signal drain —
-        # finish anything on the HTTP side, flush the fact store.
+        # finish anything on the HTTP side.
         self.drain()
         return 0
 
@@ -444,13 +444,14 @@ class Daemon:
         self.shutdown_event.set()
 
     def drain(self, timeout: float = DRAIN_TIMEOUT) -> bool:
-        """Finish in-flight work, flush the fact store, stop HTTP.
+        """Finish in-flight work, then stop HTTP.
 
         HTTP handler threads are daemonic, so ``stop_http`` alone would
         abandon mid-request work — the in-flight condition variable is
         what guarantees every accepted request produces its answer
-        before the process exits.  Returns False only if in-flight work
-        outlived *timeout* (the store is flushed and HTTP stopped
+        before the process exits.  The fact store has nothing to flush:
+        every store and hit is on disk when it returns.  Returns False
+        only if in-flight work outlived *timeout* (HTTP is stopped
         regardless).
         """
         self.begin_drain()
@@ -462,8 +463,6 @@ class Daemon:
                     break
                 self._inflight_cond.wait(remaining)
             drained = self._inflight == 0
-        if self.manager.store is not None:
-            self.manager.store.flush()
         self.stop_http()
         return drained
 

@@ -9,7 +9,8 @@ one :class:`ModuleSession` per *content hash* of served source, so
   lookup);
 * a **miss** first consults the on-disk :class:`~repro.serve.factcache.
   FactStore` — a daemon restart, or a corpus of modules larger than the
-  in-memory session cap, still answers without compiling;
+  in-memory session cap, still answers without compiling, and a damaged
+  partition reads there as a miss: it costs a rebuild, never an answer;
 * an **edit** re-keys only its own module: the new hash misses, the old
   partition stays valid for anyone still serving the old text, and the
   manager diffs per-procedure IR hashes (taken at lower time) to report
@@ -23,10 +24,15 @@ Counters tests assert on (shared series, :mod:`repro.obs.metrics`):
 ``serve.facts.rebuild`` — fact partitions (re)built from source, the
 satellite-test signal that *only the edited module's* facts rebuild;
 ``serve.facts.config_hit`` / ``.config_build`` — per-(analysis, world)
-answers served from the bundle vs computed;
+Table 5 answers served from the bundle vs computed (a ``facts`` op's
+world summary is neither);
 ``serve.invalidate.modules`` / ``.procs_changed`` / ``.procs_reused`` —
 edit accounting for named units;
 ``serve.differential.checks`` — differential-mode agreements.
+
+The ``stats`` op reports these beside the fact store's
+``serve.factcache.*`` counters, ``corrupt`` included, so a stdio daemon
+with no ``/v1/metrics`` can still say how many partitions it dropped.
 """
 
 import threading
@@ -39,11 +45,11 @@ from repro.analysis.alias_pairs import AliasPairCounter
 from repro.analysis.facts import (
     ConfigFacts,
     FactBundle,
-    collect_world_facts,
     diff_proc_hashes,
     new_bundle,
     proc_ir_hashes,
     source_hash,
+    world_summary,
 )
 from repro.obs import core as obs
 from repro.obs import metrics
@@ -75,7 +81,6 @@ class ModuleSession:
         self.source = source
         self._program = program           # repro.Program, lazily compiled
         self._base = base                 # PipelineResult of program.base()
-        self._contexts: Dict[bool, object] = {}
 
     @property
     def module_hash(self) -> str:
@@ -103,12 +108,6 @@ class ModuleSession:
     def base_program(self):
         self.ensure_program()
         return self._base.program
-
-    def context(self, open_world: bool):
-        program = self.ensure_program()
-        if open_world not in self._contexts:
-            self._contexts[open_world] = program.pipeline.context(open_world)
-        return self._contexts[open_world]
 
 
 class SessionManager:
@@ -271,17 +270,17 @@ class SessionManager:
 
     def facts_summary(self, session: ModuleSession,
                       open_world: bool) -> dict:
-        """Flattened world facts (built once per world, then cached)."""
+        """One world's :func:`~repro.analysis.facts.world_summary`
+        (counted once per world, then kept in the bundle)."""
         world = session.bundle.worlds.get(open_world)
         if world is None:
             with obs.span("serve.facts.world_build", module=session.name,
                           open_world=open_world):
-                world = collect_world_facts(session.context(open_world))
+                world = world_summary(
+                    session.ensure_program().pipeline.context(open_world))
             session.bundle.worlds[open_world] = world
             self._persist(session.bundle)
-        else:
-            _counter("facts.config_hit").inc()
-        return world.summary()
+        return dict(world)  # the daemon adds module fields to its copy
 
     def limit(self, session: ModuleSession,
               analysis: Optional[str]) -> dict:
@@ -347,6 +346,7 @@ class SessionManager:
                         "serve.differential.checks",
                         "serve.factcache.hit", "serve.factcache.miss",
                         "serve.factcache.store", "serve.factcache.evict",
+                        "serve.factcache.corrupt",
                         "serve.factcache.io_error",
                         "serve.deadline.expired",
                         "serve.request.rejected",

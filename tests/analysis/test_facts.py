@@ -1,18 +1,18 @@
-"""Fact serialization: hashes, flattened exports, bundle versioning."""
+"""Fact partitions: hashes, world summaries, the bundle's JSON layout."""
 
-import pickle
+import json
 
 import pytest
 
 from repro import compile_program
 from repro.analysis.facts import (
     FACTS_SCHEMA_VERSION,
-    bundle_is_current,
-    collect_world_facts,
+    FactBundle,
     diff_proc_hashes,
     new_bundle,
     proc_ir_hashes,
     source_hash,
+    world_summary,
 )
 
 SOURCE = """
@@ -76,44 +76,86 @@ def test_diff_counts_added_and_removed_as_changed():
 def test_collect_world_facts_summary_shapes():
     program = compile_program(SOURCE, "facts.m3")
     for open_world in (False, True):
-        facts = collect_world_facts(program.pipeline.context(open_world))
-        assert facts.open_world is open_world
-        summary = facts.summary()
+        summary = world_summary(program.pipeline.context(open_world))
         assert summary["open_world"] is open_world
         assert summary["object_types"] >= 2       # T, S at least
         assert summary["pointer_types"] >= 2
         assert summary["steensgaard_classes"] >= 1
-        # The exports are deterministic: rebuild and compare.
-        again = collect_world_facts(program.pipeline.context(open_world))
-        assert again.subtype_masks == facts.subtype_masks
-        assert again.typerefs_masks == facts.typerefs_masks
-        assert again.steensgaard_classes == facts.steensgaard_classes
-        assert again.address_taken == facts.address_taken
+        # The counts are deterministic: recompile and compare.
+        again = compile_program(SOURCE, "facts2.m3")
+        assert world_summary(again.pipeline.context(open_world)) == summary
 
 
 def test_open_world_facts_differ_from_closed():
     program = compile_program(SOURCE, "facts.m3")
-    closed = collect_world_facts(program.pipeline.context(False))
-    opened = collect_world_facts(program.pipeline.context(True))
-    assert closed.address_taken != opened.address_taken
+    closed = world_summary(program.pipeline.context(False))
+    opened = world_summary(program.pipeline.context(True))
+    assert closed != opened
+    assert {k: v for k, v in closed.items() if k != "open_world"} == \
+        {k: v for k, v in opened.items() if k != "open_world"}
 
 
-def test_bundle_versioning_and_pickle_roundtrip():
-    key = source_hash(SOURCE)
-    bundle = new_bundle("Facts", key, {"Alpha": "aa", "Beta": "bb"})
+def _full_bundle():
+    """A bundle with every field filled: procedures, configs, worlds."""
+    from repro.analysis.facts import ConfigFacts
+
+    program = compile_program(SOURCE, "facts.m3")
+    bundle = new_bundle("Facts", source_hash(SOURCE),
+                        proc_ir_hashes(program.base().program))
+    for i, open_world in enumerate((False, True)):
+        bundle.add_config(ConfigFacts(
+            analysis="TypeDecl", open_world=open_world, references=7 + i,
+            local_pairs=3, global_pairs=11))
+        bundle.worlds[open_world] = world_summary(
+            program.pipeline.context(open_world))
+    return bundle
+
+
+def test_bundle_versioning_and_json_roundtrip():
+    bundle = _full_bundle()
     assert bundle.schema == FACTS_SCHEMA_VERSION
-    assert bundle_is_current(bundle)
-    clone = pickle.loads(pickle.dumps(bundle))
-    assert bundle_is_current(clone)
-    assert clone.proc_hashes == bundle.proc_hashes
+    # Plain data: through a JSON text and back, equal field for field.
+    clone = FactBundle.from_json(json.loads(json.dumps(bundle.to_json())))
+    assert clone == bundle
+    assert clone.config("TypeDecl", True).counts() == (8, 3, 11)
 
-    stale = new_bundle("Facts", key, {})
-    stale.schema = FACTS_SCHEMA_VERSION + 1
-    assert not bundle_is_current(stale)
-    from_old_build = new_bundle("Facts", key, {})
-    from_old_build.repro_version = "0.0.0"
-    assert not bundle_is_current(from_old_build)
-    assert not bundle_is_current("not a bundle")
+    stale = bundle.to_json()
+    stale["schema"] = FACTS_SCHEMA_VERSION - 1
+    with pytest.raises(ValueError):
+        FactBundle.from_json(stale)
+    from_old_build = bundle.to_json()
+    from_old_build["repro_version"] = "0.0.0"
+    with pytest.raises(ValueError):
+        FactBundle.from_json(from_old_build)
+    for not_a_bundle in (None, [], "bundle", 3):
+        with pytest.raises(ValueError):
+            FactBundle.from_json(not_a_bundle)
+
+
+def _reshaped(mutate):
+    obj = json.loads(json.dumps(_full_bundle().to_json()))
+    mutate(obj)
+    return obj
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda obj: obj.pop("worlds"),
+    lambda obj: obj.update(extra=1),
+    lambda obj: obj.update(module_hash=None),
+    lambda obj: obj.update(proc_hashes={"Alpha": 1}),
+    lambda obj: obj.update(configs={}),
+    lambda obj: obj["configs"].append(["TypeDecl", False, 1, 2, 3]),
+    lambda obj: obj["configs"][0].update(references=True),
+    lambda obj: obj["configs"][0].update(references="7"),
+    lambda obj: obj["configs"][0].pop("global_pairs"),
+    lambda obj: obj["worlds"][0].update(object_types=2.0),
+    lambda obj: obj["worlds"][1].update(open_world=1),
+], ids=["no-worlds", "extra-key", "null-hash", "int-proc-hash",
+        "configs-object", "config-array", "bool-count", "string-count",
+        "missing-count", "float-count", "int-world"])
+def test_from_json_rejects_every_other_shape(mutate):
+    with pytest.raises(ValueError):
+        FactBundle.from_json(_reshaped(mutate))
 
 
 @pytest.mark.parametrize("analysis", ["TypeDecl", "SMFieldTypeRefs"])
@@ -136,5 +178,5 @@ def test_config_facts_store_counts_per_configuration(analysis):
     bundle.add_config(facts)
     assert bundle.config(analysis, False) is facts
     assert bundle.config(analysis, True) is None
-    restored = pickle.loads(pickle.dumps(bundle))
+    restored = FactBundle.from_json(bundle.to_json())
     assert restored.config(analysis, False).counts() == facts.counts()

@@ -164,7 +164,7 @@ def test_injected_errors_are_typed():
 def test_built_in_plans_cover_serve_and_corpus():
     specs = built_in_plans()
     names = {s.name for s in specs}
-    assert {"cache-flaky", "cache-corrupt", "compile-crash",
+    assert {"cache-flaky", "cache-corrupt", "cache-bitflip", "compile-crash",
             "slow-handler", "client-drop", "mixed",
             "worker-kill", "poison-shard", "shard-hang",
             "stdio-flaky", "ledger-torn", "tracestore-torn"} <= names
@@ -185,6 +185,30 @@ def test_run_chaos_cache_corrupt_self_heals(tmp_path):
     assert report["violations"] == []
     assert report["injected"].get("factstore.corrupt", 0) > 0
     assert report["ok_responses"] == report["requests"]
+
+
+def test_run_chaos_cache_bitflip_reads_every_flip_as_a_miss(tmp_path):
+    report = run_chaos("cache-bitflip", seed=0, work_dir=tmp_path)
+    assert report["ok"], report
+    assert report["violations"] == []
+    flips = report["injected"].get("factstore.bitflip", 0)
+    assert flips > 0
+    assert report["store_corrupt"] == flips
+    assert report["ok_responses"] == report["requests"]
+
+
+def test_draw_is_deterministic_per_seed_and_rule():
+    def positions(seed):
+        rule = FaultRule("factstore.bitflip")
+        with armed(FaultPlan(seed=seed, rules=(rule,))):
+            return [chaos.draw(fire("factstore.bitflip"), 1 << 20)
+                    for _ in range(8)]
+
+    assert positions(1) == positions(1)
+    assert positions(1) != positions(2)
+    assert all(0 <= p < 1 << 20 for p in positions(3))
+    with pytest.raises(ValueError):
+        chaos.draw(FaultRule("factstore.bitflip"), 10)  # nothing armed
 
 
 def test_run_chaos_compile_crash_yields_typed_errors(tmp_path):

@@ -162,6 +162,77 @@ def test_limit_and_facts_ops(daemon):
     assert summary["steensgaard_classes"] >= 1
 
 
+#: The ``facts`` op's six counts for every bundled program, the same in
+#: both worlds: object types, pointer types, Steensgaard classes,
+#: address-taken fields, address-taken variables, procedures.
+FACTS_COUNTS = {
+    "dformat": (5, 7, 5, 0, 0, 13),
+    "dom": (8, 11, 9, 0, 0, 9),
+    "format": (4, 6, 6, 0, 2, 9),
+    "k-tree": (5, 8, 6, 0, 0, 10),
+    "m2tom3": (4, 6, 6, 0, 1, 13),
+    "m3cg": (6, 9, 5, 0, 0, 19),
+    "postcard": (11, 12, 8, 0, 0, 12),
+    "pp": (11, 13, 7, 0, 1, 23),
+    "slisp": (8, 9, 4, 0, 0, 16),
+    "write-pickle": (8, 11, 5, 0, 0, 9),
+}
+
+
+def test_facts_op_counts_of_every_bundled_program(daemon):
+    from repro.bench.registry import benchmark_names, load_source
+
+    keys = ("object_types", "pointer_types", "steensgaard_classes",
+            "address_taken_fields", "address_taken_vars", "procedures")
+    seen = {}
+    for name in benchmark_names():
+        for open_world in (False, True):
+            response = daemon.handle_request(_request(
+                op="facts", source=load_source(name), name=name,
+                open_world=open_world))
+            assert response["ok"], response
+            result = response["result"]
+            assert result["open_world"] is open_world
+            seen[name, open_world] = tuple(result[k] for k in keys)
+    assert seen == {(name, open_world): counts
+                    for name, counts in FACTS_COUNTS.items()
+                    for open_world in (False, True)}
+
+
+def test_repeat_facts_op_is_not_a_configuration_hit(daemon):
+    """``config_hit`` counts Table 5 answers; a ``facts`` op served from
+    the bundle answers none."""
+    registry = metrics.registry()
+    results = []
+    for _ in range(2):
+        response = daemon.handle_request(_request(
+            op="facts", source=SMOKE_SOURCE, name="smoke"))
+        assert response["ok"], response
+        assert registry.counter("serve.facts.config_hit").value == 0
+        results.append(response["result"])
+    assert results[0] == results[1]
+
+
+def test_stats_op_reports_damaged_partitions(tmp_path):
+    """A stdio daemon has no ``/v1/metrics``: ``stats`` must say how
+    many partitions it found damaged."""
+    from repro.serve.factcache import FactStore
+
+    metrics.registry().reset()
+    first = Daemon(SessionManager(store=FactStore(tmp_path)))
+    assert first.handle_request(_request(
+        op="tables", source=SMOKE_SOURCE, name="smoke"))["ok"]
+    partition = next(tmp_path.glob("facts-*.json"))
+    partition.write_bytes(partition.read_bytes()[:-10])
+    restarted = Daemon(SessionManager(store=FactStore(tmp_path)))
+    assert restarted.handle_request(_request(
+        op="tables", source=SMOKE_SOURCE, name="smoke"))["ok"]
+    counters = restarted.handle_request(
+        _request(op="stats"))["result"]["counters"]
+    assert counters["serve.factcache.corrupt"] == 1
+    assert counters["serve.factcache.hit"] == 0
+
+
 #: Series counted once per analysis build or count; their owners never
 #: read them back, so they share one child per series.
 _SHARED_SERIES = (

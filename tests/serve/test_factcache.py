@@ -1,10 +1,10 @@
 """The on-disk fact store: hits, misses, corruption, budget eviction."""
 
-import pytest
+import random
 
 from repro.analysis.facts import FACTS_SCHEMA_VERSION, new_bundle
 from repro.obs import metrics
-from repro.serve.factcache import INDEX_NAME, FactStore
+from repro.serve.factcache import FactStore
 
 
 def _bundle(tag, n_procs=2):
@@ -35,6 +35,10 @@ def test_store_load_roundtrip_and_counters(tmp_path):
     assert _count("hit") == 1
     assert store.total_bytes() > 0
     assert len(store) == 1
+    # One data file under the full key: a JSON header line, then JSON.
+    assert [p.name for p in tmp_path.iterdir()] == \
+        ["facts-{}.json".format(bundle.module_hash)]
+    assert loaded == bundle
 
 
 def test_index_survives_restart(tmp_path):
@@ -53,8 +57,8 @@ def test_corrupt_file_reads_as_miss_and_is_dropped(tmp_path):
     store = FactStore(tmp_path)
     bundle = _bundle("rot")
     store.store(bundle)
-    pkl = next(tmp_path.glob("facts-*.pkl"))
-    pkl.write_bytes(b"this is not a pickle")
+    partition = next(tmp_path.glob("facts-*.json"))
+    partition.write_bytes(b"this is not a partition")
 
     assert store.load(bundle.module_hash) is None
     assert _count("corrupt") == 1
@@ -85,13 +89,9 @@ def test_byte_budget_evicts_lru_but_protects_fresh_store(tmp_path):
     a, b, c = _bundle("ev-a"), _bundle("ev-b"), _bundle("ev-c")
     store.store(a)
     store.store(b)
-    index = tmp_path / "cap" / INDEX_NAME
-    stored = index.read_bytes()
     store.load(a.module_hash)  # a is now fresher than b
-    assert index.read_bytes() == stored  # a hit writes nothing...
-    store.flush()
-    assert index.read_bytes() != stored  # ...until the drain's flush
-    # A store reopened from disk still knows a is fresher than b.
+    # No flush, no index: a store reopened from disk still knows a is
+    # fresher than b, from the partitions' modification times.
     store = FactStore(tmp_path / "cap", max_bytes=int(one_bundle * 2.5))
     store.store(c)
     assert _count("evict") >= 1
@@ -100,6 +100,48 @@ def test_byte_budget_evicts_lru_but_protects_fresh_store(tmp_path):
     assert a.module_hash in keys  # recently used survived
     assert b.module_hash not in keys  # LRU victim
     assert store.total_bytes() <= int(one_bundle * 2.5)
+    assert sorted(p.name for p in (tmp_path / "cap").iterdir()) == sorted(
+        "facts-{}.json".format(k) for k in keys)
+
+
+def test_reopened_store_evicts_the_true_lru_victim(tmp_path):
+    """Random store/hit histories, each followed by a reopen: the next
+    store over budget evicts exactly the least recently used key."""
+    probe = FactStore(tmp_path / "probe")
+    probe.store(_bundle("k0"))
+    size = probe.total_bytes()
+    rng = random.Random(0)
+    for trial in range(20):
+        root = tmp_path / "t{}".format(trial)
+        store = FactStore(root, max_bytes=int(size * 4.5))
+        bundles = [_bundle("k{}".format(i)) for i in range(4)]
+        recency = []
+        for bundle in bundles:
+            store.store(bundle)
+            recency.append(bundle.module_hash)
+        for _ in range(6):
+            key = rng.choice(bundles).module_hash
+            assert store.load(key) is not None
+            recency.remove(key)
+            recency.append(key)
+        store = FactStore(root, max_bytes=int(size * 4.5))
+        store.store(_bundle("k4"))
+        assert recency[0] not in store.keys(), trial
+        assert set(recency[1:]) < set(store.keys()), trial
+
+
+def test_total_bytes_is_the_partitions_on_disk_after_reopen(tmp_path):
+    """The budget covers every partition: reopening after each store
+    (a crash at any point) never leaves bytes outside ``total_bytes``."""
+    metrics.registry().reset()
+    budget = 6000
+    for i in range(12):
+        store = FactStore(tmp_path, max_bytes=budget)
+        store.store(_bundle("b{}".format(i), n_procs=20))
+        on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+        assert store.total_bytes() == on_disk <= budget
+    assert _count("evict") > 0
+    assert FactStore(tmp_path).total_bytes() == on_disk
 
 
 def test_unbounded_store_never_evicts(tmp_path):
@@ -117,7 +159,7 @@ def test_drop_removes_partition(tmp_path):
     store.store(bundle)
     store.drop(bundle.module_hash)
     assert store.keys() == []
-    assert not list(tmp_path.glob("facts-*.pkl"))
+    assert not list(tmp_path.iterdir())
 
 
 STALE_SOURCE = """
@@ -143,9 +185,11 @@ END Stale.
 
 def test_schema_v1_partition_with_bulk_matrix_is_rebuilt(tmp_path,
                                                          monkeypatch):
-    """A v1 partition pickles a ``repro.analysis.bulk.BulkAliasMatrix``
-    inside every config; that module no longer exists.  Loading it must
-    count as corrupt, drop it, and rebuild the right counts."""
+    """A v1 build left a pickled partition, whose every config holds a
+    ``repro.analysis.bulk.BulkAliasMatrix`` (a deleted module), and an
+    ``index.json`` naming it.  Opening the store removes both unread;
+    the module misses, and its counts rebuild right."""
+    import json
     import pickle
     import sys
     import types
@@ -169,20 +213,24 @@ def test_schema_v1_partition_with_bulk_matrix_is_rebuilt(tmp_path,
                             local_pairs=999, global_pairs=999)
         facts.matrix = BulkAliasMatrix()
         stale.add_config(facts)
+    payload = pickle.dumps(stale)
+    monkeypatch.delitem(sys.modules, stub.__name__)
+    assert b"BulkAliasMatrix" in payload
+    pkl = "facts-{}.pkl".format(key[:32])
+    (tmp_path / pkl).write_bytes(payload)
+    (tmp_path / "index.json").write_text(json.dumps({
+        "layout": 1, "facts_schema": 1, "entries": {key: {
+            "file": pkl, "bytes": len(payload), "module": "Stale",
+            "clock": 1}}}))
     metrics.registry().reset()
     store = FactStore(tmp_path)
-    store.store(stale)
-    monkeypatch.delitem(sys.modules, stub.__name__)
-    payload = next(tmp_path.glob("facts-*.pkl")).read_bytes()
-    assert b"repro.analysis.bulk" in payload
-    assert b"BulkAliasMatrix" in payload
-    with pytest.raises(ImportError):
-        pickle.loads(payload)
+    assert list(tmp_path.iterdir()) == []
+    assert store.keys() == [] and store.total_bytes() == 0
 
     manager = SessionManager(store=store)
     session = manager.lookup(STALE_SOURCE)
-    assert _count("corrupt") == 1
-    assert _count("hit") == 0
+    assert _count("miss") == 1
+    assert _count("corrupt") == 0 and _count("hit") == 0
     rows = manager.tables(session, open_world=False)
 
     from repro import compile_program
