@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-gate tables examples fuzz \
+.PHONY: install test bench bench-gate tables examples fuzz \
 	fuzz-smoke profile-smoke corpus-gen corpus-smoke serve-smoke \
 	chaos-smoke obs-smoke trace-smoke clean
 
@@ -25,16 +25,6 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Machine-readable alias-engine numbers: analysis construction time,
-# may-alias query throughput, and Table 5 wall time under both the
-# reference and the partition-based counting engines.  Every run also
-# appends a ledger record to BENCH_history.jsonl so successive runs
-# stay comparable (see `repro bench compare` / DESIGN.md §6f).
-bench-quick:
-	$(PYTHON) -m pytest benchmarks/bench_analysis_cost.py benchmarks/bench_table5_alias_pairs.py --benchmark-only
-	$(PYTHON) -m repro.bench.perfjson -o BENCH_alias.json --prom BENCH_obs.prom \
-		--history BENCH_history.jsonl
 
 # Perf-regression gate: measure the benchmark suite twice (min-of-k)
 # and compare against the committed baseline ledger inside a median+MAD

@@ -1,65 +1,64 @@
 """Analysis cost (Section 2.5) — TBAA is fast.
 
 The paper's complexity argument: SMTypeRefs makes a single linear pass
-over the program unioning type sets, so TBAA is O(n) bit-vector steps;
+over the program unioning type sets, so building an analysis is cheap;
 computing all may-alias pairs is O(e²) but each query is cheap.  This
-bench measures construction time for all three analyses and the raw
-query throughput over the largest benchmark, and emits the numbers both
-as an aligned table and as machine-readable JSON (the same schema
-``make bench-quick`` writes to ``BENCH_alias.json``).
+bench times both on the largest benchmark, m3cg: building the three
+analyses from a fresh :class:`AnalysisContext` (its per-program facts
+included), and a cold all-pairs ``may_alias`` sweep over every heap
+reference of the unoptimized program.
 """
 
-import json
+import time
 
+from repro.analysis import ANALYSIS_NAMES, collect_heap_references
 from repro.analysis.openworld import AnalysisContext
-from repro.bench.perfjson import (
-    measure_construction,
-    measure_query_throughput,
-    measure_serve,
-    measure_table5_engines,
-    validate_report,
-    SCHEMA_VERSION,
-)
+from repro.bench.suite import BASE
 from repro.util.tables import render_table
 
 
-def test_analysis_construction(benchmark, suite, emit):
+def test_analysis_construction(benchmark, suite):
     program = suite.program("m3cg")
 
     def build_all_three():
-        ctx = AnalysisContext(program.checked)
-        return [ctx.build(n) for n in ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs")]
+        context = AnalysisContext(program.checked)
+        return [context.build(name) for name in ANALYSIS_NAMES]
 
     analyses = benchmark.pedantic(build_all_three, rounds=5, iterations=1)
-    assert len(analyses) == 3
+    assert len(analyses) == len(ANALYSIS_NAMES)
 
-    # Query throughput over real references, with memo-cache statistics.
-    throughput = measure_query_throughput(suite, "m3cg", rounds=3)
+
+def test_all_pairs_query_sweep(benchmark, suite, emit):
+    base = suite.build("m3cg", BASE)
+    refs = [ap for aps in collect_heap_references(base.program).values()
+            for ap in aps]
+    context = AnalysisContext(suite.program("m3cg").checked)
+    analyses = [context.build(name) for name in ANALYSIS_NAMES]
+
+    def sweep(analysis) -> int:
+        """One cold sweep over every reference pair; the may-alias count."""
+        analysis.cache_clear()
+        may_alias = analysis.may_alias
+        return sum(may_alias(p, q)
+                   for i, p in enumerate(refs) for q in refs[i + 1:])
+
+    benchmark.pedantic(lambda: [sweep(a) for a in analyses],
+                       rounds=3, iterations=1)
+
+    queries = len(refs) * (len(refs) - 1) // 2
     rows = []
-    for name in ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs"):
-        entry = throughput[name]
-        cache = entry["cache"]
-        rows.append([name, entry["queries"], entry["ms"], entry["kqps"],
-                     cache["hits"], cache["misses"]])
-    text = render_table(
-        ["Analysis", "Queries", "ms", "kq/s", "Cache hits", "Cache misses"],
-        rows,
-        title="May-alias query cost on m3cg (all reference pairs)",
-    )
-    emit("analysis_cost", text)
-    assert all(row[3] > 0 for row in rows)
-
-    # Table 5 wall time under both counting engines.
-    table5 = measure_table5_engines(suite, rounds=3)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "query_benchmark": "m3cg",
-        "construction_ms": measure_construction(suite, "m3cg", rounds=3),
-        "query_throughput": throughput,
-        "table5": table5,
-        "serve": measure_serve(["m3cg"], rounds=2),
-    }
-    validate_report(report)
-    emit("analysis_cost_json", json.dumps(report, indent=2, sort_keys=True))
-    # The partition-based engine must clearly beat the per-pair loop.
-    assert table5["speedup"] > 1.0
+    for analysis in analyses:
+        started = time.perf_counter()
+        aliased = sweep(analysis)
+        ms = (time.perf_counter() - started) * 1000.0
+        cache = analysis.cache_stats()
+        assert cache["misses"] == cache["size"] > 0
+        rows.append([analysis.name, queries, aliased, round(ms, 2),
+                     round(queries / ms, 1), cache["hits"], cache["misses"]])
+    emit("analysis_cost", render_table(
+        ["Analysis", "Pairs", "May alias", "ms", "kq/s", "Cache hits",
+         "Cache misses"],
+        rows, title="May-alias query cost on m3cg (all reference pairs)"))
+    # A stronger analysis never answers "may alias" more often.
+    aliased = [row[2] for row in rows]
+    assert aliased[0] >= aliased[1] >= aliased[2]

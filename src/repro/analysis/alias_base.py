@@ -17,14 +17,13 @@ in Section 2.5).  Access paths are interned with dense integer uids
 :meth:`AliasAnalysis.may_alias_canonical` lets pair-counting clients that
 already hold canonical paths skip re-canonicalisation entirely.
 
-Query and cache statistics are :mod:`repro.obs` counters: each instance
-owns child counters of the ``alias.cache.hits`` / ``alias.cache.misses``
-series (labelled by analysis name), registered in the process registry.
-``cache_stats()``/``cache_clear()`` are thin shims over those counters,
-so the per-instance view and the global metrics export read the same
-numbers.  The hot path mutates ``Counter.value`` directly — alias
-queries are single-threaded by construction and a per-query lock would
-cost more than the query.
+Each instance counts its own cache hits and misses for
+``cache_stats()`` (``cache_clear()`` zeroes them) and adds every query
+to the process-wide ``alias.cache.hits`` / ``alias.cache.misses``
+counters of its analysis name, which only ever grow.  The own counts
+are plain ints, since an analysis answers one thread's queries; the
+shared counters take their lock, since analyses of one name may count
+in several serving threads at once.
 """
 
 from typing import Dict, Tuple
@@ -57,9 +56,13 @@ class AliasAnalysis:
         if name is not None:
             self.name = name
         self._cache: Dict[Tuple[int, int], bool] = {}
+        self._hits = 0
+        self._misses = 0
         registry = metrics.registry()
-        self._hits = registry.new_counter("alias.cache.hits", analysis=self.name)
-        self._misses = registry.new_counter("alias.cache.misses", analysis=self.name)
+        self._total_hits = registry.counter("alias.cache.hits",
+                                            analysis=self.name)
+        self._total_misses = registry.counter("alias.cache.misses",
+                                              analysis=self.name)
 
     def may_alias(self, p: AccessPath, q: AccessPath) -> bool:
         return self.may_alias_canonical(strip_index(p), strip_index(q))
@@ -75,10 +78,12 @@ class AliasAnalysis:
         key = (cp.uid, cq.uid) if cp.uid <= cq.uid else (cq.uid, cp.uid)
         cached = self._cache.get(key)
         if cached is not None:
-            self._hits.value += 1
+            self._hits += 1
+            self._total_hits.inc()
             return cached
-        misses = self._misses.value + 1
-        self._misses.value = misses
+        misses = self._misses + 1
+        self._misses = misses
+        self._total_misses.inc()
         # Guard hook on the miss (slow) path only: cache hits stay a
         # dict probe, and a guarded run that hangs inside the analyses
         # is necessarily generating fresh queries.
@@ -92,21 +97,19 @@ class AliasAnalysis:
         raise NotImplementedError
 
     # -- cache introspection -------------------------------------------
-    #
-    # Thin shims over the obs counters (kept for API compatibility with
-    # PR 1 callers; the counters are the source of truth).
 
     def cache_clear(self) -> None:
-        """Drop all memoised answers and reset the hit/miss counters."""
+        """Drop all memoised answers and zero this instance's hit/miss
+        counts (the process-wide counters keep their totals)."""
         self._cache.clear()
-        self._hits.reset()
-        self._misses.reset()
+        self._hits = 0
+        self._misses = 0
 
     def cache_stats(self) -> Dict[str, int]:
         """``{'hits', 'misses', 'size'}`` of the query cache."""
         return {
-            "hits": self._hits.value,
-            "misses": self._misses.value,
+            "hits": self._hits,
+            "misses": self._misses,
             "size": len(self._cache),
         }
 

@@ -18,7 +18,7 @@ merging ignores subtyping entirely, TypeDecl ignores assignments
 entirely), which the tests demonstrate.
 """
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.address_taken import AddressTakenInfo
 from repro.analysis.alias_base import TypeOracle
@@ -48,7 +48,6 @@ class SteensgaardTypesOracle(TypeOracle):
         self.assignments = (
             assignments if assignments is not None else collect_pointer_assignments(checked)
         )
-        self._table: Dict[int, FrozenSet[int]] = {}
         self._mask_table: Dict[int, int] = {}
         #: Steensgaard merge classes among the pointer types.
         self.n_classes = 0
@@ -76,9 +75,6 @@ class SteensgaardTypesOracle(TypeOracle):
         for t in pointer_types:
             mask = group_masks[group.find(id(t))] | self.subtypes.subtype_mask(t)
             self._mask_table[id(t)] = mask
-            self._table[id(t)] = frozenset(
-                id(u) for u in self.subtypes.types_of_mask(mask)
-            )
         # Over-merging is exactly what this baseline exists to measure
         # (cf. oversharing diagnostics in unification-based analyses):
         # record the equivalence-class size distribution per build.
@@ -95,12 +91,6 @@ class SteensgaardTypesOracle(TypeOracle):
         if mask is not None:
             return mask
         return self.subtypes.subtype_mask(t)
-
-    def class_of(self, t: Type) -> FrozenSet[int]:
-        cached = self._table.get(id(t))
-        if cached is not None:
-            return cached
-        return self.subtypes.subtype_set(t)
 
     def types_compatible(self, p: AccessPath, q: AccessPath) -> bool:
         tp, tq = p.type, q.type

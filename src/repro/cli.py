@@ -537,9 +537,7 @@ def cmd_serve(args) -> int:
         return 2
     trace_store_dir = args.trace_store or os.environ.get(TRACE_STORE_ENV)
     daemon = Daemon(manager, deadline_seconds=args.deadline_seconds,
-                    slo_ms=args.slo_ms, slow_ms=args.slow_ms,
-                    access_log_path=args.access_log,
-                    access_log_sample=args.access_log_sample,
+                    slo_ms=args.slo_ms,
                     sampler=HeadSampler(args.trace_sample_rate),
                     trace_store=(TraceStore(trace_store_dir)
                                  if trace_store_dir else None))
@@ -704,11 +702,14 @@ def cmd_trace(args) -> int:
             return 0
         rows = [[s["trace"], s["records"], s["procs"],
                  ",".join(s["origins"]), ",".join(s["ops"]),
-                 "{:.2f}".format(s["ms"]), "ok" if s["ok"] else "ERR"]
+                 "{:.2f}".format(s["ms"]), "ok" if s["ok"] else "ERR",
+                 " ".join("{}={}".format(key, value)
+                          for key, value in sorted(s["notes"].items()))]
                 for s in summaries]
         print(render_table(
-            ["trace", "recs", "procs", "origins", "ops", "ms", "status"],
-            rows, align_left=(0, 3, 4, 6)))
+            ["trace", "recs", "procs", "origins", "ops", "ms", "status",
+             "notes"],
+            rows, align_left=(0, 3, 4, 6, 7)))
         return 0
     if args.trace_cmd == "show":
         records = store.trace(args.id)
@@ -887,11 +888,11 @@ def cmd_corpus_gen(args) -> int:
 
 
 def cmd_corpus_verify(args) -> int:
-    from repro.qa.corpus import verify_corpus
+    from repro.qa.corpus import CorpusError, verify_corpus
 
     try:
         manifest = verify_corpus(args.dir)
-    except (OSError, ValueError) as err:
+    except CorpusError as err:
         log.error("corpus verify: {}".format(err))
         return 1
     print("corpus: ok ({} programs, {} shards, all hashes match)".format(
@@ -1374,25 +1375,19 @@ def build_parser() -> argparse.ArgumentParser:
                    "in-flight requests before exiting (default 30)")
     p.add_argument("--slo-ms", type=float, default=250.0, metavar="MS",
                    help="per-request latency objective backing the "
-                   "serve.slo.ok/breach counters (default 250)")
-    p.add_argument("--slow-ms", type=float, default=None, metavar="MS",
-                   help="requests slower than this are written to "
-                   "--access-log (default: the --slo-ms value)")
-    p.add_argument("--access-log", default=None, metavar="FILE.jsonl",
-                   help="append slow-request JSONL records here "
-                   "(off unless given)")
-    p.add_argument("--access-log-sample", type=int, default=1, metavar="N",
-                   help="log every Nth slow request (default 1 = all)")
+                   "serve.slo.ok/breach counters; a request over it is "
+                   "also written to --trace-store, sampled or not "
+                   "(default 250)")
     p.add_argument("--trace-sample-rate", type=float,
                    default=SERVE_SAMPLE_RATE, metavar="R",
                    help="always-on head-sampling rate in [0, 1]: each "
                    "trace id deterministically keeps or drops its whole "
                    "trace (default {})".format(SERVE_SAMPLE_RATE))
     p.add_argument("--trace-store", default=None, metavar="DIR",
-                   help="flush sampled trace records into this bounded "
-                   "on-disk store (see 'repro trace'; default: "
-                   "$REPRO_TRACE_STORE, else sampling decides span "
-                   "collection only)")
+                   help="flush sampled and over-SLO trace records into "
+                   "this bounded on-disk store (see 'repro trace'; "
+                   "default: $REPRO_TRACE_STORE, else sampling decides "
+                   "span collection only)")
     p.add_argument("--corpus", default=None, metavar="DIR",
                    help="corpus manifest directory for 'warmup'")
     p.add_argument("--max-programs", type=int, default=None, metavar="N",
@@ -1426,7 +1421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obs-smoke", action="store_true",
                    help="run the live-observability battery (traced + "
                    "debug queries, /v1/metrics self-lint, journal, "
-                   "access log, repro top --once) and exit")
+                   "trace-store tail rule, repro top --once) and exit")
     p.add_argument("--trace-smoke", action="store_true",
                    help="run the continuous-tracing battery (one trace "
                    "propagated across a subprocess daemon and forked "

@@ -138,11 +138,6 @@ _intern_table: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 _uid_counter = itertools.count()
 
 
-def interned_path_count() -> int:
-    """Number of live interned AP nodes (for tests and benchmarks)."""
-    return len(_intern_table)
-
-
 class _InternMeta(type):
     """Hash-consing constructor: structurally-equal APs are identical.
 

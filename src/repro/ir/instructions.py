@@ -132,10 +132,6 @@ class LoadVar(Instr):
     def dest(self) -> Temp:
         return self._dest
 
-    @property
-    def is_global_load(self) -> bool:
-        return self.symbol.is_global
-
 
 class StoreVar(Instr):
     """variable slot := src."""

@@ -85,8 +85,5 @@ class Scope:
             scope = scope.parent
         return None
 
-    def lookup_local(self, name: str) -> Optional[Symbol]:
-        return self._symbols.get(name)
-
     def symbols(self) -> List[Symbol]:
         return list(self._symbols.values())

@@ -18,7 +18,7 @@ job:
 * :mod:`~repro.obs.regress` — noise-banded regression detection;
 * :mod:`~repro.obs.quantile` — the one exact quantile helper;
 * :mod:`~repro.obs.reqlog` — the daemon's one request ring (recent
-  requests, burn rates, per-op latency gauges) and access log;
+  requests, burn rates, per-op latency gauges);
 * :mod:`~repro.obs.promtext` — Prometheus text rendering (a formatter
   over the registry, which owns metric naming) and the one parser of
   that format;

@@ -1,10 +1,10 @@
 """Benchmark run ledger: ``BENCH_history.jsonl`` records and selection.
 
-``BENCH_alias.json`` is overwritten in place by every ``make
-bench-quick`` run, so on its own no run is comparable to any previous
-run.  The ledger fixes that: every ``repro bench`` / ``make bench-quick``
-run *appends* one schema-versioned JSON record per line to
-``BENCH_history.jsonl``, and the record carries everything a later
+The ledger is the one on-disk record of run numbers.  Every ``repro
+bench``, ``bench serve``, ``bench gate`` and ``corpus run`` *appends*
+one schema-versioned JSON record per line to ``BENCH_history.jsonl``
+(nothing is overwritten in place, so every run stays comparable with
+every earlier one), and the record carries everything a later
 comparison needs:
 
 * ``git_sha`` and a UTC timestamp, so records map onto commits;
@@ -161,9 +161,9 @@ def collect_record(label: str,
                    ) -> dict:
     """One ledger record from the current recorder/registry state.
 
-    ``label`` names the producing workflow (``bench``, ``bench-quick``,
-    ``gate``); ``extra_phases`` merges additional series (the quick-bench
-    report's own numbers) into the span-derived phases.
+    ``label`` names the producing workflow (``bench``, ``gate``,
+    ``corpus``); ``extra_phases`` merges additional series (the serve
+    bench's warm/cold/transport seconds) into the span-derived phases.
     """
     phases = phase_seconds(recorder)
     if extra_phases:

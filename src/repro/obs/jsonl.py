@@ -1,14 +1,14 @@
 """The one JSONL record layer: schemas, line encoding, torn appends, reading.
 
-Three files the system writes hold one JSON object per line, and all
-three go through this module:
+Two kinds of file the system writes hold one JSON object per line, and
+both go through this module:
 
 * ``trace_record`` — a span tree flushed by the trace store
-  (:mod:`repro.obs.tracestore`) or by ``--trace FILE`` (one record
-  that also carries the registry snapshot under ``metrics``);
+  (:mod:`repro.obs.tracestore`: sampled requests and every request
+  over the serving SLO) or by ``--trace FILE`` (one record that also
+  carries the registry snapshot under ``metrics``);
 * ``bench_run`` — one benchmark-ledger record
-  (:mod:`repro.obs.history`, ``BENCH_history.jsonl``);
-* ``access_log`` — one slow-request line (:mod:`repro.obs.reqlog`).
+  (:mod:`repro.obs.history`, ``BENCH_history.jsonl``).
 
 Every record carries ``kind`` and ``schema``; :data:`KINDS` pins each
 kind's version, keys, value checks and counter prefix.  :func:`append`
@@ -29,13 +29,12 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import log, metrics
 
-__all__ = ["TRACE_RECORD", "BENCH_RUN", "ACCESS_LOG", "HOST_KEYS", "KINDS",
+__all__ = ["TRACE_RECORD", "BENCH_RUN", "HOST_KEYS", "KINDS",
            "Kind", "ReadResult", "validate", "encode", "append", "read",
            "validate_file", "main"]
 
 TRACE_RECORD = "trace_record"
 BENCH_RUN = "bench_run"
-ACCESS_LOG = "access_log"
 
 #: Keys every bench-run host fingerprint must carry.
 HOST_KEYS = ("python", "platform", "machine", "cpu_count")
@@ -132,14 +131,6 @@ def _check_bench_run(obj: dict) -> None:
                  "counter {!r} must be numeric, got {!r}", name, value)
 
 
-def _check_access_log(obj: dict) -> None:
-    _require(_text(obj["trace"]), "'trace' must be a non-empty string")
-    _require(isinstance(obj["op"], str), "'op' must be a string")
-    _require(_number(obj["ms"]), "'ms' must be a number")
-    _require(isinstance(obj["ok"], bool), "'ok' must be a boolean")
-    _require(obj["slow"] is True, "'slow' must be true in the access log")
-
-
 class Kind(NamedTuple):
     """One record kind: its schema version, the keys every record carries
     beyond ``kind``/``schema``, its value checks, and the counter prefix
@@ -158,9 +149,6 @@ KINDS: Dict[str, Kind] = {
     BENCH_RUN: Kind(1, ("tool", "label", "git_sha", "timestamp_utc",
                         "host", "phases", "counters"),
                     _check_bench_run, "obs.history"),
-    ACCESS_LOG: Kind(1, ("ts", "trace", "op", "unit", "ms", "ok", "error",
-                         "cache", "slow"),
-                     _check_access_log, "serve.accesslog"),
 }
 
 
@@ -268,8 +256,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="validate repro JSONL files (trace records, bench "
-        "ledgers, access logs) against their pinned schemas")
+        description="validate repro JSONL files (trace records and bench "
+        "ledgers) against their pinned schemas")
     parser.add_argument("files", nargs="+")
     args = parser.parse_args(argv)
     status = 0

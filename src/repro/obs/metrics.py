@@ -14,20 +14,13 @@ export them verbatim:
 * :class:`Histogram` — fixed-bucket distribution (Steensgaard group
   sizes, span durations).
 
-Metrics live in a :class:`MetricsRegistry`.  Two registration styles:
-
-* :meth:`MetricsRegistry.counter` (and ``gauge``/``histogram``) —
-  get-or-create one shared instance per ``(name, labels)``, for
-  process-wide totals;
-* :meth:`MetricsRegistry.new_counter` — always allocate a fresh *child*
-  counter under the same ``(name, labels)`` series, for an owner that
-  reads its own count back (each
-  :class:`~repro.analysis.alias_base.AliasAnalysis` owns its query
-  cache).  :meth:`snapshot` sums children per series, so the
-  per-instance numbers and the global export come from the same
-  objects — one source of truth.  A child lives as long as the
-  registry, so a count that is incremented once and dropped goes to
-  the shared :meth:`~MetricsRegistry.counter` instead.
+Metrics live in a :class:`MetricsRegistry`, which holds exactly one
+metric per ``(name, labels)`` series: :meth:`MetricsRegistry.counter`
+(and ``gauge``/``histogram``) get-or-create it.  The registry therefore
+grows with the series in use, never with the owners that record into
+them; an owner that needs its own count back (each
+:class:`~repro.analysis.alias_base.AliasAnalysis` reports its query
+cache) keeps that count itself and adds to the shared series too.
 
 The registry also owns metric naming, so everything it holds renders
 as valid Prometheus text.  The first registration of a name checks it
@@ -180,13 +173,13 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Process-wide metric store, aggregating child metrics per series."""
+    """Process-wide metric store: one metric per ``(name, labels)``."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # name -> kind; name -> {labelkey -> [children]}
+        # name -> kind; name -> {labelkey -> metric}
         self._kinds: Dict[str, str] = {}
-        self._series: Dict[str, Dict[LabelKey, List[object]]] = {}
+        self._series: Dict[str, Dict[LabelKey, object]] = {}
         # histogram name -> its one sorted bucket tuple
         self._buckets: Dict[str, Tuple[float, ...]] = {}
         # exported sample name -> the metric that writes it
@@ -195,7 +188,7 @@ class MetricsRegistry:
     # -- registration ---------------------------------------------------
 
     def _family(self, name: str, kind: str,
-                buckets: Tuple[float, ...]) -> Dict[LabelKey, List[object]]:
+                buckets: Tuple[float, ...]) -> Dict[LabelKey, object]:
         known = self._kinds.get(name)
         if known is None:
             self._register(name, kind, buckets)
@@ -229,74 +222,61 @@ class MetricsRegistry:
         self._kinds[name] = kind
         self._series[name] = {}
 
-    def _child(self, name: str, kind: str, labels: Dict[str, object],
-               fresh: bool, buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
-        """The shared child of ``(name, labels)``, or a *fresh* one."""
+    def _metric(self, name: str, kind: str, labels: Dict[str, object],
+                buckets: Tuple[float, ...] = DEFAULT_BUCKETS):
+        """Get-or-create the one metric of ``(name, labels)``."""
         key = _label_key(labels)
         with self._lock:
             series = self._series.get(name)
-            children = series.get(key) if series else None
-            if children is None:  # a new series: check before registering
+            metric = series.get(key) if series else None
+            if metric is None:  # a new series: check before registering
                 for label, _ in key:
                     if not _LABEL_NAME_RE.match(label) or (
                             label == "le" and kind == "histogram"):
                         raise ValueError("metric {!r}: bad label name "
                                          "{!r}".format(name, label))
             series = self._family(name, kind, buckets)
-            if children and not fresh:
-                return children[0]
+            if metric is not None:
+                return metric
             if kind == "counter":
-                child = Counter(name, key)
+                metric = Counter(name, key)
             elif kind == "gauge":
-                child = Gauge(name, key)
+                metric = Gauge(name, key)
             elif tuple(sorted(buckets)) != self._buckets[name]:
                 raise ValueError(
                     "histogram {!r} has buckets {!r}, got {!r}".format(
                         name, self._buckets[name], buckets))
             else:
-                child = Histogram(name, key, buckets)
-            series.setdefault(key, []).append(child)
-            return child
+                metric = Histogram(name, key, buckets)
+            series[key] = metric
+            return metric
 
     def counter(self, name: str, **labels) -> Counter:
-        """Get-or-create the shared counter for ``(name, labels)``."""
-        return self._child(name, "counter", labels, fresh=False)
-
-    def new_counter(self, name: str, **labels) -> Counter:
-        """A fresh per-owner child counter under ``(name, labels)``."""
-        return self._child(name, "counter", labels, fresh=True)
+        """Get-or-create the counter for ``(name, labels)``."""
+        return self._metric(name, "counter", labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._child(name, "gauge", labels, fresh=False)
+        return self._metric(name, "gauge", labels)
 
     def histogram(self, name: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
-        return self._child(name, "histogram", labels, fresh=False,
-                           buckets=buckets)
+        return self._metric(name, "histogram", labels, buckets=buckets)
 
     # -- reading --------------------------------------------------------
 
     def snapshot(self) -> List[dict]:
-        """Aggregate every series into one plain dict per series.
-
-        Counters sum their children; a gauge or histogram series has
-        exactly one, the shared child.
-        """
+        """Every series as one plain dict, sorted by name and labels."""
         out: List[dict] = []
         with self._lock:
             for name in sorted(self._series):
                 kind = self._kinds[name]
                 for key in sorted(self._series[name]):
-                    children = self._series[name][key]
-                    if not children:
-                        continue
+                    metric = self._series[name][key]
                     entry = {"kind": kind, "name": name, "labels": dict(key)}
-                    if kind == "counter":
-                        entry["value"] = sum(c.value for c in children)
-                    elif kind == "gauge":
-                        entry["value"] = children[0].value
+                    if kind == "histogram":
+                        entry.update(_histogram_entry(metric))
                     else:
-                        entry.update(_histogram_entry(children[0]))
+                        entry["value"] = metric.value
                     out.append(entry)
         return out
 
@@ -304,9 +284,8 @@ class MetricsRegistry:
         """Zero every metric in place (owners keep their references)."""
         with self._lock:
             for series in self._series.values():
-                for children in series.values():
-                    for child in children:
-                        child.reset()
+                for metric in series.values():
+                    metric.reset()
 
     def names(self) -> List[str]:
         with self._lock:

@@ -9,9 +9,9 @@ rules it enforces at registration), so every family it renders has one
 exported name, written as one contiguous block.  Any value formats
 (NaN and +/-Inf in exposition form), and any label value is escaped.
 
-``make bench-quick`` dumps a snapshot to ``BENCH_obs.prom`` next to
-``BENCH_alias.json`` so perf PRs can diff analysis behaviour, not just
-wall time.
+The daemon serves it on ``GET /v1/metrics``; batch runs record the
+same counters in their ``bench_run`` ledger records
+(:mod:`repro.obs.history`) and ``--trace`` records, not in a text file.
 
 The one parser of the format lives here too: :func:`parse` turns
 exposition text into ``# HELP``/``# TYPE``/sample lines, each with the
@@ -113,15 +113,6 @@ def render(registry: Optional[metrics.MetricsRegistry] = None,
             lines.append("{}_count{} {}".format(
                 name, _label_str(labels), cumulative))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prom(path: str,
-               registry: Optional[metrics.MetricsRegistry] = None) -> int:
-    """Write the snapshot to *path*; returns the number of lines."""
-    text = render(registry)
-    with open(path, "w") as f:
-        f.write(text)
-    return text.count("\n")
 
 
 # ----------------------------------------------------------------------

@@ -88,12 +88,6 @@ class SeriesComparison:
             return None
         return self.new_best / old_best
 
-    @property
-    def delta_seconds(self) -> Optional[float]:
-        if not self.old_values or not self.new_values:
-            return None
-        return self.new_best - self.old_best
-
     def describe(self) -> str:
         """One human sentence naming this series and its movement."""
         if self.ratio is None:

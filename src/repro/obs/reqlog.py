@@ -1,26 +1,22 @@
-"""The daemon's request ring and its slow-request access log.
+"""The daemon's in-memory ring of finished requests.
 
-Two sinks fed once per request by :meth:`Daemon.handle_request`:
+:class:`RequestJournal` is fed once per request by
+:meth:`Daemon.handle_request`: one bounded ring of finished requests
+(op, trace id, wall ms, cache outcome, ok/error kind).  Recording is an
+O(1) append; everything derived is computed when read:
+:meth:`~RequestJournal.snapshot` is the ``GET /v1/requests`` payload,
+and :meth:`~RequestJournal.publish` computes the SLO **burn rate** per
+sliding window (the fraction of requests that breached the objective;
+an error always breaches) with exact quantiles and slowest-trace
+exemplars, and refreshes the burn gauges and the per-op
+``serve.request.ms.p50/p95/p99`` gauges (exact over the longest
+window).  The daemon publishes when ``/v1/metrics`` or ``stats`` is
+read.
 
-* :class:`RequestJournal` — one bounded ring of finished requests (op,
-  trace id, wall ms, cache outcome, ok/error kind).  Recording is an
-  O(1) append; everything derived is computed when read:
-  :meth:`~RequestJournal.snapshot` is the ``GET /v1/requests`` payload,
-  and :meth:`~RequestJournal.publish` computes the SLO **burn rate**
-  per sliding window (the fraction of requests that breached the
-  objective; an error always breaches) with exact quantiles and
-  slowest-trace exemplars, and refreshes the burn gauges and the per-op
-  ``serve.request.ms.p50/p95/p99`` gauges (exact over the longest
-  window).  The daemon publishes when ``/v1/metrics`` or ``stats`` is
-  read.
-
-* :class:`AccessLog` — a JSONL log of *slow* requests (wall time over
-  ``--slow-ms``), deterministically sampled (every Nth slow request) so
-  a latency storm cannot turn the log into the bottleneck.  Lines are
-  ``access_log`` records of :mod:`repro.obs.jsonl`.
-
-Neither sink ever raises into the request path: a failed log write
-increments ``serve.accesslog.errors`` and serving continues.
+The ring is memory only.  The on-disk record of a slow request is its
+trace record: the daemon appends every request that breaches the SLO
+to the trace store (:mod:`repro.obs.tracestore`), sampled or not, and
+``repro trace ls`` lists it.
 """
 
 import threading
@@ -28,10 +24,10 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import jsonl, metrics
+from repro.obs import metrics
 from repro.obs.quantile import quantile
 
-__all__ = ["RequestRecord", "RequestJournal", "AccessLog",
+__all__ = ["RequestRecord", "RequestJournal",
            "DEFAULT_RING_SIZE", "DEFAULT_REQUESTS_LIMIT", "DEFAULT_WINDOWS",
            "DEFAULT_SLO_MS"]
 
@@ -183,39 +179,6 @@ class RequestJournal:
             for name, value in _quantiles(values).items():
                 registry.gauge("serve.request.ms." + name, op=op).set(value)
         return out
-
-
-class AccessLog:
-    """Sampled JSONL log of slow requests (``--slow-ms``)."""
-
-    def __init__(self, path: str, slow_ms: float, sample: int = 1):
-        self.path = path
-        self.slow_ms = slow_ms
-        #: Log every Nth slow request (1 = all); deterministic counter
-        #: based so tests and replays see the same lines.
-        self.sample = max(1, sample)
-        self._lock = threading.Lock()
-        self._slow_seen = 0
-
-    def maybe_log(self, record: RequestRecord) -> bool:
-        """Write *record* if slow and selected by sampling; True if written."""
-        if record.ms < self.slow_ms:
-            return False
-        with self._lock:
-            self._slow_seen += 1
-            if (self._slow_seen - 1) % self.sample != 0:
-                metrics.registry().counter("serve.accesslog.sampled_out").inc()
-                return False
-            line = dict(record.to_json(), slow=True, kind=jsonl.ACCESS_LOG,
-                        schema=jsonl.KINDS[jsonl.ACCESS_LOG].version)
-            try:
-                jsonl.append(self.path, line)
-            except (OSError, ValueError, TypeError):
-                # Logging must never fail a request.
-                metrics.registry().counter("serve.accesslog.errors").inc()
-                return False
-        metrics.registry().counter("serve.accesslog.lines").inc()
-        return True
 
 
 def now() -> float:

@@ -2,10 +2,14 @@
 
 The continuous-tracing pipeline (DESIGN.md §6k) flushes one **trace
 record** per sampled request/operation: the trace id, the producing
-process token and origin, wall time, the collected span tree, and —
-for work handed across a process boundary — the remote ``(proc, span)``
-parent the subtree hangs under.  ``repro trace`` and ``GET /v1/traces``
-read these records back and stitch the cross-process tree together
+process token and origin, wall time, the collected span tree, notes,
+and — for work handed across a process boundary — the remote
+``(proc, span)`` parent the subtree hangs under.  The daemon also
+flushes every request that breaches its SLO, sampled or not (with no
+spans unless they were collected, and its ``cache`` outcome and error
+kind as notes), so the store is the one on-disk record of slow
+requests.  ``repro trace`` and ``GET /v1/traces`` read these records
+back and stitch the cross-process tree together
 (:mod:`repro.obs.traceview`).
 
 Layout: a directory of JSONL **segments**.  Concurrency without locks

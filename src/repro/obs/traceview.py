@@ -178,13 +178,17 @@ def summarize_traces(grouped: Dict[str, List[dict]]) -> List[dict]:
     """One summary row per trace (``repro trace ls`` / ``/v1/traces``).
 
     Newest first by record timestamp, so dashboards naturally show the
-    live tail of the store.
+    live tail of the store.  ``notes`` merges the records' notes (the
+    daemon's ``cache`` outcome and error kind), later records winning.
     """
     summaries = []
     for trace_id, records in grouped.items():
         procs = sorted({r["proc"] for r in records})
         origins = sorted({r["origin"] for r in records})
         ops = sorted({r["op"] for r in records})
+        notes: Dict[str, object] = {}
+        for record in records:
+            notes.update(record.get("notes") or {})
         summaries.append({
             "trace": trace_id,
             "records": len(records),
@@ -194,6 +198,7 @@ def summarize_traces(grouped: Dict[str, List[dict]]) -> List[dict]:
             "ms": round(max(float(r["ms"]) for r in records), 3),
             "ok": all(r["ok"] for r in records),
             "ts": max(r["ts"] for r in records),
+            "notes": notes,
         })
     summaries.sort(key=lambda s: s["ts"], reverse=True)
     return summaries

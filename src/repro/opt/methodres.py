@@ -26,10 +26,6 @@ class MethodResolutionStats:
         self.method_calls = 0
         self.resolved = 0
 
-    @property
-    def resolved_fraction(self) -> float:
-        return self.resolved / self.method_calls if self.method_calls else 0.0
-
     def __repr__(self) -> str:
         return "<MethodResolutionStats {}/{} resolved>".format(
             self.resolved, self.method_calls

@@ -764,10 +764,6 @@ class _ProcRLE:
             return dest
         raise AssertionError("unexpected AP {!r}".format(ap))
 
-    @property
-    def owner_program(self) -> ProgramIR:
-        return self.owner.program
-
 
 def _prefixes(ap: AccessPath) -> List[AccessPath]:
     chain: List[AccessPath] = []

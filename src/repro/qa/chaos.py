@@ -401,8 +401,8 @@ def _deadline_polling_sleep(seconds: float) -> None:
 
 
 def register_metrics() -> None:
-    """Touch every chaos/robustness series so exports carry them at
-    zero even when nothing fired (``BENCH_obs.prom`` stability)."""
+    """Touch every chaos/robustness series so a battery's report and
+    the registry snapshot carry them at zero even when nothing fired."""
     registry = metrics.registry()
     registry.counter("chaos.injected")
     registry.counter("serve.deadline.installed")

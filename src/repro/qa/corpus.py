@@ -7,16 +7,15 @@ MiniM3 programs materialised on disk and drives batch work over them:
 * :func:`generate_corpus` renders programs for seeds ``seed ..
   seed+count-1`` (size/shape dials come from :class:`CorpusSpec`, a
   superset of :class:`~repro.qa.generator.GenConfig`) and writes them in
-  **content-hashed shards**: each shard file name embeds the SHA-256 of
-  its program payload and the ``shards.jsonl`` sidecar (one info line
-  per shard, streamed as shards complete) pins every shard's hash, so
-  corruption or hand-editing is detected before any batch consumes it
-  (:func:`verify_corpus`).  ``manifest.json`` holds only the spec and
-  totals; consumers stream :func:`iter_shards` so the shard list never
-  has to fit in memory (>100k-program corpora stay flat).
-* :func:`run_corpus` is the sharded driver: shard infos stream off disk
-  and fan out lazily over a ``multiprocessing`` pool (``jobs=1`` stays
-  in-process and exactly deterministic), each shard runs inside its own
+  **content-hashed shards**.  A corpus is one ``manifest.json`` — the
+  spec and one ``{programs, sha256}`` entry per shard, whose index is
+  its position — plus the shard files, each named from its index and
+  the SHA-256 of its program payload (:func:`shard_file`).  A changed
+  hash, a missing shard or a renamed one is caught before any batch
+  consumes it (:func:`verify_corpus`), as a :class:`CorpusError`.
+* :func:`run_corpus` is the sharded driver: shards fan out lazily over
+  a ``multiprocessing`` pool (``jobs=1`` stays in-process and exactly
+  deterministic), each shard runs inside its own
   **fault bulkhead** —
   one broken shard or program is reported without sinking the batch —
   and per-shard results merge deterministically by shard index.  Worker
@@ -53,10 +52,11 @@ from repro.qa.guards import (MAX_STEPS, PER_PROGRAM_SECONDS, default_jobs,
 __all__ = [
     "CorpusSpec",
     "CorpusManifest",
-    "CorpusHeader",
+    "CorpusError",
     "ShardInfo",
     "ShardOutcome",
     "CorpusRunReport",
+    "shard_file",
     "generate_corpus",
     "load_manifest",
     "load_manifest_header",
@@ -67,17 +67,22 @@ __all__ = [
 ]
 
 #: Bumped whenever the manifest/shard layout changes.
-#: v2: the shard list moved out of ``manifest.json`` into a
-#: ``shards.jsonl`` sidecar (one ShardInfo per line) so consumers can
-#: stream shard metadata instead of materialising the whole list —
-#: ``manifest.json`` keeps only the spec and the totals.  v1 corpora
-#: (inline shard list) still load.
-CORPUS_SCHEMA_VERSION = 2
+#: v3: ``manifest.json`` lists every shard as ``{programs, sha256}`` by
+#: position and shard file names derive from ``(index, sha256)``; v2's
+#: sidecar file of shard lines is gone, and no older layout loads.
+CORPUS_SCHEMA_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 
-#: v2 sidecar holding one shard-info JSON object per line.
-SHARDS_NAME = "shards.jsonl"
+
+class CorpusError(ValueError):
+    """A corpus on disk that does not match its manifest: a missing,
+    unreadable or changed shard, or a manifest that is not one."""
+
+
+def shard_file(index: int, sha256: str) -> str:
+    """The file name of shard *index* whose payload hashes to *sha256*."""
+    return "shard-{:04d}-{}.json".format(index, sha256[:12])
 
 
 # ----------------------------------------------------------------------
@@ -141,23 +146,17 @@ class ShardInfo:
     """One shard as the manifest records it."""
 
     index: int
-    file: str
     programs: int
     sha256: str
 
-    def to_json(self) -> dict:
-        return asdict(self)
+    @property
+    def file(self) -> str:
+        return shard_file(self.index, self.sha256)
 
 
 @dataclass(frozen=True)
 class CorpusManifest:
-    """A fully materialised manifest (spec plus every shard info).
-
-    Batch drivers that must scale to >100k-program corpora should not
-    build one of these — they stream :func:`iter_shards` against a
-    :class:`CorpusHeader` instead.  This object remains the convenient
-    form for generation results, verification and tests.
-    """
+    """The spec plus every shard's info, as ``manifest.json`` holds them."""
 
     spec: CorpusSpec
     shards: Tuple[ShardInfo, ...]
@@ -167,32 +166,14 @@ class CorpusManifest:
         return sum(s.programs for s in self.shards)
 
     def to_json(self) -> dict:
-        """The v2 ``manifest.json`` payload (shard list lives in the
-        ``shards.jsonl`` sidecar, not here)."""
+        """The ``manifest.json`` payload."""
         return {
             "schema": CORPUS_SCHEMA_VERSION,
             "kind": "corpus_manifest",
             "spec": self.spec.to_json(),
-            "programs": self.n_programs,
-            "n_shards": len(self.shards),
-            "shards_file": SHARDS_NAME,
+            "shards": [{"programs": s.programs, "sha256": s.sha256}
+                       for s in self.shards],
         }
-
-
-@dataclass(frozen=True)
-class CorpusHeader:
-    """The constant-size part of a corpus: what streaming consumers load.
-
-    ``shards_file`` is ``None`` for a v1 corpus, whose shard list is
-    inline in ``manifest.json`` (:func:`iter_shards` handles both).
-    """
-
-    schema: int
-    spec: CorpusSpec
-    programs: int
-    n_shards: int
-    shards_file: Optional[str]
-    inline_shards: Optional[Tuple[ShardInfo, ...]] = None
 
 
 def _payload_hash(programs: List[dict]) -> str:
@@ -211,8 +192,8 @@ def generate_corpus(
 ) -> CorpusManifest:
     """Render the corpus *spec* describes into ``out_dir``.
 
-    Writes one ``shard-NNNN-<hash12>.json`` per :attr:`CorpusSpec.
-    shard_size` programs plus ``manifest.json``; returns the manifest.
+    Writes one :func:`shard_file` per :attr:`CorpusSpec.shard_size`
+    programs plus ``manifest.json``; returns the manifest.
     ``progress`` (if given) is called with ``(shards_done, n_shards)``.
     """
     out_dir = Path(out_dir)
@@ -220,8 +201,7 @@ def generate_corpus(
     config = spec.gen_config()
     shards: List[ShardInfo] = []
     n_shards = spec.n_shards()
-    with obs.span("corpus.gen", count=spec.count, shards=n_shards), \
-            open(out_dir / SHARDS_NAME, "w") as shards_file:
+    with obs.span("corpus.gen", count=spec.count, shards=n_shards):
         for shard_index in range(n_shards):
             lo = shard_index * spec.shard_size
             hi = min(lo + spec.shard_size, spec.count)
@@ -236,25 +216,15 @@ def generate_corpus(
                     "sha256": hashlib.sha256(source.encode()).hexdigest(),
                     "source": source,
                 })
-            digest = _payload_hash(programs)
-            file_name = "shard-{:04d}-{}.json".format(shard_index, digest[:12])
+            info = ShardInfo(index=shard_index, programs=len(programs),
+                             sha256=_payload_hash(programs))
             shard_obj = {
                 "schema": CORPUS_SCHEMA_VERSION,
                 "kind": "corpus_shard",
-                "index": shard_index,
-                "sha256": digest,
                 "programs": programs,
             }
-            (out_dir / file_name).write_text(
+            (out_dir / info.file).write_text(
                 json.dumps(shard_obj, sort_keys=True) + "\n")
-            info = ShardInfo(
-                index=shard_index, file=file_name,
-                programs=len(programs), sha256=digest,
-            )
-            # One line per shard, written as it completes: the sidecar
-            # is itself a stream, so generation memory stays flat too
-            # (`shards` is only accumulated for the return value).
-            shards_file.write(json.dumps(info.to_json(), sort_keys=True) + "\n")
             shards.append(info)
             if progress is not None:
                 progress(shard_index + 1, n_shards)
@@ -269,129 +239,93 @@ def generate_corpus(
 # Loading and verification
 
 
-def load_manifest_header(corpus_dir: Path) -> CorpusHeader:
-    """The constant-size manifest header — never the shard list.
-
-    Accepts v1 (inline shard list, carried along for
-    :func:`iter_shards`) and v2 (``shards.jsonl`` sidecar) corpora.
-    """
-    path = Path(corpus_dir) / MANIFEST_NAME
+def _read_json(path: Path) -> object:
+    """*path* decoded, or :class:`CorpusError` when missing or not JSON."""
     try:
-        obj = json.loads(path.read_text())
+        return json.loads(path.read_text())
+    except OSError as err:
+        raise CorpusError("{}: cannot read: {}".format(
+            path, err.strerror or err))
     except json.JSONDecodeError as err:
-        raise ValueError("{}: not JSON: {}".format(path, err))
-    if not isinstance(obj, dict) or obj.get("kind") != "corpus_manifest":
-        raise ValueError("{}: not a corpus manifest".format(path))
-    schema = obj.get("schema")
-    if schema not in (1, CORPUS_SCHEMA_VERSION):
-        raise ValueError("{}: unknown schema version {!r}".format(
-            path, schema))
-    spec = CorpusSpec.from_json(obj["spec"])
-    inline = None
-    shards_file = None
-    if schema == 1:
-        inline = tuple(
-            ShardInfo(index=s["index"], file=s["file"],
-                      programs=s["programs"], sha256=s["sha256"])
-            for s in obj["shards"]
-        )
-        n_shards = len(inline)
-        programs = sum(s.programs for s in inline)
-    else:
-        shards_file = obj.get("shards_file", SHARDS_NAME)
-        n_shards = int(obj["n_shards"])
-        programs = int(obj["programs"])
-    return CorpusHeader(
-        schema=schema, spec=spec, programs=programs, n_shards=n_shards,
-        shards_file=shards_file, inline_shards=inline,
-    )
+        raise CorpusError("{}: not JSON: {}".format(path, err))
 
 
-def iter_shards(corpus_dir: Path,
-                header: Optional[CorpusHeader] = None):
-    """Yield :class:`ShardInfo` one at a time, in index order.
-
-    v2 corpora stream ``shards.jsonl`` line by line — memory stays
-    constant no matter how many shards the corpus has; v1 corpora yield
-    from the manifest's inline list.  Index density is checked as the
-    stream advances, and the final count must match the header.
-    """
-    corpus_dir = Path(corpus_dir)
-    if header is None:
-        header = load_manifest_header(corpus_dir)
-    if header.inline_shards is not None:
-        expected = 0
-        for info in header.inline_shards:
-            if info.index != expected:
-                raise ValueError("{}: shard indices are not dense".format(
-                    corpus_dir / MANIFEST_NAME))
-            expected += 1
-            yield info
-    else:
-        sidecar = corpus_dir / header.shards_file
-        expected = 0
-        with open(sidecar) as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                info = ShardInfo(index=obj["index"], file=obj["file"],
-                                 programs=obj["programs"],
-                                 sha256=obj["sha256"])
-                if info.index != expected:
-                    raise ValueError(
-                        "{}: shard indices are not dense".format(sidecar))
-                expected += 1
-                yield info
-        if expected != header.n_shards:
-            raise ValueError(
-                "{}: {} shard lines but manifest says {}".format(
-                    sidecar, expected, header.n_shards))
+def _shard_info(path: Path, index: int, entry: object) -> ShardInfo:
+    """One manifest shard entry, checked field by field."""
+    programs = entry.get("programs") if isinstance(entry, dict) else None
+    sha256 = entry.get("sha256") if isinstance(entry, dict) else None
+    if not (isinstance(programs, int) and not isinstance(programs, bool)
+            and programs >= 0 and isinstance(sha256, str)
+            and len(sha256) == 64
+            and all(c in "0123456789abcdef" for c in sha256)):
+        raise CorpusError("{}: shard {} needs an int 'programs' and a "
+                          "64-hex 'sha256', got {!r}".format(
+                              path, index, entry))
+    return ShardInfo(index=index, programs=programs, sha256=sha256)
 
 
 def load_manifest(corpus_dir: Path) -> CorpusManifest:
-    """Parse and validate a corpus, materialising the full shard list.
+    """Parse and check ``manifest.json``; :class:`CorpusError` unless it
+    is a corpus manifest of :data:`CORPUS_SCHEMA_VERSION`."""
+    path = Path(corpus_dir) / MANIFEST_NAME
+    obj = _read_json(path)
+    if not isinstance(obj, dict) or obj.get("kind") != "corpus_manifest":
+        raise CorpusError("{}: not a corpus manifest".format(path))
+    if obj.get("schema") != CORPUS_SCHEMA_VERSION:
+        raise CorpusError("{}: unknown schema version {!r}".format(
+            path, obj.get("schema")))
+    spec, shards = obj.get("spec"), obj.get("shards")
+    if not isinstance(spec, dict) or not isinstance(shards, list):
+        raise CorpusError("{}: needs a 'spec' object and a 'shards' "
+                          "list".format(path))
+    try:
+        spec = CorpusSpec.from_json(spec)
+    except (TypeError, ValueError) as err:
+        raise CorpusError("{}: bad spec: {}".format(path, err))
+    return CorpusManifest(spec=spec, shards=tuple(
+        _shard_info(path, index, entry)
+        for index, entry in enumerate(shards)))
 
-    Convenience for verification, benchmarks and tests; the streaming
-    pair (:func:`load_manifest_header` + :func:`iter_shards`) is what
-    batch drivers use.
-    """
-    header = load_manifest_header(corpus_dir)
-    shards = tuple(iter_shards(corpus_dir, header))
-    return CorpusManifest(spec=header.spec, shards=shards)
+
+#: The name ``benchmarks/e2e/corpus_run.py`` loads the manifest by.
+load_manifest_header = load_manifest
+
+
+def iter_shards(corpus_dir: Path,
+                manifest: Optional[CorpusManifest] = None):
+    """The shards of *manifest* (default: the corpus's own), in index
+    order."""
+    if manifest is None:
+        manifest = load_manifest(corpus_dir)
+    return iter(manifest.shards)
 
 
 def load_shard(corpus_dir: Path, info: ShardInfo,
                verify: bool = True) -> List[dict]:
     """The program entries of one shard, hash-checked against the
-    manifest unless ``verify=False``."""
+    manifest unless ``verify=False``; :class:`CorpusError` when the
+    shard is missing, malformed or changed."""
     path = Path(corpus_dir) / info.file
-    obj = json.loads(path.read_text())
-    programs = obj.get("programs")
+    obj = _read_json(path)
+    programs = obj.get("programs") if isinstance(obj, dict) else None
     if not isinstance(programs, list):
-        raise ValueError("{}: malformed shard (no programs)".format(path))
+        raise CorpusError("{}: malformed shard (no programs)".format(path))
     if verify:
         digest = _payload_hash(programs)
-        if digest != info.sha256 or digest != obj.get("sha256"):
-            raise ValueError(
+        if digest != info.sha256 or len(programs) != info.programs:
+            raise CorpusError(
                 "{}: content hash mismatch (manifest {}, got {})".format(
                     path, info.sha256[:12], digest[:12]))
     return programs
 
 
 def verify_corpus(corpus_dir: Path) -> CorpusManifest:
-    """Hash-check every shard against the manifest; returns it when ok.
-
-    Shard infos stream, so verification holds one shard in memory at a
-    time (the returned manifest still carries the full info list —
-    infos are four small fields per shard, not shard payloads).
-    """
-    header = load_manifest_header(corpus_dir)
-    shards: List[ShardInfo] = []
-    for info in iter_shards(corpus_dir, header):
+    """Hash-check every shard against the manifest; returns it when ok
+    and raises :class:`CorpusError` at the first mismatch."""
+    manifest = load_manifest(corpus_dir)
+    for info in manifest.shards:
         load_shard(corpus_dir, info, verify=True)
-        shards.append(info)
-    return CorpusManifest(spec=header.spec, shards=tuple(shards))
+    return manifest
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +520,7 @@ def _process_shard(task: Tuple) -> ShardOutcome:
     scope = obs.trace_scope(ctx.trace_id, collect=True,
                             remote_parent=(ctx.proc, ctx.span_id))
     with scope:
-        with obs.span("corpus.shard.worker", shard=task[0]["index"],
+        with obs.span("corpus.shard.worker", shard=task[0].index,
                       attempt=task[2] if len(task) > 2 else 0):
             outcome = _process_shard_inner(task)
     store_dir = os.environ.get(tracing.TRACE_STORE_ENV)
@@ -604,23 +538,22 @@ def _process_shard(task: Tuple) -> ShardOutcome:
 
 def _process_shard_inner(task: Tuple) -> ShardOutcome:
     if len(task) == 2:
-        info_obj, options = task
+        info, options = task
         attempt = 0
     else:
-        info_obj, options, attempt = task
-    outcome = ShardOutcome(index=info_obj["index"], file=info_obj["file"])
+        info, options, attempt = task
+    outcome = ShardOutcome(index=info.index, file=info.file)
     started = time.perf_counter()
     if not options.in_process:
         metrics.registry().reset()
     # Forked workers inherit the armed chaos plan.  The kill point is
     # gated off the in-process path — os._exit there would take the
     # driver down, which is the one thing chaos must never do.
-    chaos.fire("corpus.shard_hang", shard=info_obj["index"], attempt=attempt)
+    chaos.fire("corpus.shard_hang", shard=info.index, attempt=attempt)
     if not options.in_process:
-        chaos.fire("corpus.worker_kill", shard=info_obj["index"],
+        chaos.fire("corpus.worker_kill", shard=info.index,
                    attempt=attempt)
     try:
-        info = ShardInfo(**info_obj)
         programs = load_shard(Path(options.corpus_dir), info, verify=True)
         for entry in programs:
             outcome.programs += 1
@@ -643,7 +576,7 @@ def _process_shard_inner(task: Tuple) -> ShardOutcome:
     except Exception as exc:  # per-shard bulkhead
         outcome.failures.append({
             "seed": None,
-            "name": info_obj["file"],
+            "name": info.file,
             "phase": "shard",
             "error": type(exc).__name__,
             "message": str(exc),
@@ -690,8 +623,7 @@ def _run_sharded_pool(
     ``imap_unordered`` cannot survive a worker death: a killed worker's
     task simply never produces a result and the iterator blocks
     forever.  This scheduler submits via ``apply_async`` in a bounded
-    window (``jobs * 2`` in flight, preserving the streaming-laziness
-    of the task generator) and polls each pending handle itself, so
+    window (``jobs * 2`` in flight) and polls each pending handle itself, so
     *hang* and *death* collapse into one observable — the handle is not
     ready within ``shard_timeout_seconds``.  Timed-out shards are
     resubmitted up to ``max_shard_retries`` times (a transient kill
@@ -710,12 +642,12 @@ def _run_sharded_pool(
     exhausted = False
     with multiprocessing.Pool(processes=jobs) as pool:
 
-        def submit(info_obj: dict, options: _RunOptions,
+        def submit(info: ShardInfo, options: _RunOptions,
                    attempt: int) -> None:
             pending.append({
                 "handle": pool.apply_async(
-                    _process_shard, ((info_obj, options, attempt),)),
-                "info": info_obj,
+                    _process_shard, ((info, options, attempt),)),
+                "info": info,
                 "options": options,
                 "attempt": attempt,
                 "started": time.monotonic(),
@@ -724,11 +656,11 @@ def _run_sharded_pool(
         while pending or not exhausted:
             while not exhausted and len(pending) < window:
                 try:
-                    info_obj, options, attempt = next(tasks_iter)
+                    info, options, attempt = next(tasks_iter)
                 except StopIteration:
                     exhausted = True
                     break
-                submit(info_obj, options, attempt)
+                submit(info, options, attempt)
             if not pending:
                 continue
             progressed = False
@@ -749,8 +681,8 @@ def _run_sharded_pool(
                     else:
                         registry.counter("corpus.shard.quarantined").inc()
                         quarantined.append({
-                            "index": entry["info"]["index"],
-                            "file": entry["info"]["file"],
+                            "index": entry["info"].index,
+                            "file": entry["info"].file,
                             "attempts": entry["attempt"] + 1,
                             "reason": "shard exceeded {}s timeout on every "
                                       "attempt (hung or killed worker)"
@@ -783,18 +715,15 @@ def run_corpus(
     ``report.quarantined``."""
     from repro.analysis.openworld import ANALYSIS_NAMES
 
-    from itertools import islice
-
     corpus_dir = Path(corpus_dir)
-    header = load_manifest_header(corpus_dir)
+    manifest = load_manifest(corpus_dir)
     if jobs is None:
         jobs = default_jobs()
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     analyses = tuple(analyses) if analyses else tuple(ANALYSIS_NAMES)
-    n_shards = header.n_shards
-    if max_shards is not None:
-        n_shards = min(n_shards, max_shards)
+    shards = manifest.shards[:max_shards]
+    n_shards = len(shards)
     options = _RunOptions(
         corpus_dir=str(corpus_dir),
         analyses=analyses,
@@ -803,13 +732,9 @@ def run_corpus(
         per_program_seconds=per_program_seconds,
         max_steps=max_steps,
         in_process=(jobs == 1),
-        spec=header.spec.to_json(),
+        spec=manifest.spec.to_json(),
     )
-    # Shard infos stream off disk one line at a time; the task iterator
-    # is consumed lazily by the scheduler's submission window, so the
-    # driver's footprint stays constant even for >100k-program corpora.
-    tasks = ((info.to_json(), options, 0)
-             for info in islice(iter_shards(corpus_dir, header), n_shards))
+    tasks = ((info, options, 0) for info in shards)
     report = CorpusRunReport(
         corpus_dir=str(corpus_dir), engine=engine, jobs=jobs,
         analyses=analyses)

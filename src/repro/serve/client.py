@@ -478,27 +478,30 @@ def run_smoke(source: str, cache_dir: str) -> dict:
 def run_obs_smoke(source: str, cache_dir: str) -> dict:
     """The ``make obs-smoke`` battery: live observability end to end.
 
-    Boots an in-process daemon with an access log and ``slow_ms=0`` (so
-    every request logs), fires traced + debug queries over HTTP, then
+    Boots an in-process daemon with head sampling off and a 0 ms SLO
+    (so every request breaches, and the tail rule alone writes each one
+    to the trace store), fires traced + debug queries over HTTP, then
     checks the whole observability surface: the client-chosen trace id
     comes back in the response, on every collected span, in
-    ``/v1/requests`` and in the access-log JSONL (every line read back
-    through the shared JSONL reader); every ``/v1/metrics`` line reads
-    back through the one exposition parser and the body carries the
-    quantile gauges + SLO counters; and ``repro top --once`` renders a
-    frame from the live daemon in a subprocess.
+    ``/v1/requests`` and in the trace store, which holds one record per
+    journalled request with its ``cache`` note; every ``/v1/metrics``
+    line reads back through the one exposition parser and the body
+    carries the quantile gauges + SLO counters; and ``repro top
+    --once`` renders a frame from the live daemon in a subprocess.
     """
     from pathlib import Path
 
-    from repro.obs import jsonl, promtext
+    from repro.obs import promtext
+    from repro.obs.sampler import HeadSampler
+    from repro.obs.tracestore import TraceStore
     from repro.serve.daemon import Daemon
     from repro.serve.factcache import FactStore
     from repro.serve.session import SessionManager
 
-    access_log = str(Path(cache_dir) / "access.jsonl")
+    trace_store = TraceStore(Path(cache_dir) / "traces")
     manager = SessionManager(store=FactStore(Path(cache_dir) / "facts"))
-    daemon = Daemon(manager, slo_ms=5000.0, slow_ms=0.0,
-                    access_log_path=access_log)
+    daemon = Daemon(manager, slo_ms=0.0, sampler=HeadSampler(0.0),
+                    trace_store=trace_store)
     port = daemon.start_http()
     trace_id = "obs-smoke-trace"
     try:
@@ -534,7 +537,7 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
         for needle in ("repro_serve_request_ms_p50",
                        "repro_serve_request_ms_p95",
                        "repro_serve_request_ms_p99",
-                       "repro_serve_slo_ok",
+                       "repro_serve_slo_breach",
                        "repro_serve_slo_burn_rate_5m",
                        "repro_serve_slo_burn_rate_1h"):
             if needle not in metrics_body:
@@ -578,17 +581,24 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
     finally:
         daemon.stop_http()
 
-    logged = jsonl.read(access_log, jsonl.ACCESS_LOG)
-    if logged.invalid or logged.torn:
-        raise AssertionError("access log has invalid or torn lines: {}"
-                             .format(logged.invalid[:3]))
-    if not logged.records:
-        raise AssertionError("access log is empty")
-    logged_traces = [obj["trace"] for obj in logged.records]
-    if trace_id not in logged_traces:
+    # Every journalled request is in the trace store, with its cache
+    # outcome as a note; only the debug request collected spans.
+    stored = {record["trace"]: record for record in trace_store.records()}
+    journalled = daemon.journal.recent()
+    missing = [r.trace_id for r in journalled if r.trace_id not in stored]
+    if missing:
         raise AssertionError(
-            "access log has no line for trace {} (saw {})".format(
-                trace_id, logged_traces))
+            "trace store is missing journalled requests: {}".format(
+                missing[:3]))
+    for record in journalled:
+        notes = stored[record.trace_id]["notes"]
+        if record.cache is not None and notes.get("cache") != record.cache:
+            raise AssertionError(
+                "trace {} stored cache note {!r}, journal says {!r}".format(
+                    record.trace_id, notes.get("cache"), record.cache))
+    if not stored[trace_id]["spans"]:
+        raise AssertionError("the debug request's stored record has no "
+                             "spans")
 
     return {
         "ok": True,
@@ -596,7 +606,7 @@ def run_obs_smoke(source: str, cache_dir: str) -> dict:
         "spans_collected": len(spans),
         "metrics_bytes": len(metrics_body),
         "journal_total": journal["total"],
-        "access_log_lines": len(logged.records),
+        "trace_records": len(stored),
         "top_rendered": True,
     }
 

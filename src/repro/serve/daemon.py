@@ -30,11 +30,16 @@ request bumps ``serve.request.total`` (and ``.errors`` on failure),
 lands its wall time in the ``serve.request.ms`` latency histogram and
 the SLO counters (``serve.slo.ok``/``.breach`` against ``--slo-ms``),
 and is journalled into the one bounded request ring
-(:class:`~repro.obs.reqlog.RequestJournal`); requests slower than
-``--slow-ms`` are sampled into a JSONL access log.  Reading
-``/v1/metrics`` or the ``stats`` op publishes what the ring implies:
-the windowed burn rates and the per-op
-``serve.request.ms.p50/p95/p99`` gauges.
+(:class:`~repro.obs.reqlog.RequestJournal`).  Reading ``/v1/metrics``
+or the ``stats`` op publishes what the ring implies: the windowed burn
+rates and the per-op ``serve.request.ms.p50/p95/p99`` gauges.
+
+The trace store (``--trace-store``) is the one on-disk record of
+requests.  A request lands there when the head sampler picked it, and
+also — the tail rule — whenever it breached ``--slo-ms``: an unsampled
+slow request is written without spans (none were collected), with its
+``cache`` outcome and any error kind as notes, so ``repro trace ls``
+finds every slow request.
 
 Failures are answers, not crashes: protocol errors, compile errors and
 analysis errors each map to a typed error response and the daemon keeps
@@ -56,12 +61,7 @@ from repro import CompileError, __version__
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
 from repro.obs import metrics, promtext
-from repro.obs.reqlog import (
-    DEFAULT_SLO_MS,
-    AccessLog,
-    RequestJournal,
-    RequestRecord,
-)
+from repro.obs.reqlog import DEFAULT_SLO_MS, RequestJournal, RequestRecord
 from repro.obs.reqlog import now as wall_now
 from repro.obs.sampler import DEFAULT_SAMPLE_RATE, HeadSampler
 from repro.obs.tracestore import TraceStore, make_record, mint_trace_id
@@ -79,8 +79,7 @@ LATENCY_BUCKETS_MS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0,
 DRAIN_TIMEOUT = 30.0
 
 #: ``# HELP`` text served on ``/v1/metrics`` for the headline series
-#: (promtext emits HELP only when asked, so batch ``BENCH_obs.prom``
-#: output is unchanged).
+#: (promtext emits HELP only when asked).
 METRIC_HELP = {
     "serve.request.total": "Requests received, by op.",
     "serve.request.errors": "Requests answered with a typed error, by op.",
@@ -117,9 +116,6 @@ class Daemon:
     def __init__(self, manager: SessionManager,
                  deadline_seconds: Optional[float] = None,
                  slo_ms: float = DEFAULT_SLO_MS,
-                 slow_ms: Optional[float] = None,
-                 access_log_path: Optional[str] = None,
-                 access_log_sample: int = 1,
                  sampler: Optional[HeadSampler] = None,
                  trace_store: Optional[TraceStore] = None):
         self.manager = manager
@@ -131,8 +127,8 @@ class Daemon:
         #: (and the bench gate honest about its cost) out of the box.
         self.sampler = sampler if sampler is not None \
             else HeadSampler(DEFAULT_SAMPLE_RATE)
-        #: Sampled traces flush here; ``None`` samples without storing
-        #: (the coin still decides span collection, nothing persists).
+        #: Sampled traces and SLO breaches flush here; ``None`` stores
+        #: nothing (the coin still decides span collection).
         self.trace_store = trace_store
         self.shutdown_event = threading.Event()
         #: Draining daemons answer ping/stats/shutdown but reject new
@@ -141,13 +137,6 @@ class Daemon:
         #: The one ring of finished requests: ``GET /v1/requests``, the
         #: burn rates and the per-op quantile gauges all read it.
         self.journal = RequestJournal(slo_ms=slo_ms)
-        #: Sampled JSONL log of slow requests; None when not configured.
-        self.access_log: Optional[AccessLog] = None
-        if access_log_path is not None:
-            self.access_log = AccessLog(
-                access_log_path,
-                slow_ms if slow_ms is not None else slo_ms,
-                sample=access_log_sample)
         self._inflight = 0
         self._inflight_cond = threading.Condition()
         self._http_server: Optional[_HttpServer] = None
@@ -235,15 +224,18 @@ class Daemon:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         registry.histogram("serve.request.ms", buckets=LATENCY_BUCKETS_MS,
                            op=request.op).observe(elapsed_ms)
-        slo = "serve.slo.ok" if elapsed_ms <= self.slo_ms \
-            else "serve.slo.breach"
-        registry.counter(slo, op=request.op).inc()
+        breached = elapsed_ms > self.slo_ms
+        registry.counter("serve.slo.breach" if breached else "serve.slo.ok",
+                         op=request.op).inc()
         if request.debug:
             response["spans"] = scope.tree()
-        if sampled and self.trace_store is not None:
+        ok = bool(response.get("ok"))
+        if not ok:
+            scope.notes["error"] = response["error"]["kind"]
+        if (sampled or breached) and self.trace_store is not None:
             self.trace_store.append(make_record(
                 scope, origin="daemon", op=request.op, ms=elapsed_ms,
-                ok=bool(response.get("ok")), unit=request.name))
+                ok=ok, unit=request.name))
         self._journal(request, trace_id, elapsed_ms, response,
                       cache=scope.notes.get("cache"))
         return response
@@ -259,7 +251,7 @@ class Daemon:
     def _journal(self, request: protocol.Request, trace_id: str,
                  elapsed_ms: float, response: dict,
                  cache: Optional[str]) -> None:
-        """Ring-journal one finished request; tee slow ones to the log."""
+        """Ring-journal one finished request."""
         ok = bool(response.get("ok"))
         error = response.get("error") or {}
         record = RequestRecord(
@@ -273,8 +265,6 @@ class Daemon:
             ts=wall_now(),
         )
         self.journal.record(record)
-        if self.access_log is not None:
-            self.access_log.maybe_log(record)
 
     def metrics_text(self) -> str:
         """The live registry as Prometheus exposition (``/v1/metrics``),

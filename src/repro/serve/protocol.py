@@ -12,7 +12,9 @@ Request fields:
 * ``id`` — client-chosen correlation value, echoed verbatim;
 * ``source`` — MiniM3 module text (ops that analyse a program);
 * ``name`` — unit name for diagnostics (defaults to the module name);
-* ``analysis`` — one analysis name (``alias``); ``tables`` covers all;
+* ``analysis`` — one analysis name (``alias``, ``limit``): one of the
+  analyses :class:`~repro.analysis.openworld.AnalysisContext` builds;
+  ``tables`` covers all;
 * ``open_world`` — bool, Section 4 variants (default closed world);
 * ``worlds`` — ``tables`` only: ``"closed"``, ``"open"`` or ``"both"``;
   overrides ``open_world`` and ``"both"`` serves all six configurations
@@ -50,6 +52,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from repro.analysis.openworld import ANALYSIS_NAMES, EXTRA_ANALYSIS_NAMES
+
 #: Bumped whenever the wire format changes incompatibly.
 PROTOCOL_VERSION = 1
 
@@ -61,6 +65,9 @@ SOURCE_OPS = ("alias", "tables", "limit", "facts")
 
 #: Valid values of the ``worlds`` field (``tables``).
 WORLDS = ("closed", "open", "both")
+
+#: Valid values of the ``analysis`` field.
+ANALYSES = ANALYSIS_NAMES + EXTRA_ANALYSIS_NAMES
 
 
 class ProtocolError(ValueError):
@@ -114,6 +121,10 @@ class Request:
         analysis = obj.get("analysis")
         if analysis is not None and not isinstance(analysis, str):
             raise ProtocolError("'analysis' must be a string")
+        if analysis is not None and analysis not in ANALYSES:
+            raise ProtocolError(
+                "unknown analysis {!r}; expected one of {}".format(
+                    analysis, ANALYSES))
         open_world = obj.get("open_world", False)
         if not isinstance(open_world, bool):
             raise ProtocolError("'open_world' must be a boolean")

@@ -5,8 +5,6 @@ across the front end, the analyses, and the runtime:
 
 * :class:`~repro.util.unionfind.UnionFind` — the disjoint-set structure that
   backs SMTypeRefs' selective type merging (Figure 2 of the paper).
-* :class:`~repro.util.ordered_set.OrderedSet` — insertion-ordered set used
-  wherever deterministic iteration order matters for reproducible output.
 * :mod:`~repro.util.tables` — plain-text table rendering for the benchmark
   harness (the paper's tables are regenerated as aligned text tables).
 * :mod:`~repro.util.bits` — popcount / bit-iteration primitives over the
@@ -16,9 +14,7 @@ across the front end, the analyses, and the runtime:
 """
 
 from repro.util.unionfind import UnionFind
-from repro.util.ordered_set import OrderedSet
-from repro.util.tables import render_table, format_ratio
+from repro.util.tables import render_table
 from repro.util.bits import popcount, iter_bits
 
-__all__ = ["UnionFind", "OrderedSet", "render_table", "format_ratio",
-           "popcount", "iter_bits"]
+__all__ = ["UnionFind", "render_table", "popcount", "iter_bits"]

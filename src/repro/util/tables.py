@@ -55,8 +55,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return "{:.2f}".format(value)
     return str(value)
-
-
-def format_ratio(value: float, digits: int = 1) -> str:
-    """Format a ratio as a percentage string, e.g. ``0.042 -> '4.2%'``."""
-    return "{:.{d}f}%".format(value * 100.0, d=digits)

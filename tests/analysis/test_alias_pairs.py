@@ -120,6 +120,34 @@ def test_cache_stats_and_clear():
     assert analysis.cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
 
+def test_cache_clear_never_lowers_a_registry_counter():
+    from repro.obs import metrics
+
+    checked, program = build()
+    analysis = make_analysis(checked, "FieldTypeDecl")
+    AliasPairCounter(program, analysis, engine="reference").count()
+    refs = [ap for aps in collect_heap_references(program).values() for ap in aps]
+    analysis.may_alias(refs[0], refs[1])  # one cache hit
+    registry = metrics.registry()
+
+    def counters():
+        return {(e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+                for e in registry.snapshot() if e["kind"] == "counter"}
+
+    before = counters()
+    analysis.cache_clear()
+    after = counters()
+    assert analysis.cache_stats() == {"hits": 0, "misses": 0, "size": 0}
+    assert [key for key, value in before.items() if after[key] < value] == []
+    # The shared totals keep counting after the clear.
+    hits = registry.counter("alias.cache.hits", analysis="FieldTypeDecl")
+    total = hits.value
+    analysis.may_alias(refs[0], refs[1])  # a miss again: the cache is empty
+    analysis.may_alias(refs[0], refs[1])
+    assert hits.value == total + 1
+    assert analysis.cache_stats()["hits"] == 1
+
+
 def test_engines_agree_and_fast_queries_less():
     checked, program = build()
     reference = make_analysis(checked, "FieldTypeDecl")

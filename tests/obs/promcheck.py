@@ -1,7 +1,7 @@
 """The Prometheus exposition invariants, asserted on any text.
 
 Every test of a real exposition — the live ``/v1/metrics`` body, a
-rendered registry, the committed ``BENCH_obs.prom`` — runs it through
+rendered registry — runs it through
 :func:`assert_valid_exposition`, which reads the text with the one
 parser (:func:`repro.obs.promtext.parse`) and asserts what a scraper
 relies on beyond line grammar.

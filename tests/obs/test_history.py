@@ -108,7 +108,7 @@ def test_collect_record_layout(recorded):
 def test_collect_record_merges_extra_phases(recorded):
     recorder, registry = recorded
     record = collect_record(
-        "bench-quick", recorder=recorder, registry=registry,
+        "gate", recorder=recorder, registry=registry,
         extra_phases={"m3cg": {"quick.query.TypeDecl": 0.5},
                       SUITE_BUCKET: {"quick.table5": 0.25}})
     assert record["phases"]["m3cg"]["quick.query.TypeDecl"] == 0.5
@@ -290,3 +290,40 @@ def test_history_cli_ok_and_invalid(recorded, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "ok (1 records" in captured.out
     assert captured.err.count("INVALID") == 2
+
+
+#: ``counter_values()`` of a fresh ``repro tables table5`` run: the
+#: alias-cache totals, the fast engine's counts and the SMTypeRefs
+#: build counts (zero-valued series left out).
+TABLE5_COUNTERS = {
+    "alias.cache.hits{analysis=AlwaysAlias}": 3508,
+    "alias.cache.misses{analysis=AlwaysAlias}": 1378,
+    "alias.cache.misses{analysis=FieldTypeDecl}": 123,
+    "alias.cache.misses{analysis=SMFieldTypeRefs}": 123,
+    "alias.cache.misses{analysis=TypeDecl}": 93,
+    "aliaspairs.fast.classes{analysis=FieldTypeDecl}": 189,
+    "aliaspairs.fast.classes{analysis=SMFieldTypeRefs}": 189,
+    "aliaspairs.fast.classes{analysis=TypeDecl}": 46,
+    "aliaspairs.fast.distinct_paths{analysis=FieldTypeDecl}": 492,
+    "aliaspairs.fast.distinct_paths{analysis=SMFieldTypeRefs}": 492,
+    "aliaspairs.fast.distinct_paths{analysis=TypeDecl}": 492,
+    "aliaspairs.fast.references{analysis=FieldTypeDecl}": 514,
+    "aliaspairs.fast.references{analysis=SMFieldTypeRefs}": 514,
+    "aliaspairs.fast.references{analysis=TypeDecl}": 514,
+    "smtyperefs.assignments.merging{world=closed}": 104,
+    "smtyperefs.groups{world=closed}": 5,
+    "smtyperefs.pointer_types{world=closed}": 9,
+    "smtyperefs.typerefs.pruned_refs{world=closed}": 120,
+    "smtyperefs.unionfind.finds{world=closed}": 392,
+    "smtyperefs.unionfind.merges{world=closed}": 31,
+}
+
+
+def test_table5_run_records_the_pinned_counters(capsys):
+    from repro.cli import main
+
+    metrics.registry().reset()
+    assert main(["-q", "tables", "table5"]) == 0
+    capsys.readouterr()
+    values = {key: value for key, value in counter_values().items() if value}
+    assert values == TABLE5_COUNTERS

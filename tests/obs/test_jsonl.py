@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.obs import jsonl, metrics
-from repro.obs.jsonl import ACCESS_LOG, BENCH_RUN, KINDS, TRACE_RECORD
+from repro.obs.jsonl import BENCH_RUN, KINDS, TRACE_RECORD
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 
@@ -18,30 +18,40 @@ def fresh_registry():
     yield
 
 
-def access_line(trace="t-1"):
-    return {"kind": ACCESS_LOG, "schema": 1, "ts": 1.0, "trace": trace,
-            "op": "alias", "unit": None, "ms": 12.0, "ok": True,
-            "error": None, "cache": "hit", "slow": True}
+def trace_line(trace="t-1"):
+    """One unsampled, over-SLO request as the daemon stores it."""
+    return {"kind": TRACE_RECORD, "schema": 1, "trace": trace,
+            "proc": "cafe0123", "origin": "daemon", "op": "alias",
+            "unit": None, "ms": 12.0, "ok": True, "ts": 1.0,
+            "parent": None, "spans": [], "notes": {"cache": "hit"}}
 
 
 def test_every_kind_declares_a_schema():
-    assert set(KINDS) == {TRACE_RECORD, BENCH_RUN, ACCESS_LOG}
+    assert set(KINDS) == {TRACE_RECORD, BENCH_RUN}
     for kind in KINDS.values():
         assert kind.version == 1 and kind.keys and kind.counter
 
 
 def test_validate_dispatches_on_the_records_own_kind():
-    jsonl.validate(access_line())
+    jsonl.validate(trace_line())
     with pytest.raises(ValueError, match="unknown record kind"):
-        jsonl.validate(access_line(), BENCH_RUN)
+        jsonl.validate(trace_line(), BENCH_RUN)
     with pytest.raises(ValueError, match="unknown record kind"):
         jsonl.validate({"kind": "nope", "schema": 1})
+    with pytest.raises(ValueError, match="not an object"):
+        jsonl.validate([1, 2], TRACE_RECORD)
+    with pytest.raises(ValueError, match="missing key"):
+        jsonl.validate({"kind": TRACE_RECORD, "schema": 1}, TRACE_RECORD)
+    with pytest.raises(ValueError, match="trace"):
+        jsonl.validate(dict(trace_line(), trace=""))
+    with pytest.raises(ValueError, match="unknown schema"):
+        jsonl.validate(dict(trace_line(), schema=2))
 
 
 def test_append_refuses_an_invalid_record(tmp_path):
     path = tmp_path / "log.jsonl"
     with pytest.raises(ValueError):
-        jsonl.append(str(path), dict(access_line(), slow=False))
+        jsonl.append(str(path), dict(trace_line(), ok="yes"))
     assert not path.exists()
 
 
@@ -50,32 +60,32 @@ def test_torn_append_seam_matches_by_kind(tmp_path):
 
     path = str(tmp_path / "log.jsonl")
     plan = chaos.FaultPlan(rules=(
-        chaos.FaultRule("jsonl.append", match={"kind": TRACE_RECORD}),))
+        chaos.FaultRule("jsonl.append", match={"kind": BENCH_RUN}),))
     with chaos.armed(plan) as state:
-        jsonl.append(path, access_line())  # another kind: never torn
+        jsonl.append(path, trace_line())  # another kind: never torn
     assert state.injected() == {}
     plan = chaos.FaultPlan(rules=(
         chaos.FaultRule("jsonl.append", times=1,
-                        match={"kind": ACCESS_LOG}),))
+                        match={"kind": TRACE_RECORD}),))
     with chaos.armed(plan):
-        jsonl.append(path, access_line("torn"))
-        jsonl.append(path, access_line("whole"))
+        jsonl.append(path, trace_line("torn"))
+        jsonl.append(path, trace_line("whole"))
     registry = metrics.registry()
-    assert registry.counter("serve.accesslog.torn_writes").value == 1
-    result = jsonl.read(path, ACCESS_LOG)
+    assert registry.counter("obs.trace.torn_writes").value == 1
+    result = jsonl.read(path, TRACE_RECORD)
     assert [r["trace"] for r in result.records] == ["t-1", "whole"]
     assert (result.torn, result.invalid) == (1, [])
-    assert registry.counter("serve.accesslog.torn_skipped").value == 1
+    assert registry.counter("obs.trace.torn_skipped").value == 1
 
 
 def test_read_hands_invalid_records_back(tmp_path):
     path = tmp_path / "log.jsonl"
-    path.write_text(json.dumps(access_line()) + "\n\n"
-                    + json.dumps({"kind": ACCESS_LOG}) + "\n")
-    result = jsonl.read(str(path), ACCESS_LOG)
+    path.write_text(json.dumps(trace_line()) + "\n\n"
+                    + json.dumps({"kind": TRACE_RECORD}) + "\n")
+    result = jsonl.read(str(path), TRACE_RECORD)
     assert len(result.records) == 1
     ((lineno, obj, problem),) = result.invalid
-    assert lineno == 3 and obj == {"kind": ACCESS_LOG}
+    assert lineno == 3 and obj == {"kind": TRACE_RECORD}
     assert "schema" in problem
 
 

@@ -30,11 +30,9 @@ def test_shared_counter_is_get_or_create(registry):
     assert a is not c
 
 
-def test_child_counters_aggregate_in_snapshot(registry):
-    a = registry.new_counter("hits", analysis="TypeDecl")
-    b = registry.new_counter("hits", analysis="TypeDecl")
-    a.inc(3)
-    b.inc(4)
+def test_one_series_is_one_metric_in_snapshot(registry):
+    registry.counter("hits", analysis="TypeDecl").inc(3)
+    registry.counter("hits", analysis="TypeDecl").inc(4)
     (entry,) = registry.snapshot()
     assert entry["kind"] == "counter"
     assert entry["name"] == "hits"
@@ -71,7 +69,7 @@ def test_histogram_buckets_and_merge(registry):
 
 
 def test_registry_reset_zeroes_in_place(registry):
-    c = registry.new_counter("hits")
+    c = registry.counter("hits")
     c.inc(9)
     registry.reset()
     # Owners keep their reference; the object itself is zeroed.

@@ -1,7 +1,6 @@
 """Prometheus text-format export."""
 
 import math
-import os
 import random
 import sys
 import threading
@@ -9,8 +8,7 @@ import threading
 import pytest
 
 from repro.obs import metrics
-from repro.obs.promtext import (metric_name, parse, parse_value, render,
-                                write_prom)
+from repro.obs.promtext import metric_name, parse, parse_value, render
 
 from tests.obs.promcheck import assert_valid_exposition
 
@@ -54,15 +52,6 @@ def test_label_escaping():
 
 def test_empty_registry_renders_empty():
     assert render(metrics.MetricsRegistry()) == ""
-
-
-def test_write_prom_counts_lines(tmp_path):
-    registry = metrics.MetricsRegistry()
-    registry.counter("one").inc()
-    path = str(tmp_path / "obs.prom")
-    assert write_prom(path, registry) == 2  # TYPE header + sample
-    with open(path) as f:
-        assert f.read() == "# TYPE repro_one counter\nrepro_one 1\n"
 
 
 # ----------------------------------------------------------------------
@@ -172,9 +161,7 @@ def _random_registry(rng):
         name = ".".join(rng.choice(words)
                         for _ in range(rng.randint(1, 3)))
         kind = rng.choice(("counter", "gauge", "histogram"))
-        # Only counters have per-owner children (new_counter).
-        prefix = rng.choice(("", "new_"))
-        make = getattr(registry, prefix + kind if kind == "counter" else kind)
+        make = getattr(registry, kind)
         labels = {rng.choice(("op", "world", "le", "1st", "_x")):
                   rng.choice(AWKWARD_VALUES + ("alias", "open"))
                   for _ in range(rng.randint(0, 2))}
@@ -232,15 +219,6 @@ def test_render_keeps_count_equal_to_inf_bucket_under_concurrent_observes():
         for thread in threads:
             thread.join(10)
     assert not any(thread.is_alive() for thread in threads)
-
-
-def test_committed_bench_exposition_is_valid():
-    # BENCH_obs.prom is a scraper-facing artifact: its format is part of
-    # the repo's contract, so the committed copy must stay valid.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
-                        "BENCH_obs.prom")
-    with open(path) as handle:
-        assert_valid_exposition(handle.read())
 
 
 VALID = """\

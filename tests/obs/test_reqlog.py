@@ -1,15 +1,13 @@
-"""Request journal ring + sampled slow-request access log."""
+"""The request journal: a bounded in-memory ring of finished requests."""
 
 import json
 
 import pytest
 
+from repro.obs import core as obs
 from repro.obs import jsonl, metrics
-from repro.obs.jsonl import ACCESS_LOG, KINDS
-from repro.obs.reqlog import AccessLog, RequestJournal, RequestRecord
-
-#: Required keys of one access-log JSONL line.
-ACCESS_LOG_KEYS = ("kind", "schema") + KINDS[ACCESS_LOG].keys
+from repro.obs.reqlog import RequestJournal, RequestRecord
+from repro.obs.tracestore import make_record as make_trace_record
 
 
 @pytest.fixture(autouse=True)
@@ -25,13 +23,52 @@ def make_record(op="alias", trace="t-1", ms=1.5, ok=True, error=None,
                         ok=ok, error_kind=error, cache=cache, ts=ts)
 
 
-def test_record_json_schema_matches_access_log_keys(tmp_path):
+def test_record_json_carries_the_journal_fields():
+    assert make_record().to_json() == {
+        "op": "alias", "trace": "t-1", "unit": "smoke", "ms": 1.5,
+        "ok": True, "error": None, "cache": "hit", "ts": 1000.0}
+
+
+def access_line(record, **overrides):
+    """The line a slow request leaves on disk: the daemon's unsampled,
+    over-SLO trace record, carrying the journal's cache and error kind."""
+    scope = obs.trace_scope(record.trace_id)
+    with scope:
+        obs.trace_note("cache", record.cache)
+        if record.error_kind is not None:
+            obs.trace_note("error", record.error_kind)
+    line = make_trace_record(scope, origin="daemon", op=record.op,
+                             ms=record.ms, ok=record.ok, unit=record.unit)
+    line.update(overrides)
+    return line
+
+
+def test_validate_access_line_rejects_bad_lines(tmp_path):
+    record = make_record(ok=False, error="compile", cache="miss")
+    line = access_line(record)
+    jsonl.validate(line)
+    assert (line["trace"], line["op"], line["unit"], line["ms"],
+            line["ok"]) == (record.trace_id, record.op, record.unit,
+                            record.ms, record.ok)
+    assert line["notes"] == {"cache": "miss", "error": "compile"}
+    assert line["spans"] == []  # unsampled: no span tree was collected
+    with pytest.raises(ValueError, match="not an object"):
+        jsonl.validate([1, 2], jsonl.TRACE_RECORD)
+    with pytest.raises(ValueError, match="missing key"):
+        jsonl.validate({"kind": jsonl.TRACE_RECORD, "schema": 1},
+                       jsonl.TRACE_RECORD)
+    with pytest.raises(ValueError, match="trace"):
+        jsonl.validate(access_line(record, trace=""))
+    with pytest.raises(ValueError, match="ok"):
+        jsonl.validate(access_line(record, ok="no"))
+    # A torn line is skipped and counted; an invalid one is handed back.
     path = tmp_path / "access.jsonl"
-    assert AccessLog(str(path), slow_ms=0.0).maybe_log(make_record())
-    (obj,) = jsonl.read(str(path), ACCESS_LOG).records
-    assert set(obj) == set(ACCESS_LOG_KEYS)
-    assert set(make_record().to_json()) | {"slow", "kind", "schema"} == \
-        set(ACCESS_LOG_KEYS)
+    path.write_text("{torn\n" + json.dumps(access_line(record, ok="no"))
+                    + "\n" + json.dumps(line) + "\n")
+    result = jsonl.read(str(path), jsonl.TRACE_RECORD)
+    assert len(result.records) == 1 and result.torn == 1
+    assert [lineno for lineno, _obj, _err in result.invalid] == [2]
+    assert metrics.registry().counter("obs.trace.torn_skipped").value == 1
 
 
 def test_journal_is_a_bounded_newest_first_ring():
@@ -54,69 +91,3 @@ def test_journal_snapshot_payload():
     assert entry["ok"] is False
     assert entry["cache"] is None
     assert entry["trace"] == "t-1"
-
-
-def test_access_log_skips_fast_requests(tmp_path):
-    log = AccessLog(str(tmp_path / "access.jsonl"), slow_ms=10.0)
-    assert log.maybe_log(make_record(ms=9.99)) is False
-    assert not (tmp_path / "access.jsonl").exists()
-
-
-def test_access_log_writes_validated_slow_lines(tmp_path):
-    path = tmp_path / "access.jsonl"
-    log = AccessLog(str(path), slow_ms=10.0)
-    assert log.maybe_log(make_record(ms=25.0)) is True
-    result = jsonl.read(str(path), ACCESS_LOG)
-    assert (result.invalid, result.torn) == ([], 0)
-    (obj,) = result.records
-    assert obj["slow"] is True
-    assert obj["ms"] == 25.0
-    assert obj["trace"] == "t-1"
-    assert metrics.registry().counter("serve.accesslog.lines").value == 1
-
-
-def test_access_log_sampling_is_deterministic_every_nth(tmp_path):
-    path = tmp_path / "access.jsonl"
-    log = AccessLog(str(path), slow_ms=0.0, sample=3)
-    written = [log.maybe_log(make_record(trace="t-{}".format(i)))
-               for i in range(7)]
-    assert written == [True, False, False, True, False, False, True]
-    traces = [json.loads(line)["trace"]
-              for line in path.read_text().splitlines()]
-    assert traces == ["t-0", "t-3", "t-6"]
-    assert metrics.registry().counter(
-        "serve.accesslog.sampled_out").value == 4
-
-
-def test_access_log_write_failure_never_raises(tmp_path):
-    # Pointing the log at a directory makes every append an OSError.
-    log = AccessLog(str(tmp_path), slow_ms=0.0)
-    assert log.maybe_log(make_record()) is False
-    assert metrics.registry().counter("serve.accesslog.errors").value == 1
-
-
-def test_validate_access_line_rejects_bad_lines(tmp_path):
-    def line(**overrides):
-        obj = dict(make_record().to_json(), slow=True, kind=ACCESS_LOG,
-                   schema=1)
-        obj.update(overrides)
-        return obj
-
-    jsonl.validate(line(), ACCESS_LOG)
-    with pytest.raises(ValueError, match="not an object"):
-        jsonl.validate([1, 2], ACCESS_LOG)
-    with pytest.raises(ValueError, match="missing key"):
-        jsonl.validate({"kind": ACCESS_LOG, "schema": 1}, ACCESS_LOG)
-    with pytest.raises(ValueError, match="trace"):
-        jsonl.validate(line(trace=""), ACCESS_LOG)
-    with pytest.raises(ValueError, match="slow"):
-        jsonl.validate(line(slow=False), ACCESS_LOG)
-    # A torn line is skipped and counted; an invalid one is handed back.
-    path = tmp_path / "access.jsonl"
-    path.write_text("{torn\n" + json.dumps(line(slow=False)) + "\n"
-                    + json.dumps(line()) + "\n")
-    result = jsonl.read(str(path), ACCESS_LOG)
-    assert len(result.records) == 1 and result.torn == 1
-    assert [lineno for lineno, _obj, _err in result.invalid] == [2]
-    assert metrics.registry().counter(
-        "serve.accesslog.torn_skipped").value == 1

@@ -124,18 +124,15 @@ def test_oracles_catch_seed_drift(tmp_path):
     # Keep the content hashes consistent so only the seed lies.
     import hashlib
 
-    from repro.qa import corpus as corpus_mod
+    from repro.qa.corpus import MANIFEST_NAME, shard_file
 
     digest = hashlib.sha256(
         json.dumps(payload["programs"], sort_keys=True).encode()
     ).hexdigest()
-    shards_path = out / corpus_mod.SHARDS_NAME
-    lines = [json.loads(line) for line in shards_path.read_text().splitlines()]
-    lines[0]["sha256"] = digest
-    shards_path.write_text(
-        "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in lines))
-    payload["sha256"] = digest
-    shard_path.write_text(json.dumps(payload))
+    mdata = json.loads((out / MANIFEST_NAME).read_text())
+    mdata["shards"][0]["sha256"] = digest
+    (out / MANIFEST_NAME).write_text(json.dumps(mdata))
+    shard_path.rename(out / shard_file(0, digest))
 
     report = run_corpus(out, jobs=1, oracles=True, max_shards=1)
     assert not report.ok
@@ -145,60 +142,76 @@ def test_oracles_catch_seed_drift(tmp_path):
 
 
 def test_manifest_header_and_shard_stream(corpus_dir):
-    """v2 layout: constant-size header + one-line-per-shard sidecar."""
+    """One manifest lists every shard; file names derive from it."""
     from repro.qa.corpus import (
         CORPUS_SCHEMA_VERSION,
         MANIFEST_NAME,
-        SHARDS_NAME,
         iter_shards,
         load_manifest_header,
+        shard_file,
     )
 
     header = load_manifest_header(corpus_dir)
-    assert header.schema == CORPUS_SCHEMA_VERSION
-    assert header.programs == 12
-    assert header.n_shards == 3
-    assert header.shards_file == SHARDS_NAME
-    # The manifest itself no longer embeds the shard list...
+    assert header == load_manifest(corpus_dir)
+    assert header.n_programs == 12
     mdata = json.loads((corpus_dir / MANIFEST_NAME).read_text())
-    assert "shards" not in mdata
-    assert mdata["shards_file"] == SHARDS_NAME
-    # ...the sidecar streams it, one line per shard, in index order.
-    assert len((corpus_dir / SHARDS_NAME).read_text().splitlines()) == 3
-    stream = iter_shards(corpus_dir)
-    assert iter(stream) is stream  # a true generator, not a list
-    infos = list(stream)
+    assert mdata["schema"] == CORPUS_SCHEMA_VERSION == 3
+    assert set(mdata) == {"schema", "kind", "spec", "shards"}
+    assert mdata["shards"] == [{"programs": s.programs, "sha256": s.sha256}
+                               for s in header.shards]
+    infos = list(iter_shards(corpus_dir, header))
     assert [s.index for s in infos] == [0, 1, 2]
-    assert infos == list(load_manifest(corpus_dir).shards)
+    assert infos == list(iter_shards(corpus_dir))
+    # gen writes the manifest and the shard files, nothing else.
+    assert sorted(p.name for p in corpus_dir.iterdir()) == sorted(
+        [MANIFEST_NAME] + [shard_file(s.index, s.sha256) for s in infos])
 
 
-def test_v1_manifest_back_compat(tmp_path):
-    """A v1 corpus (inline shard list, no sidecar) still loads and runs."""
-    from repro.qa.corpus import MANIFEST_NAME, SHARDS_NAME, iter_shards
+def _damage(corpus_dir, how):
+    from repro.qa.corpus import MANIFEST_NAME
 
-    out = tmp_path / "v1"
+    manifest = load_manifest(corpus_dir)
+    shard = corpus_dir / manifest.shards[1].file
+    if how == "manifest-hash":
+        mdata = json.loads((corpus_dir / MANIFEST_NAME).read_text())
+        mdata["shards"][1]["sha256"] = "0" * 64
+        (corpus_dir / MANIFEST_NAME).write_text(json.dumps(mdata))
+    elif how == "missing":
+        shard.unlink()
+    else:
+        shard.rename(corpus_dir / ("x" + shard.name))
+
+
+@pytest.mark.parametrize("how", ["manifest-hash", "missing", "renamed"])
+def test_verify_fails_with_one_typed_error(tmp_path, capsys, how):
+    from repro.cli import main
+    from repro.qa.corpus import CorpusError
+
+    out = tmp_path / "damaged"
+    generate_corpus(SPEC, out)
+    _damage(out, how)
+    with pytest.raises(CorpusError, match="shard-0001"):
+        verify_corpus(out)
+    assert main(["corpus", "verify", str(out)]) == 1
+    errors = capsys.readouterr().err.strip().splitlines()
+    assert len(errors) == 1 and "shard-0001" in errors[0]
+
+
+def test_older_manifest_layouts_are_rejected(tmp_path):
+    from repro.qa.corpus import MANIFEST_NAME, CorpusError
+
+    out = tmp_path / "old"
     manifest = generate_corpus(SPEC, out)
     mdata = json.loads((out / MANIFEST_NAME).read_text())
-    mdata["schema"] = 1
-    del mdata["shards_file"]
-    mdata["shards"] = [s.to_json() for s in manifest.shards]
-    (out / MANIFEST_NAME).write_text(json.dumps(mdata))
-    (out / SHARDS_NAME).unlink()
-
-    assert [s.sha256 for s in iter_shards(out)] == \
-        [s.sha256 for s in manifest.shards]
-    assert verify_corpus(out).n_programs == 12
-    report = run_corpus(out, jobs=1, max_shards=1)
-    assert report.ok and report.programs == 5
-
-
-def test_shard_stream_rejects_sparse_indices(tmp_path):
-    from repro.qa.corpus import SHARDS_NAME, iter_shards
-
-    out = tmp_path / "sparse"
-    generate_corpus(SPEC, out)
-    path = out / SHARDS_NAME
-    lines = path.read_text().splitlines()
-    path.write_text(lines[0] + "\n" + lines[2] + "\n")
-    with pytest.raises(ValueError, match="dense"):
-        list(iter_shards(out))
+    v2 = dict(mdata, schema=2, n_shards=len(manifest.shards))
+    del v2["shards"]
+    for old in (dict(mdata, schema=1), v2):
+        (out / MANIFEST_NAME).write_text(json.dumps(old))
+        with pytest.raises(CorpusError, match="schema"):
+            verify_corpus(out)
+    for entry in ({"programs": 5}, {"programs": "5", "sha256": "a" * 64},
+                  {"programs": 5, "sha256": "A" * 64}, [5]):
+        (out / MANIFEST_NAME).write_text(json.dumps(
+            dict(mdata, shards=[entry])))
+        with pytest.raises(CorpusError, match="shard 0"):
+            verify_corpus(out)

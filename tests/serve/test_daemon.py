@@ -1,6 +1,8 @@
 """Daemon dispatch and transports: batches, errors, differential pinning."""
 
+import gc
 import json
+import math
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro import compile_program
 from repro.analysis import ANALYSIS_NAMES
 from repro.analysis.alias_pairs import AliasPairCounter
 from repro.obs import metrics
+from repro.obs.sampler import HeadSampler
 from repro.serve import protocol
 from repro.serve.client import SMOKE_SOURCE, HttpClient
 from repro.serve.daemon import Daemon
@@ -233,36 +236,51 @@ def test_stats_op_reports_damaged_partitions(tmp_path):
     assert counters["serve.factcache.hit"] == 0
 
 
-#: Series counted once per analysis build or count; their owners never
-#: read them back, so they share one child per series.
-_SHARED_SERIES = (
-    "aliaspairs.fast.references", "aliaspairs.fast.distinct_paths",
-    "aliaspairs.fast.classes", "smtyperefs.unionfind.finds",
-    "smtyperefs.unionfind.merges", "smtyperefs.typerefs.pruned_refs",
-    "smtyperefs.assignments.merging",
-)
-
-
-def _children(registry, name):
-    return sum(len(children)
-               for children in registry._series.get(name, {}).values())
+def _metric_objects():
+    """Metric objects alive in the process; the registry holds them all."""
+    gc.collect()
+    kinds = (metrics.Counter, metrics.Gauge, metrics.Histogram)
+    return sum(isinstance(obj, kinds) for obj in gc.get_objects())
 
 
 def test_served_edits_leave_shared_series_children_flat():
     registry = metrics.registry()
-    daemon = Daemon(SessionManager(store=None))
+    # Sampling off, an SLO no request breaches and room for every
+    # session: no series may first appear mid-test for other reasons.
+    daemon = Daemon(SessionManager(store=None, max_sessions=128),
+                    slo_ms=math.inf, sampler=HeadSampler(0.0))
 
-    def edit(value):
+    def serve(value):
         source = SMOKE_SOURCE.replace("buf^[0] := 1;",
                                       "buf^[0] := {};".format(value))
         response = daemon.handle_request(_request(
             op="tables", source=source, name="smoke", worlds="both"))
         assert response["ok"], response
 
-    edit(0)
-    before = {name: _children(registry, name) for name in _SHARED_SERIES}
-    assert all(before.values()), before  # every series was written
-    for value in range(1, 101):
-        edit(value)
-    assert {name: _children(registry, name)
-            for name in _SHARED_SERIES} == before
+    serve(0)
+    serve(1)  # the first edit
+    objects = _metric_objects()
+    series = len(registry.snapshot())
+    misses = registry.counter("alias.cache.misses", analysis="TypeDecl").value
+    for value in range(2, 102):
+        serve(value)
+    assert registry.counter(
+        "alias.cache.misses", analysis="TypeDecl").value > misses
+    assert (_metric_objects(), len(registry.snapshot())) == (objects, series)
+
+
+def test_unknown_analysis_is_a_protocol_error_at_ingest(daemon):
+    compiles = metrics.registry().counter("serve.session.compile")
+    before = compiles.value
+    for op in ("alias", "limit"):
+        line = json.dumps({"op": op, "id": op, "analysis": "Bogus",
+                           "source": SMOKE_SOURCE})
+        response = json.loads(daemon.handle_line(line))
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "protocol"
+        assert "Bogus" in response["error"]["message"]
+    assert compiles.value == before
+    # Every name AnalysisContext builds is accepted.
+    for name in protocol.ANALYSES:
+        assert _request(op="alias", source=SMOKE_SOURCE,
+                        analysis=name).analysis == name

@@ -1,11 +1,11 @@
 """End-to-end request tracing: propagation, debug span trees, journal,
-access log, /v1/metrics.
+the trace store's tail rule, /v1/metrics.
 
 The tentpole invariant: a trace id enters at the client, flows through
 the protocol into the daemon's request scope, tags every span recorded
 while the request runs (session, fact store, compile pipeline), and
 comes back out — in the response (ok *and* error), in the request
-journal, and in the slow-request access log.
+journal, and in the trace store for every request over the SLO.
 """
 
 import json
@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro.obs import core as obs
-from repro.obs import jsonl, metrics
+from repro.obs import metrics
 from repro.obs.profile import render_span_tree
 from repro.serve import protocol
 from repro.serve.client import SMOKE_SOURCE, HttpClient
@@ -32,8 +32,7 @@ def daemon(tmp_path):
     metrics.registry().reset()
     manager = SessionManager(store=FactStore(tmp_path / "store"),
                              differential=True)
-    daemon = Daemon(manager, slow_ms=0.0,
-                    access_log_path=str(tmp_path / "access.jsonl"))
+    daemon = Daemon(manager)
     port = daemon.start_http()
     yield daemon, port, tmp_path
     daemon.stop_http()
@@ -148,19 +147,32 @@ def test_debug_changes_no_served_answer(daemon):
 
 
 # ----------------------------------------------------------------------
-# Journal, access log, metrics endpoint
+# Journal, the trace store's tail rule, metrics endpoint
 
 
-def test_journal_and_access_log_carry_the_trace(daemon):
-    _, port, tmp_path = daemon
-    ok = _query(port, {"op": "alias", "source": SMOKE_SOURCE,
-                       "name": "smoke", "id": "j1", "trace_id": "tr-ok"})
-    assert ok["ok"]
-    bad = _query(port, {"op": "alias", "source": BAD_SOURCE,
-                        "name": "bad", "id": "j2", "trace_id": "tr-bad"})
-    assert bad["ok"] is False
+def test_journal_and_trace_store_carry_the_trace(tmp_path, capsys):
+    from repro.cli import main
+    from repro.obs.sampler import HeadSampler
+    from repro.obs.tracestore import TraceStore
 
-    snapshot = HttpClient(port).requests_snapshot()
+    metrics.registry().reset()
+    store = TraceStore(tmp_path / "traces")
+    # Sampling off and a 0 ms objective: every request breaches, so the
+    # tail rule alone puts each one in the store.
+    daemon = Daemon(SessionManager(store=FactStore(tmp_path / "facts")),
+                    slo_ms=0.0, sampler=HeadSampler(0.0), trace_store=store)
+    port = daemon.start_http()
+    try:
+        ok = _query(port, {"op": "alias", "source": SMOKE_SOURCE,
+                           "name": "smoke", "id": "j1", "trace_id": "tr-ok"})
+        assert ok["ok"]
+        bad = _query(port, {"op": "alias", "source": BAD_SOURCE,
+                            "name": "bad", "id": "j2", "trace_id": "tr-bad"})
+        assert bad["ok"] is False
+        snapshot = HttpClient(port).requests_snapshot()
+    finally:
+        daemon.stop_http()
+
     assert snapshot["total"] == 2
     by_trace = {r["trace"]: r for r in snapshot["requests"]}
     assert by_trace["tr-ok"]["ok"] is True
@@ -168,11 +180,45 @@ def test_journal_and_access_log_carry_the_trace(daemon):
     assert by_trace["tr-bad"]["ok"] is False
     assert by_trace["tr-bad"]["error"] == "compile"
 
-    # slow_ms=0 makes every request slow: both lines logged and valid.
-    logged = jsonl.read(str(tmp_path / "access.jsonl"), jsonl.ACCESS_LOG)
-    assert (logged.invalid, logged.torn) == ([], 0)
-    assert len(logged.records) == 2
-    assert {obj["trace"] for obj in logged.records} == {"tr-ok", "tr-bad"}
+    records = {r["trace"]: r for r in store.records()}
+    assert set(records) == {"tr-ok", "tr-bad"}
+    assert records["tr-ok"]["notes"]["cache"] == "build"
+    assert records["tr-bad"]["notes"]["error"] == "compile"
+    assert records["tr-bad"]["ok"] is False
+    # Unsampled: the record carries no spans, since none were collected.
+    assert records["tr-ok"]["spans"] == [] == records["tr-bad"]["spans"]
+    assert metrics.registry().counter("obs.trace.sampled").value == 0
+
+    assert main(["trace", "ls", "--store", str(tmp_path / "traces")]) == 0
+    listing = capsys.readouterr().out
+    ok_line = next(line for line in listing.splitlines() if "tr-ok" in line)
+    assert "alias" in ok_line and "cache=build" in ok_line
+    assert "{:.2f}".format(records["tr-ok"]["ms"]) in ok_line
+    bad_line = next(line for line in listing.splitlines() if "tr-bad" in line)
+    assert "ERR" in bad_line and "error=compile" in bad_line
+
+
+def test_fast_unsampled_reads_write_no_trace_record(tmp_path):
+    from repro.obs.sampler import DEFAULT_SAMPLE_RATE, HeadSampler
+    from repro.obs.tracestore import TraceStore
+
+    sampler = HeadSampler(DEFAULT_SAMPLE_RATE)
+    build_id, read_id = [tid for tid in ("t{}".format(i) for i in range(99))
+                         if not sampler.decide(tid)][:2]
+    store = TraceStore(tmp_path / "traces")
+    daemon = Daemon(SessionManager(store=None), slo_ms=250.0,
+                    sampler=sampler, trace_store=store)
+    request = {"op": "alias", "source": SMOKE_SOURCE, "name": "smoke"}
+    assert daemon.handle_request(protocol.Request.from_obj(
+        dict(request, trace_id=build_id)))["ok"]
+    started = len(store.records())
+    assert daemon.handle_request(protocol.Request.from_obj(
+        dict(request, trace_id=read_id)))["ok"]
+    (read,) = daemon.journal.recent(1)
+    assert read.trace_id == read_id and read.cache == "hit"
+    assert read.ms < 250.0
+    assert store.trace(read_id) == []
+    assert len(store.records()) == started
 
 
 def test_requests_endpoint_respects_limit(daemon):

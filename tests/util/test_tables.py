@@ -1,6 +1,6 @@
 """Tests for the text-table renderer."""
 
-from repro.util.tables import format_ratio, render_table
+from repro.util.tables import render_table
 
 
 def test_alignment():
@@ -33,8 +33,3 @@ def test_wide_cells_expand_column():
 def test_left_alignment_columns():
     text = render_table(["a", "b"], [["x", "y"]], align_left=(0, 1))
     assert "x" in text and "y" in text
-
-
-def test_format_ratio():
-    assert format_ratio(0.042) == "4.2%"
-    assert format_ratio(1.0, digits=0) == "100%"
