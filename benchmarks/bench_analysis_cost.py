@@ -13,7 +13,6 @@ import time
 
 from repro.analysis import ANALYSIS_NAMES, collect_heap_references
 from repro.analysis.openworld import AnalysisContext
-from repro.bench.suite import BASE
 from repro.util.tables import render_table
 
 
@@ -29,8 +28,8 @@ def test_analysis_construction(benchmark, suite):
 
 
 def test_all_pairs_query_sweep(benchmark, suite, emit):
-    base = suite.build("m3cg", BASE)
-    refs = [ap for aps in collect_heap_references(base.program).values()
+    refs = [ap for aps in collect_heap_references(
+                suite.program("m3cg").lowered()).values()
             for ap in aps]
     context = AnalysisContext(suite.program("m3cg").checked)
     analyses = [context.build(name) for name in ANALYSIS_NAMES]

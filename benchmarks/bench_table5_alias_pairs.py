@@ -5,27 +5,20 @@ whole suite, and benchmarks the O(e²) pair enumeration (the paper's
 Section 2.5 cost discussion) on the largest benchmark.
 """
 
-from repro.analysis import AliasPairCounter
 from repro.bench import tables
-from repro.bench.suite import BASE
 
 
 def test_table5(benchmark, suite, emit):
     program = suite.program("m3cg")
-    base = suite.build("m3cg", BASE)
 
     def count_pairs():
-        analysis = program.analysis("SMFieldTypeRefs")
-        return AliasPairCounter(base.program, analysis, engine="fast").count()
+        return program.alias_pairs("SMFieldTypeRefs")
 
     report = benchmark.pedantic(count_pairs, rounds=3, iterations=1)
     assert report.references > 0
 
     # The reference engine must agree with the timed fast engine.
-    analysis = program.analysis("SMFieldTypeRefs")
-    reference = AliasPairCounter(
-        base.program, analysis, engine="reference"
-    ).count()
+    reference = program.alias_pairs("SMFieldTypeRefs", engine="reference")
     assert reference.counts() == report.counts()
 
     table = tables.table5(suite)

@@ -38,7 +38,9 @@ from repro.ir.printer import format_proc
 #: other versions as misses.
 #: v2: :class:`ConfigFacts` holds the Table 5 counts only (no matrix).
 #: v3: plain JSON data; a world is its :func:`world_summary` counts.
-FACTS_SCHEMA_VERSION = 3
+#: v4: procedure hashes are taken over the lowered IR, before the back
+#: end's CSE.
+FACTS_SCHEMA_VERSION = 4
 
 
 def source_hash(source: str) -> str:
@@ -47,10 +49,12 @@ def source_hash(source: str) -> str:
 
 
 def proc_ir_hashes(program: ProgramIR) -> Dict[str, str]:
-    """``procedure name -> sha256(formatted IR)``, taken at lower time.
+    """``procedure name -> sha256(formatted IR)`` of lowered *program*.
 
-    The formatted IR is a pure function of the lowered procedure, so the
-    hash is stable across processes (no ids or addresses leak into it).
+    Callers pass :meth:`repro.Program.lowered`, so the hash is taken at
+    lower time, before any optimizer runs.  Block labels and fresh
+    temporaries are numbered per process, so equal sources hash equally
+    only within one process.
     """
     return {
         proc.name: hashlib.sha256(format_proc(proc).encode()).hexdigest()

@@ -19,11 +19,11 @@ At a call site RLE resolves ``param_writes`` against the lent locations
 variables and heap paths may change.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.ir import instructions as ins
-from repro.ir.access_path import AccessPath, Deref, VarRoot, strip_index
+from repro.ir.access_path import AccessPath, VarRoot, strip_index
 from repro.ir.cfg import ProcIR, ProgramIR
 from repro.lang.symtab import Symbol
 

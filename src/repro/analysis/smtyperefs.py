@@ -29,7 +29,7 @@ perform such assignments.
 """
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.analysis.address_taken import AddressTakenInfo
 from repro.analysis.alias_base import TypeOracle

@@ -38,7 +38,7 @@ import time
 from typing import List, Optional
 
 from repro import CompileError, compile_program
-from repro.analysis import ANALYSIS_NAMES, AliasPairCounter
+from repro.analysis import ANALYSIS_NAMES
 from repro.ir.printer import format_program
 from repro.lang.errors import ResourceLimitError
 from repro.obs import core as obs
@@ -149,11 +149,10 @@ def cmd_run(args) -> int:
 
 def cmd_alias(args) -> int:
     program = _load(args.file)
-    base = program.base()
     rows = []
     for name in ANALYSIS_NAMES:
-        analysis = program.analysis(name, open_world=args.open_world)
-        report = AliasPairCounter(base.program, analysis, engine=args.engine).count()
+        report = program.alias_pairs(name, open_world=args.open_world,
+                                     engine=args.engine)
         rows.append(
             [name, report.references, report.local_pairs, report.global_pairs]
         )
@@ -760,16 +759,7 @@ def cmd_tables(args) -> int:
                 suite.drop(name)
     else:
         suite = BenchmarkSuite()
-    generators = {
-        "table4": tables.table4,
-        "table5": tables.table5,
-        "table6": tables.table6,
-        "figure8": tables.figure8,
-        "figure9": tables.figure9,
-        "figure10": tables.figure10,
-        "figure11": tables.figure11,
-        "figure12": tables.figure12,
-    }
+    generators = tables.ARTIFACTS
     wanted = args.which or list(generators)
     for key in wanted:
         if key not in generators:
@@ -1034,14 +1024,12 @@ def _profile_phases(args, recorder, analysis_for_rle: str) -> None:
     with recorder.span("profile", target=args.target):
         with recorder.span("load"):
             program = _load_profile_target(args.target)
-        with recorder.span("base"):
-            base = program.base()
+        with recorder.span("lower"):
+            program.lowered()
         for name in ANALYSIS_NAMES:
             with recorder.span("analysis", analysis=name):
-                analysis = program.analysis(name, open_world=args.open_world)
-                AliasPairCounter(
-                    base.program, analysis, engine=args.engine
-                ).count()
+                program.alias_pairs(name, open_world=args.open_world,
+                                    engine=args.engine)
         with recorder.span("optimize", analysis=analysis_for_rle):
             result = program.pipeline.build(analysis=analysis_for_rle)
         if args.run:

@@ -27,7 +27,7 @@ from typing import List, Optional, Sequence
 from repro.ir.access_path import AccessPath
 from repro.lang.errors import SourceLocation, UNKNOWN_LOCATION
 from repro.lang.symtab import Symbol
-from repro.lang.types import ArrayType, ObjectType, RecordType, RefType, Type
+from repro.lang.types import ObjectType, RefType
 
 _instr_uid = itertools.count()
 

@@ -29,7 +29,7 @@ from repro.lang.errors import (
     SourceLocation,
     TypeCheckError,
 )
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.parser import Parser, parse_module
 from repro.lang.typecheck import TypeChecker, check_module, CheckedModule
 from repro.lang import ast_nodes as ast
@@ -42,7 +42,6 @@ __all__ = [
     "TypeCheckError",
     "ResourceLimitError",
     "SourceLocation",
-    "Lexer",
     "tokenize",
     "Parser",
     "parse_module",

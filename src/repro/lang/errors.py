@@ -1,20 +1,35 @@
 """Source locations and compile-time error types for MiniM3."""
 
-from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass(frozen=True)
 class SourceLocation:
     """A (line, column) position in a named source unit.
 
     Lines and columns are 1-based; ``column`` points at the first character
-    of the offending token.
+    of the offending token.  A slotted value object, like
+    :class:`~repro.lang.tokens.Token`: never changed after it is made.
     """
 
-    unit: str
-    line: int
-    column: int
+    __slots__ = ("unit", "line", "column")
+
+    def __init__(self, unit: str, line: int, column: int):
+        self.unit = unit
+        self.line = line
+        self.column = column
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SourceLocation:
+            return NotImplemented
+        return ((self.unit, self.line, self.column)
+                == (other.unit, other.line, other.column))
+
+    def __hash__(self) -> int:
+        return hash((self.unit, self.line, self.column))
+
+    def __repr__(self) -> str:
+        return "SourceLocation(unit={!r}, line={!r}, column={!r})".format(
+            self.unit, self.line, self.column)
 
     def __str__(self) -> str:
         return "{}:{}:{}".format(self.unit, self.line, self.column)

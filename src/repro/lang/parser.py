@@ -55,12 +55,15 @@ class Parser:
     # ------------------------------------------------------------------
     # Token plumbing
 
-    def _peek(self, ahead: int = 0) -> Token:
-        i = min(self._pos + ahead, len(self._tokens) - 1)
-        return self._tokens[i]
+    def _peek(self) -> Token:
+        # The list ends in EOF and _advance never moves past it.
+        return self._tokens[self._pos]
+
+    def _lookahead(self, ahead: int) -> Token:
+        return self._tokens[min(self._pos + ahead, len(self._tokens) - 1)]
 
     def _at(self, *kinds: TK) -> bool:
-        return self._peek().kind in kinds
+        return self._tokens[self._pos].kind in kinds
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -236,7 +239,7 @@ class Parser:
         if tok.kind is TK.KW_ROOT:
             # Plain `ROOT` is the top object type; `ROOT OBJECT ... END`
             # (or with a brand) declares a new immediate subtype of ROOT.
-            if self._peek(1).kind in (TK.KW_OBJECT, TK.KW_BRANDED):
+            if self._lookahead(1).kind in (TK.KW_OBJECT, TK.KW_BRANDED):
                 return self._object_type(None)
             self._advance()
             return ast.NamedTypeExpr(tok.loc, "ROOT")
@@ -247,7 +250,7 @@ class Parser:
             named = ast.NamedTypeExpr(tok.loc, name)
             # `Super OBJECT ... END` / `Super BRANDED "x" OBJECT ... END`
             if self._at(TK.KW_OBJECT) or (
-                self._at(TK.KW_BRANDED) and self._peek(2).kind is TK.KW_OBJECT
+                self._at(TK.KW_BRANDED) and self._lookahead(2).kind is TK.KW_OBJECT
             ):
                 return self._object_type(named)
             return named
@@ -625,7 +628,7 @@ class Parser:
         while self._accept(TK.COMMA):
             # `f := e` is a field initialiser; anything else is the
             # open-array size argument.
-            if self._at(TK.IDENT) and self._peek(1).kind is TK.ASSIGN:
+            if self._at(TK.IDENT) and self._lookahead(1).kind is TK.ASSIGN:
                 fname = self._ident()
                 self._expect(TK.ASSIGN)
                 field_inits.append((fname, self._expr()))

@@ -1,7 +1,6 @@
 """Token kinds and keyword table for the MiniM3 lexer."""
 
 import enum
-from dataclasses import dataclass
 from typing import Union
 
 from repro.lang.errors import SourceLocation
@@ -99,18 +98,35 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     ``value`` carries the decoded payload: ``int`` for INT, ``str`` for
     IDENT/TEXT, a one-character ``str`` for CHAR, and the spelling for
-    everything else.
+    everything else.  A slotted value object: the lexer makes one per
+    token, and tokens are never changed after they are made.
     """
 
-    kind: TokenKind
-    value: Union[str, int]
-    loc: SourceLocation
+    __slots__ = ("kind", "value", "loc")
+
+    def __init__(self, kind: TokenKind, value: Union[str, int],
+                 loc: SourceLocation):
+        self.kind = kind
+        self.value = value
+        self.loc = loc
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Token:
+            return NotImplemented
+        return ((self.kind, self.value, self.loc)
+                == (other.kind, other.value, other.loc))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value, self.loc))
+
+    def __repr__(self) -> str:
+        return "Token(kind={!r}, value={!r}, loc={!r})".format(
+            self.kind, self.value, self.loc)
 
     def __str__(self) -> str:
         if self.kind in (TokenKind.IDENT, TokenKind.INT):

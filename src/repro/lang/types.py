@@ -20,7 +20,7 @@ Reference-like types (objects, REFs, TEXT, NIL) are what the paper calls
 SMTypeRefs (Figure 2) iterates over.
 """
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class Type:

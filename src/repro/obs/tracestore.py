@@ -17,9 +17,9 @@ comes from the same trick as the fact store's content-hashed partitions
 — writers never share a file: each process appends to its own
 ``seg-{proc}-{n}.jsonl`` (the proc token is fork-aware, so pool workers
 get their own segments too).  Segments rotate at
-:data:`SEGMENT_MAX_BYTES` and the store evicts oldest-first once the
-directory exceeds ``max_bytes`` — continuous tracing must never grow
-without bound.
+:data:`SEGMENT_MAX_BYTES`, and each time a writer opens a segment the
+store evicts oldest-first until the closed ones fit ``max_bytes`` —
+continuous tracing must never grow without bound.
 
 Failure policy mirrors the serving stack's, in both directions:
 
@@ -150,20 +150,24 @@ class TraceStore:
             log.warn("trace store append failed: {}".format(err))
             return False
         metrics.registry().counter("obs.trace.flushed").inc()
-        self._evict()
         return True
 
     def _current_segment(self) -> Path:
         """This process's open segment, rotating once it reaches the
-        size cap."""
+        size cap.
+
+        Only opening a segment evicts, so an append between rotations
+        lists no segments, and the store stays within ``max_bytes``
+        plus each writer's open segment.
+        """
         proc = proc_id()
-        if self._segment is None or self._segment_proc != proc:
-            # First write (or a fork changed our identity): start a
-            # fresh segment rather than appending to an inherited one.
+        # A first write, a fork that changed our identity (never append
+        # to an inherited segment) or a full segment opens a new one.
+        if (self._segment is None or self._segment_proc != proc
+                or _size(self._segment) >= self.segment_bytes):
             self._segment = self._next_segment(proc)
             self._segment_proc = proc
-        if _size(self._segment) >= self.segment_bytes:
-            self._segment = self._next_segment(proc)
+            self._evict()
         self.root.mkdir(parents=True, exist_ok=True)
         return self._segment
 

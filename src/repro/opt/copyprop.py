@@ -22,7 +22,7 @@ Safety:
 * globals never participate (any call could rewrite them).
 """
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.ir import instructions as ins
 from repro.ir.access_path import (

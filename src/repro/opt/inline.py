@@ -14,7 +14,7 @@ and the callee's local symbols are registered with the caller so frames
 initialise them.
 """
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.analysis.callgraph import CallGraph
 from repro.ir import instructions as ins

@@ -45,7 +45,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs import metrics
@@ -627,21 +627,16 @@ def _expected_counts(sources: List[Tuple[str, str]]) -> Dict[tuple, tuple]:
     """Cold-engine ground truth for every (source, analysis, world)."""
     from repro import compile_program
     from repro.analysis import ANALYSIS_NAMES
-    from repro.analysis.alias_pairs import AliasPairCounter
     from repro.analysis.facts import source_hash
 
     expected: Dict[tuple, tuple] = {}
     for _name, source in sources:
         key = source_hash(source)
         program = compile_program(source, unit="<chaos>")
-        base = program.base().program
         for analysis in ANALYSIS_NAMES:
             for open_world in (False, True):
-                counter = AliasPairCounter(
-                    base, program.analysis(analysis, open_world=open_world),
-                    engine="fast")
-                expected[(key, analysis, open_world)] = \
-                    counter.count().counts()
+                expected[(key, analysis, open_world)] = program.alias_pairs(
+                    analysis, open_world=open_world).counts()
     return expected
 
 

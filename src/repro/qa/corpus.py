@@ -452,14 +452,11 @@ def _count_program(entry: dict, options: _RunOptions,
                    outcome: ShardOutcome) -> None:
     """Table 5 (and optionally the oracle battery) for one program."""
     from repro import compile_program
-    from repro.analysis.alias_pairs import AliasPairCounter
 
     program = compile_program(entry["source"], entry["name"])
     outcome.compiled += 1
-    ir = program.pipeline.base().program
     for analysis_name in options.analyses:
-        analysis = program.analysis(analysis_name)
-        report = AliasPairCounter(ir, analysis, engine=options.engine).count()
+        report = program.alias_pairs(analysis_name, engine=options.engine)
         outcome.references += report.references
         outcome.local_pairs += report.local_pairs
         outcome.global_pairs += report.global_pairs

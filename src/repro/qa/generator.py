@@ -29,7 +29,7 @@ re-render without re-parsing.
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["GenConfig", "GeneratedProgram", "generate_program"]
 

@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro import AliasPairCounter, Program, compile_program
+from repro import Program, compile_program
 from repro.ir.access_path import AccessPath, strip_index
 from repro.lang.errors import CompileError, ResourceLimitError
 from repro.qa.generator import GeneratedProgram
@@ -208,7 +208,7 @@ def _reference_paths(program: Program) -> List[AccessPath]:
     from repro.analysis.alias_pairs import collect_heap_references
 
     seen: Dict[AccessPath, None] = {}
-    for aps in collect_heap_references(program.base().program).values():
+    for aps in collect_heap_references(program.lowered()).values():
         for ap in aps:
             seen.setdefault(ap, None)
     return list(seen)[:MAX_STATIC_PATHS]
@@ -262,12 +262,9 @@ def _check_refinement(
 
 def _check_engines(report: OracleReport, program: Program) -> None:
     """Fast counter ≡ reference counter, per analysis level."""
-    base = program.base().program
     for level in LEVELS:
         try:
-            AliasPairCounter(
-                base, program.analysis(level), engine="differential"
-            ).count()
+            program.alias_pairs(level, engine="differential")
         except AssertionError as exc:
             report.violations.append(
                 OracleViolation(

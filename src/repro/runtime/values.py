@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.lang.symtab import Symbol
 from repro.lang.types import (
-    BOOLEAN, CHAR, INTEGER, TEXT, ArrayType, ObjectType, RecordType, RefType, Type,
+    BOOLEAN, CHAR, INTEGER, TEXT, ObjectType, RecordType, RefType, Type,
 )
 
 

@@ -33,7 +33,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro import compile_program
-from repro.analysis import ANALYSIS_NAMES, AliasPairCounter
+from repro.analysis import ANALYSIS_NAMES
 from repro.bench import registry
 from repro.obs import core as obs
 from repro.obs import metrics
@@ -51,13 +51,8 @@ class ServeBenchError(AssertionError):
 def _cold_tables(source: str, name: str) -> List[tuple]:
     """One cold single-shot query: full compile + all-analysis counts."""
     program = compile_program(source, unit=name)
-    base = program.base()
-    return [
-        AliasPairCounter(
-            base.program, program.analysis(analysis), engine="fast"
-        ).count().counts()
-        for analysis in ANALYSIS_NAMES
-    ]
+    return [program.alias_pairs(analysis).counts()
+            for analysis in ANALYSIS_NAMES]
 
 
 def _warm_tables(client, source: str, name: str) -> List[tuple]:

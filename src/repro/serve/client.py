@@ -29,7 +29,6 @@ from typing import Callable, List, Optional
 from repro.obs import metrics
 from repro.obs import sampler as tracing
 from repro.qa import chaos
-from repro.serve import protocol
 
 #: How long (seconds) smoke waits on daemon subprocess I/O.
 SMOKE_TIMEOUT = 120

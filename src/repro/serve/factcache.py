@@ -3,7 +3,7 @@
 One **partition** per module content hash: the data file
 ``facts-<key>.json`` (full 64-hex key) holding that module's
 :class:`~repro.analysis.facts.FactBundle`.  Line 1 is a header,
-``{"kind": "fact_partition", "schema": 3, "sha256": ...}``; the rest is
+``{"kind": "fact_partition", "schema": 4, "sha256": ...}``; the rest is
 :meth:`~repro.analysis.facts.FactBundle.to_json`, and the digest covers
 exactly those bytes.  So:
 

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import compile_program
 from repro.analysis import ANALYSIS_NAMES
-from repro.analysis.alias_pairs import AliasPairCounter
 from repro.analysis.facts import (
     ConfigFacts,
     FactBundle,
@@ -75,12 +74,10 @@ class DifferentialMismatch(AssertionError):
 class ModuleSession:
     """One warm module: compiled artifacts plus its fact partition."""
 
-    def __init__(self, bundle: FactBundle, source: str,
-                 program=None, base=None):
+    def __init__(self, bundle: FactBundle, source: str, program=None):
         self.bundle = bundle
         self.source = source
         self._program = program           # repro.Program, lazily compiled
-        self._base = base                 # PipelineResult of program.base()
 
     @property
     def module_hash(self) -> str:
@@ -102,12 +99,7 @@ class ModuleSession:
                 chaos.fire("session.compile", module=self.name)
                 _counter("session.compile").inc()
                 self._program = compile_program(self.source, unit=self.name)
-                self._base = self._program.base()
         return self._program
-
-    def base_program(self):
-        self.ensure_program()
-        return self._base.program
 
 
 class SessionManager:
@@ -183,10 +175,9 @@ class SessionManager:
             chaos.fire("session.compile", module=key[:12])
             program = compile_program(source, unit="<serve>")
             _counter("session.compile").inc()
-            base = program.base()
             bundle = new_bundle(
-                program.name, key, proc_ir_hashes(base.program))
-        session = ModuleSession(bundle, source, program=program, base=base)
+                program.name, key, proc_ir_hashes(program.lowered()))
+        session = ModuleSession(bundle, source, program=program)
         self._persist(bundle)
         return session
 
@@ -235,10 +226,8 @@ class SessionManager:
             with obs.span("serve.facts.config_build", analysis=analysis,
                           open_world=open_world, module=session.name):
                 _counter("facts.config_build").inc()
-                program = session.ensure_program()
-                alias = program.analysis(analysis, open_world=open_world)
-                report = AliasPairCounter(
-                    session.base_program(), alias).count()
+                report = session.ensure_program().alias_pairs(
+                    analysis, open_world=open_world)
                 facts = ConfigFacts(
                     analysis=analysis,
                     open_world=open_world,
@@ -306,10 +295,8 @@ class SessionManager:
         The served counts come from the fast engine, so the reference
         loop is the only independent check.
         """
-        program = session.ensure_program()
-        alias = program.analysis(analysis, open_world=open_world)
-        report = AliasPairCounter(
-            session.base_program(), alias, engine="reference").count()
+        report = session.ensure_program().alias_pairs(
+            analysis, open_world=open_world, engine="reference")
         if report.counts() != served:
             raise DifferentialMismatch(
                 "served {} ({}, open_world={}) = {} but reference engine = {}"

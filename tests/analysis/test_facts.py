@@ -51,15 +51,15 @@ def test_source_hash_is_content_addressed():
 
 
 def test_proc_hashes_stable_across_compiles_and_edit_localised():
-    base1 = compile_program(SOURCE, "f1").base().program
-    base2 = compile_program(SOURCE, "f2").base().program
-    h1, h2 = proc_ir_hashes(base1), proc_ir_hashes(base2)
+    lowered1 = compile_program(SOURCE, "f1").lowered()
+    lowered2 = compile_program(SOURCE, "f2").lowered()
+    h1, h2 = proc_ir_hashes(lowered1), proc_ir_hashes(lowered2)
     # Pure function of the lowered IR: no ids/addresses leak in.
     assert h1 == h2
     assert {"Alpha", "Beta"} <= set(h1)
 
     edited = SOURCE.replace("k := p.n;", "k := p.n + 1;")
-    h3 = proc_ir_hashes(compile_program(edited, "f3").base().program)
+    h3 = proc_ir_hashes(compile_program(edited, "f3").lowered())
     changed, unchanged = diff_proc_hashes(h1, h3)
     assert changed == ["Beta"]
     assert "Alpha" in unchanged
@@ -101,7 +101,7 @@ def _full_bundle():
 
     program = compile_program(SOURCE, "facts.m3")
     bundle = new_bundle("Facts", source_hash(SOURCE),
-                        proc_ir_hashes(program.base().program))
+                        proc_ir_hashes(program.lowered()))
     for i, open_world in enumerate((False, True)):
         bundle.add_config(ConfigFacts(
             analysis="TypeDecl", open_world=open_world, references=7 + i,

@@ -11,7 +11,6 @@ from repro.analysis import (
     SteensgaardTypesOracle,
     SubtypeOracle,
     collect_address_taken,
-    collect_heap_references,
 )
 from repro.analysis.smtyperefs import SMTypeRefsOracle
 from repro.analysis.steensgaard import SteensgaardFieldTypeRefsAnalysis

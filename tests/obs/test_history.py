@@ -296,8 +296,6 @@ def test_history_cli_ok_and_invalid(recorded, tmp_path, capsys):
 #: alias-cache totals, the fast engine's counts and the SMTypeRefs
 #: build counts (zero-valued series left out).
 TABLE5_COUNTERS = {
-    "alias.cache.hits{analysis=AlwaysAlias}": 3508,
-    "alias.cache.misses{analysis=AlwaysAlias}": 1378,
     "alias.cache.misses{analysis=FieldTypeDecl}": 123,
     "alias.cache.misses{analysis=SMFieldTypeRefs}": 123,
     "alias.cache.misses{analysis=TypeDecl}": 93,

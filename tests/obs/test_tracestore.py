@@ -78,6 +78,29 @@ def test_eviction_drops_oldest_but_never_the_open_segment(tmp_path):
     assert survivors[-1]["trace"] == "trace-39"
 
 
+def test_only_opening_a_segment_lists_the_store(tmp_path, monkeypatch):
+    store = TraceStore(tmp_path / "traces", max_bytes=3000,
+                       segment_bytes=1000)
+    listings = []
+    real = TraceStore._segments
+    monkeypatch.setattr(TraceStore, "_segments",
+                        lambda self: listings.append(1) or real(self))
+    opened, segment = 0, None
+    for i in range(60):
+        store.append(_record(i))
+        if store._segment != segment:
+            opened, segment = opened + 1, store._segment
+        # One listing per segment this writer opened, none in between.
+        assert len(listings) == opened
+    assert opened > 5
+    assert metrics.registry().counter("obs.trace.evicted").value > 0
+    sizes = {p: p.stat().st_size
+             for p in (tmp_path / "traces").glob("seg-*.jsonl")}
+    closed = sum(size for p, size in sizes.items() if p != store._segment)
+    assert closed <= 3000
+    assert sum(sizes.values()) <= 3000 + sizes[store._segment]
+
+
 def test_torn_line_is_skipped_with_counter(tmp_path):
     store = TraceStore(tmp_path / "traces")
     store.append(_record(0))

@@ -90,6 +90,16 @@ def test_batch_preserves_request_order_and_isolates_errors(daemon):
     assert len(responses[2]["result"]["rows"]) == len(ANALYSIS_NAMES)
 
 
+def test_digit_int_rejects_is_a_compile_error(daemon):
+    """A lex error, not ``internal``: '²'.isdigit() but int('²') fails."""
+    response = daemon.handle_request(_request(
+        op="tables", source="MODULE Sup; VAR x: INTEGER; "
+                            "BEGIN x := \u00b2; END Sup."))
+    assert not response["ok"]
+    assert response["error"]["kind"] == "compile"
+    assert "malformed number" in response["error"]["message"]
+
+
 def test_malformed_line_yields_protocol_error_not_crash(daemon):
     out = json.loads(daemon.handle_line("{truncated"))
     assert out["ok"] is False

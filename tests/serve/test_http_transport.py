@@ -2,8 +2,8 @@
 
 A reply leaves the daemon in two writes, so a kept-alive connection
 stalls on the client's delayed ACK unless the daemon sets TCP_NODELAY;
-a POST whose body length is not one plain ``Content-Length`` gets one
-typed error and a closed connection; and once ``stop_http`` returns, a
+a POST whose body length is not one plain ``Content-Length`` of at most
+``MAX_BODY_BYTES`` gets one typed error and a closed connection; and once ``stop_http`` returns, a
 connection opened before it gets no answer.
 """
 
@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.serve.client import SMOKE_SOURCE, HttpClient
-from repro.serve.daemon import Daemon
+from repro.serve.daemon import MAX_BODY_BYTES, Daemon
 from repro.serve.session import SessionManager
 
 #: How long a raw-socket test waits for the daemon to answer and close.
@@ -85,7 +85,9 @@ def _assert_one_protocol_error_then_eof(raw: bytes) -> None:
     (b"Content-Length: abc", b""),
     (b"Content-Length: -1", b""),
     (b"Transfer-Encoding: chunked", b"5\r\n[1,2]\r\n0\r\n\r\n"),
-], ids=["not-a-number", "negative", "chunked"])
+    # Answered before any body byte is read: none is ever sent.
+    ("Content-Length: {}".format(MAX_BODY_BYTES + 1).encode(), b""),
+], ids=["not-a-number", "negative", "chunked", "over-the-cap"])
 def test_malformed_post_gets_one_typed_error_then_eof(served, header, body):
     _, port = served
     raw = _raw_exchange(

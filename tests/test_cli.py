@@ -54,6 +54,21 @@ def test_check_error_renders_caret(tmp_path, capsys):
     assert "^" in err          # ... with a caret under the offender
 
 
+def test_check_digit_int_rejects_is_one_caret_diagnostic(tmp_path, capsys):
+    # '²'.isdigit() is true but int('²') raises: a lex error, not a crash.
+    path = tmp_path / "sup.m3"
+    path.write_text("MODULE Sup;\nVAR x: INTEGER;\nBEGIN\n  x := \u00b2;\n"
+                    "END Sup.\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "error: {}:4:8: malformed number".format(path),
+        "    x := \u00b2;",
+        "         ^",
+    ]
+
+
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/x.m3"]) == 1
     assert "error" in capsys.readouterr().err
