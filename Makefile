@@ -52,9 +52,10 @@ fuzz:
 # level is cross-checked against the refinement hierarchy, the fast
 # engine, and a traced dynamic run.  Deterministic, so a failure here
 # is reproducible by seed; crash bundles land under the --out dir.
+# --jobs 2 drives the worker pool even where the cpu count is 1.
 fuzz-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed 0 --count 200 \
-		--out benchmarks/results/fuzz-smoke
+		--out benchmarks/results/fuzz-smoke --jobs 2
 
 # Regenerate the seeded smoke corpus (content-hashed shards; the fixed
 # seed makes this idempotent, so it is safe as a gate prerequisite).

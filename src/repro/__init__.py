@@ -40,6 +40,7 @@ from typing import Optional
 from repro.lang import parse_module, check_module, CheckedModule, CompileError
 from repro.ir import lower_module, lower_program, ProgramIR
 from repro.analysis import make_analysis, ANALYSIS_NAMES, AliasPairCounter
+from repro.analysis.alias_pairs import References, collect_heap_references
 from repro.opt import OptimizationPipeline, PipelineResult
 from repro.runtime import (
     Interpreter,
@@ -88,6 +89,7 @@ class Program:
         self.source = source
         self.pipeline = OptimizationPipeline(checked)
         self._lowered: Optional[ProgramIR] = None
+        self._heap_references: Optional[References] = None
 
     @property
     def name(self) -> str:
@@ -109,6 +111,13 @@ class Program:
             self._lowered = lower_module(self.checked)
         return self._lowered
 
+    def heap_references(self) -> References:
+        """The distinct heap references of :meth:`lowered`, per
+        procedure, collected once: every Table 5 count reads them."""
+        if self._heap_references is None:
+            self._heap_references = collect_heap_references(self.lowered())
+        return self._heap_references
+
     def alias_pairs(self, name: str, open_world: bool = False,
                     engine: str = "fast"):
         """Table 5's static metric for one analysis level.
@@ -123,7 +132,8 @@ class Program:
         (runs both and asserts agreement).
         """
         counter = AliasPairCounter(
-            self.lowered(), self.analysis(name, open_world), engine=engine
+            self.heap_references(), self.analysis(name, open_world),
+            engine=engine,
         )
         return counter.count()
 

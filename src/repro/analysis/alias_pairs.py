@@ -31,7 +31,7 @@ Two counting engines produce these numbers:
 regression harness for the optimised path.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from repro.analysis.alias_base import AliasAnalysis
 from repro.analysis.fieldtypedecl import FieldTypeDeclAnalysis
@@ -51,9 +51,14 @@ ENGINES = ("reference", "fast", "differential")
 DEFAULT_ENGINE = "fast"
 
 
-def collect_heap_references(program: ProgramIR) -> Dict[str, List[AccessPath]]:
+#: Distinct heap references per procedure, as
+#: :func:`collect_heap_references` returns them.
+References = Dict[str, List[AccessPath]]
+
+
+def collect_heap_references(program: ProgramIR) -> References:
     """Distinct source-level heap reference APs (canonical), per procedure."""
-    refs: Dict[str, List[AccessPath]] = {}
+    refs: References = {}
     for proc in program.user_procs():
         seen = {}
         for instr in proc.all_instrs():
@@ -172,13 +177,17 @@ class _PairAccumulator:
 class AliasPairCounter:
     """Computes Table 5's numbers for one program and one analysis.
 
-    ``engine`` selects the counting path (see module docstring); both
-    engines are exact and produce identical reports.
+    *program* is a ``ProgramIR``, whose heap references are collected
+    here, or the references :func:`collect_heap_references` already
+    returned for one (``Program.alias_pairs`` passes those, so all the
+    counts of a program share one walk of its IR).  ``engine`` selects
+    the counting path (see module docstring); both engines are exact and
+    produce identical reports.
     """
 
     def __init__(
         self,
-        program: ProgramIR,
+        program: Union[ProgramIR, References],
         analysis: AliasAnalysis,
         engine: str = DEFAULT_ENGINE,
     ):
@@ -186,10 +195,10 @@ class AliasPairCounter:
             raise ValueError(
                 "unknown engine {!r}; expected one of {}".format(engine, ENGINES)
             )
-        self.program = program
         self.analysis = analysis
         self.engine = engine
-        self.references = collect_heap_references(program)
+        self.references = (collect_heap_references(program)
+                           if isinstance(program, ProgramIR) else program)
 
     def count(self) -> AliasPairReport:
         with obs.span("aliaspairs.count", analysis=self.analysis.name,

@@ -13,10 +13,11 @@ Commands:
   that ledger (see DESIGN.md §6f);
 * ``tables``       — regenerate the paper's tables/figures (slow);
 * ``fuzz``         — generate seeded programs and cross-check the
-  analyses against the soundness oracles (see DESIGN.md §6d); the seed
-  range fans out over ``--jobs`` worker processes;
-* ``corpus``       — ``gen``/``verify``/``run``/``bench`` over sharded,
+  analyses against the soundness oracles (see DESIGN.md §6d);
+* ``corpus``       — ``gen``/``verify``/``run`` over sharded,
   content-hashed corpora of generated programs (see DESIGN.md §6g);
+  ``fuzz`` and ``corpus run`` fan shards over ``--jobs`` worker
+  processes through one batch runner, ``repro.qa.runner.run_shards``;
 * ``profile``      — phase-time tree + top metric counts for one program
   (a file or a registered benchmark; see DESIGN.md §6e).
 
@@ -798,11 +799,10 @@ def cmd_fuzz(args) -> int:
     config = GenConfig(max_stmts=args.max_stmts)
     out_dir = None if args.no_report else args.out
 
-    def progress(seed: int, oracle) -> None:
+    def progress(seed: int, run: str, ok: bool) -> None:
         if args.verbose:
-            status = "ok" if oracle.ok else "FAIL"
-            run = "ran" if oracle.ran else ("trap" if oracle.trapped else "-")
-            print("seed {:6d}  {:4s} {}".format(seed, run, status))
+            print("seed {:6d}  {:4s} {}".format(seed, run,
+                                                "ok" if ok else "FAIL"))
 
     report = run_fuzz(
         count=args.count,
@@ -968,7 +968,7 @@ def _corpus_run_body(args) -> int:
     for entry in report.quarantined:
         log.error("corpus run: quarantined shard {} ({}): {}".format(
             entry["index"], entry["file"], entry["reason"]))
-    _emit_failures(report.failures)
+    _emit_failures([f.to_json() for f in report.failures])
     return 1 if (report.failures or report.quarantined) else 0
 
 
@@ -1227,10 +1227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-stmts", type=int, default=22,
                    help="statement bound for generated programs")
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes; seeds fan out in contiguous "
-                   "chunks with per-seed fault isolation and merge "
-                   "deterministically by seed (default: cpu count; "
-                   "--verbose per-seed lines need --jobs 1)")
+                   help="worker processes; the seeds run as contiguous "
+                   "shards through the worker pool of corpus run, with "
+                   "per-seed fault isolation, and merge "
+                   "deterministically by seed (default: cpu count)")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="print one line per seed")
     _add_trace_flag(p)

@@ -17,9 +17,13 @@ faith; this package checks both continuously against adversarial input:
   programs to minimal ``.m3`` reproducers, dumped as crash bundles;
 * :mod:`repro.qa.guards` — wall-clock deadlines and budget plumbing
   (step budgets and parser caps live with their owners);
-* :mod:`repro.qa.runner` — the fault-isolating batch runner behind
-  ``repro fuzz``: every program runs in a try/except bulkhead, failures
-  land in a machine-readable JSON report, the rest of the run completes.
+* :mod:`repro.qa.runner` — the fault-isolating batch runner: one
+  sharded run, in-process or over a worker pool, behind ``repro
+  fuzz`` and ``repro corpus run``; every program runs in a try/except
+  bulkhead, failures land in one machine-readable record, the rest of
+  the run completes;
+* :mod:`repro.qa.corpus` — content-hashed corpora of generated programs
+  on disk and the per-program Table 5 count of ``repro corpus run``.
 
 Import note: :mod:`repro.runtime` and :mod:`repro.analysis` import
 :mod:`repro.qa.guards` at module load, which executes this ``__init__``

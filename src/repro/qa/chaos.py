@@ -1150,7 +1150,8 @@ def _run_corpus_battery(spec: ChaosPlanSpec, seed: int,
         })
     if report.failures:
         violations.append({"reason": "per-program failures",
-                           "failures": report.failures})
+                           "failures": [f.to_json()
+                                        for f in report.failures]})
     if spec.name == "poison-shard" and quarantined != {1}:
         violations.append({
             "reason": "poison shard not quarantined as expected",

@@ -1,8 +1,8 @@
 """Sharded corpus pipeline: ``repro corpus gen / verify / run``.
 
-``repro fuzz`` exercises the oracles one seeded program at a time; the
-corpus pipeline scales the same deterministic generator to 10³–10⁵
-MiniM3 programs materialised on disk and drives batch work over them:
+``repro fuzz`` checks seeded programs it generates in memory; the
+corpus pipeline materialises the same deterministic generator's output
+on disk, 10³–10⁵ MiniM3 programs, and drives batch work over them:
 
 * :func:`generate_corpus` renders programs for seeds ``seed ..
   seed+count-1`` (size/shape dials come from :class:`CorpusSpec`, a
@@ -13,17 +13,14 @@ MiniM3 programs materialised on disk and drives batch work over them:
   the SHA-256 of its program payload (:func:`shard_file`).  A changed
   hash, a missing shard or a renamed one is caught before any batch
   consumes it (:func:`verify_corpus`), as a :class:`CorpusError`.
-* :func:`run_corpus` is the sharded driver: shards fan out lazily over
-  a ``multiprocessing`` pool (``jobs=1`` stays in-process and exactly
-  deterministic), each shard runs inside its own
-  **fault bulkhead** —
-  one broken shard or program is reported without sinking the batch —
-  and per-shard results merge deterministically by shard index.  Worker
-  registries are snapshotted and folded back into the parent's
-  :mod:`repro.obs.metrics` registry, so ``aliaspairs.*`` / cache
-  counters aggregate across processes, and every shard contributes to
-  the ``corpus.shard.programs`` / ``corpus.shard.pairs`` /
-  ``corpus.shard.seconds`` counter family.  ``repro bench gate
+* :func:`run_corpus` counts Table 5 for every program (optionally with
+  the oracle battery) through the batch runner's shard pool,
+  :func:`repro.qa.runner.run_shards`, the one ``repro fuzz`` uses: a
+  pool of ``jobs`` workers (``jobs=1`` stays in-process), a fault
+  bulkhead per shard and per program, and a merge by shard index that
+  folds every worker's counters into this process's registry.  Each
+  shard adds to the ``corpus.shard.programs`` / ``corpus.shard.pairs``
+  / ``corpus.shard.seconds`` counter family.  ``repro bench gate
   --corpus`` times a single-process run inside its measured segment.
 
 Every program entry in a shard carries its generating seed *and* its
@@ -34,27 +31,26 @@ the ``--oracles`` mode uses before trusting a program.
 
 import hashlib
 import json
-import multiprocessing
-import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro import compile_program
 from repro.analysis.alias_pairs import DEFAULT_ENGINE
 from repro.obs import core as obs
 from repro.obs import metrics
-from repro.qa import chaos
 from repro.qa.generator import GenConfig, generate_program
 from repro.qa.guards import (MAX_STEPS, PER_PROGRAM_SECONDS, default_jobs,
                              guarded)
+from repro.qa.oracles import check_program
+from repro.qa.runner import FailureRecord, ShardOutcome, run_shards
 
 __all__ = [
     "CorpusSpec",
     "CorpusManifest",
     "CorpusError",
     "ShardInfo",
-    "ShardOutcome",
     "CorpusRunReport",
     "shard_file",
     "generate_corpus",
@@ -329,52 +325,13 @@ def verify_corpus(corpus_dir: Path) -> CorpusManifest:
 
 
 # ----------------------------------------------------------------------
-# Sharded run driver
+# Runs
 
 
-@dataclass
-class _RunOptions:
-    """Everything a shard worker needs (must stay picklable)."""
-
-    corpus_dir: str
-    analyses: Tuple[str, ...]
-    engine: str
-    oracles: bool
-    per_program_seconds: Optional[float]
-    max_steps: int
-    in_process: bool  # jobs=1: keep parent registry/recorder untouched
-    spec: Optional[dict] = None  # generator dials, for the oracle mode
-
-
-@dataclass
-class ShardOutcome:
-    """Result of one shard's bulkhead (always produced, even on crash)."""
-
-    index: int
-    file: str
-    programs: int = 0
-    compiled: int = 0
-    oracle_checked: int = 0
-    references: int = 0
-    local_pairs: int = 0
-    global_pairs: int = 0
-    seconds: float = 0.0
-    failures: List[dict] = field(default_factory=list)
-    counters: Optional[List[dict]] = None  # worker registry snapshot
-
-    def to_json(self) -> dict:
-        return {
-            "index": self.index,
-            "file": self.file,
-            "programs": self.programs,
-            "compiled": self.compiled,
-            "oracle_checked": self.oracle_checked,
-            "references": self.references,
-            "local_pairs": self.local_pairs,
-            "global_pairs": self.global_pairs,
-            "seconds": round(self.seconds, 3),
-            "failures": self.failures,
-        }
+def _summed(name: str) -> property:
+    """A report total: the sum of one :class:`ShardOutcome` field."""
+    return property(lambda report: sum(getattr(shard, name)
+                                       for shard in report.shards))
 
 
 @dataclass
@@ -391,32 +348,15 @@ class CorpusRunReport:
     quarantined: List[dict] = field(default_factory=list)
     duration: float = 0.0
 
-    @property
-    def programs(self) -> int:
-        return sum(s.programs for s in self.shards)
+    programs = _summed("programs")
+    compiled = _summed("compiled")
+    references = _summed("references")
+    local_pairs = _summed("local_pairs")
+    global_pairs = _summed("global_pairs")
 
     @property
-    def compiled(self) -> int:
-        return sum(s.compiled for s in self.shards)
-
-    @property
-    def references(self) -> int:
-        return sum(s.references for s in self.shards)
-
-    @property
-    def local_pairs(self) -> int:
-        return sum(s.local_pairs for s in self.shards)
-
-    @property
-    def global_pairs(self) -> int:
-        return sum(s.global_pairs for s in self.shards)
-
-    @property
-    def failures(self) -> List[dict]:
-        out: List[dict] = []
-        for shard in self.shards:
-            out.extend(shard.failures)
-        return out
+    def failures(self) -> List[FailureRecord]:
+        return [f for shard in self.shards for f in shard.failures]
 
     @property
     def ok(self) -> bool:
@@ -440,7 +380,7 @@ class CorpusRunReport:
             "local_pairs": self.local_pairs,
             "global_pairs": self.global_pairs,
             "ok": self.ok,
-            "failures": self.failures,
+            "failures": [f.to_json() for f in self.failures],
             "quarantined": self.quarantined,
             "duration_seconds": round(self.duration, 3),
             "programs_per_second": round(self.throughput(), 2),
@@ -448,246 +388,46 @@ class CorpusRunReport:
         }
 
 
-def _count_program(entry: dict, options: _RunOptions,
-                   outcome: ShardOutcome) -> None:
-    """Table 5 (and optionally the oracle battery) for one program."""
-    from repro import compile_program
+@dataclass
+class _CorpusJob:
+    """How ``corpus run`` fills and checks a shard (pickled to workers)."""
 
-    program = compile_program(entry["source"], entry["name"])
-    outcome.compiled += 1
-    for analysis_name in options.analyses:
-        report = program.alias_pairs(analysis_name, engine=options.engine)
-        outcome.references += report.references
-        outcome.local_pairs += report.local_pairs
-        outcome.global_pairs += report.global_pairs
-    if options.oracles:
-        from repro.qa.oracles import check_program
+    corpus_dir: str
+    analyses: Tuple[str, ...]
+    engine: str
+    oracles: bool
+    per_program_seconds: Optional[float]
+    max_steps: int
+    config: GenConfig  # the corpus's generator dials, for the oracles
 
-        # Determinism doubles as integrity: the recorded seed must
-        # regenerate the stored bytes before the oracles vouch for it.
-        if options.spec is not None:
-            config = CorpusSpec.from_json(options.spec).gen_config()
-            regenerated = generate_program(entry["seed"], config).render()
-            digest = hashlib.sha256(regenerated.encode()).hexdigest()
+    def entries(self, info: ShardInfo) -> List[dict]:
+        return load_shard(Path(self.corpus_dir), info, verify=True)
+
+    def check(self, entry: dict, outcome: ShardOutcome) -> None:
+        """Table 5 (and optionally the oracle battery) for one program."""
+        with guarded(self.per_program_seconds,
+                     "corpus program {}".format(entry["name"])):
+            program = compile_program(entry["source"], entry["name"])
+            outcome.compiled += 1
+            for analysis_name in self.analyses:
+                report = program.alias_pairs(analysis_name,
+                                             engine=self.engine)
+                outcome.references += report.references
+                outcome.local_pairs += report.local_pairs
+                outcome.global_pairs += report.global_pairs
+            if not self.oracles:
+                return
+            # Determinism doubles as integrity: the recorded seed must
+            # regenerate the stored bytes before the oracles vouch for it.
+            regenerated = generate_program(entry["seed"], self.config)
+            digest = hashlib.sha256(regenerated.render().encode()).hexdigest()
             if digest != entry["sha256"]:
                 raise ValueError(
                     "seed {} does not regenerate the stored program {}"
                     .format(entry["seed"], entry["name"]))
-        oracle = check_program(entry["source"], name=entry["name"],
-                               seed=entry["seed"], max_steps=options.max_steps)
-        outcome.oracle_checked += 1
-        if not oracle.ok:
-            first = oracle.violations[0]
-            outcome.failures.append({
-                "seed": entry["seed"],
-                "name": entry["name"],
-                "phase": first.phase,
-                "error": first.kind,
-                "message": first.message,
-            })
-
-
-def _process_shard(task: Tuple) -> ShardOutcome:
-    """Worker entry point: one shard inside its bulkhead.
-
-    Runs in a pool process for ``jobs>1`` (where the inherited registry
-    is reset so the returned snapshot is exactly this shard's counters)
-    or inline for ``jobs=1`` (where counters land in the parent registry
-    directly and no snapshot is shipped).  The task tuple optionally
-    carries the watchdog's retry ``attempt`` so chaos rules can target
-    "first attempt only" (transient) vs "every attempt" (poison).
-
-    A forked worker also checks ``REPRO_TRACEPARENT``: when the driver
-    exported a *sampled* trace context, the shard runs inside its own
-    collecting trace scope parented under the driver's span, and the
-    worker flushes a ``corpus-worker`` record to the trace store named
-    by ``REPRO_TRACE_STORE`` — this is what lets ``repro trace show``
-    reconstruct client → daemon → forked-worker as one tree
-    (DESIGN.md §6k).  Pool workers re-mint their process token after
-    the fork, so records from different workers never collide.
-    """
-    from repro.obs import sampler as tracing
-
-    in_process = task[1].in_process
-    if not in_process:
-        obs.reset_inherited_trace_state()
-    ctx = None if in_process else tracing.context_from_env()
-    if ctx is None or not ctx.sampled:
-        return _process_shard_inner(task)
-    scope = obs.trace_scope(ctx.trace_id, collect=True,
-                            remote_parent=(ctx.proc, ctx.span_id))
-    with scope:
-        with obs.span("corpus.shard.worker", shard=task[0].index,
-                      attempt=task[2] if len(task) > 2 else 0):
-            outcome = _process_shard_inner(task)
-    store_dir = os.environ.get(tracing.TRACE_STORE_ENV)
-    if store_dir:
-        from repro.obs.tracestore import TraceStore, make_record
-
-        # append() never raises; a torn or failing store must not cost
-        # the shard its outcome.
-        TraceStore(store_dir).append(make_record(
-            scope, origin="corpus-worker", op="corpus.shard",
-            ms=outcome.seconds * 1000.0,
-            ok=not outcome.failures, unit=outcome.file))
-    return outcome
-
-
-def _process_shard_inner(task: Tuple) -> ShardOutcome:
-    if len(task) == 2:
-        info, options = task
-        attempt = 0
-    else:
-        info, options, attempt = task
-    outcome = ShardOutcome(index=info.index, file=info.file)
-    started = time.perf_counter()
-    if not options.in_process:
-        metrics.registry().reset()
-    # Forked workers inherit the armed chaos plan.  The kill point is
-    # gated off the in-process path — os._exit there would take the
-    # driver down, which is the one thing chaos must never do.
-    chaos.fire("corpus.shard_hang", shard=info.index, attempt=attempt)
-    if not options.in_process:
-        chaos.fire("corpus.worker_kill", shard=info.index,
-                   attempt=attempt)
-    try:
-        programs = load_shard(Path(options.corpus_dir), info, verify=True)
-        for entry in programs:
-            outcome.programs += 1
-            try:
-                with guarded(options.per_program_seconds,
-                             "corpus program {}".format(entry["name"])):
-                    _count_program(entry, options, outcome)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:  # per-program bulkhead
-                outcome.failures.append({
-                    "seed": entry.get("seed"),
-                    "name": entry.get("name"),
-                    "phase": "program",
-                    "error": type(exc).__name__,
-                    "message": str(exc),
-                })
-    except (KeyboardInterrupt, SystemExit):
-        raise
-    except Exception as exc:  # per-shard bulkhead
-        outcome.failures.append({
-            "seed": None,
-            "name": info.file,
-            "phase": "shard",
-            "error": type(exc).__name__,
-            "message": str(exc),
-        })
-    outcome.seconds = time.perf_counter() - started
-    if not options.in_process:
-        outcome.counters = metrics.registry().snapshot()
-    return outcome
-
-
-def _merge_worker_counters(snapshot: List[dict]) -> None:
-    """Fold one worker registry snapshot into the parent registry.
-
-    Counters accumulate into the shared child for the same series;
-    gauges adopt the worker's last value; histograms are summarised by
-    their event count under a ``.events`` counter (bucket-level merge is
-    not worth carrying across the pipe).
-    """
-    registry = metrics.registry()
-    for entry in snapshot:
-        labels = entry["labels"]
-        if entry["kind"] == "counter":
-            if entry["value"]:
-                registry.counter(entry["name"], **labels).inc(entry["value"])
-        elif entry["kind"] == "gauge":
-            registry.gauge(entry["name"], **labels).set(entry["value"])
-        elif entry["kind"] == "histogram" and entry.get("count"):
-            registry.counter(entry["name"] + ".events", **labels).inc(
-                entry["count"])
-
-
-#: Watchdog poll interval, seconds.
-_POOL_POLL_SECONDS = 0.02
-
-
-def _run_sharded_pool(
-    tasks,
-    jobs: int,
-    shard_timeout_seconds: Optional[float],
-    max_shard_retries: int,
-) -> Tuple[List[ShardOutcome], List[dict]]:
-    """Fan shards over a pool with a hung/dead-worker watchdog.
-
-    ``imap_unordered`` cannot survive a worker death: a killed worker's
-    task simply never produces a result and the iterator blocks
-    forever.  This scheduler submits via ``apply_async`` in a bounded
-    window (``jobs * 2`` in flight) and polls each pending handle itself, so
-    *hang* and *death* collapse into one observable — the handle is not
-    ready within ``shard_timeout_seconds``.  Timed-out shards are
-    resubmitted up to ``max_shard_retries`` times (a transient kill
-    heals; a late straggler result from the abandoned attempt is
-    dropped, never double-counted), then **quarantined**: recorded with
-    their attempt count and reported in the run JSON rather than
-    silently missing.  ``Pool.__exit__`` terminates the pool, which
-    also reaps workers still stuck in a hung shard.
-    """
-    registry = metrics.registry()
-    outcomes: List[ShardOutcome] = []
-    quarantined: List[dict] = []
-    window = max(jobs * 2, 2)
-    pending: List[dict] = []
-    tasks_iter = iter(tasks)
-    exhausted = False
-    with multiprocessing.Pool(processes=jobs) as pool:
-
-        def submit(info: ShardInfo, options: _RunOptions,
-                   attempt: int) -> None:
-            pending.append({
-                "handle": pool.apply_async(
-                    _process_shard, ((info, options, attempt),)),
-                "info": info,
-                "options": options,
-                "attempt": attempt,
-                "started": time.monotonic(),
-            })
-
-        while pending or not exhausted:
-            while not exhausted and len(pending) < window:
-                try:
-                    info, options, attempt = next(tasks_iter)
-                except StopIteration:
-                    exhausted = True
-                    break
-                submit(info, options, attempt)
-            if not pending:
-                continue
-            progressed = False
-            now = time.monotonic()
-            for entry in list(pending):
-                if entry["handle"].ready():
-                    pending.remove(entry)
-                    progressed = True
-                    outcomes.append(entry["handle"].get())
-                elif (shard_timeout_seconds is not None
-                      and now - entry["started"] > shard_timeout_seconds):
-                    pending.remove(entry)
-                    progressed = True
-                    if entry["attempt"] < max_shard_retries:
-                        registry.counter("corpus.shard.retries").inc()
-                        submit(entry["info"], entry["options"],
-                               entry["attempt"] + 1)
-                    else:
-                        registry.counter("corpus.shard.quarantined").inc()
-                        quarantined.append({
-                            "index": entry["info"].index,
-                            "file": entry["info"].file,
-                            "attempts": entry["attempt"] + 1,
-                            "reason": "shard exceeded {}s timeout on every "
-                                      "attempt (hung or killed worker)"
-                                      .format(shard_timeout_seconds),
-                        })
-            if not progressed:
-                time.sleep(_POOL_POLL_SECONDS)
-    return outcomes, quarantined
+            outcome.note_oracle(entry["seed"], check_program(
+                entry["source"], name=entry["name"], seed=entry["seed"],
+                max_steps=self.max_steps))
 
 
 def run_corpus(
@@ -704,7 +444,8 @@ def run_corpus(
     progress: Optional[Callable[[ShardOutcome], None]] = None,
 ) -> CorpusRunReport:
     """Drive Table 5 counting (and optionally the oracle battery) over
-    every shard of a corpus, ``jobs`` shards at a time.
+    every shard of a corpus, ``jobs`` shards at a time, through
+    :func:`~repro.qa.runner.run_shards`.
 
     ``shard_timeout_seconds`` arms the hung/dead-worker watchdog
     (``jobs > 1`` only): shards whose worker hangs or dies retry up to
@@ -720,37 +461,25 @@ def run_corpus(
         raise ValueError("jobs must be >= 1")
     analyses = tuple(analyses) if analyses else tuple(ANALYSIS_NAMES)
     shards = manifest.shards[:max_shards]
-    n_shards = len(shards)
-    options = _RunOptions(
+    job = _CorpusJob(
         corpus_dir=str(corpus_dir),
         analyses=analyses,
         engine=engine,
         oracles=oracles,
         per_program_seconds=per_program_seconds,
         max_steps=max_steps,
-        in_process=(jobs == 1),
-        spec=manifest.spec.to_json(),
+        config=manifest.spec.gen_config(),
     )
-    tasks = ((info, options, 0) for info in shards)
     report = CorpusRunReport(
         corpus_dir=str(corpus_dir), engine=engine, jobs=jobs,
         analyses=analyses)
     started = time.monotonic()
-    with obs.span("corpus.run", shards=n_shards, jobs=jobs, engine=engine):
-        if jobs == 1:
-            outcomes = [_process_shard(task) for task in tasks]
-        else:
-            # fork keeps the workers cheap; the registry reset inside
-            # _process_shard makes the inherited state irrelevant.
-            outcomes, report.quarantined = _run_sharded_pool(
-                tasks, jobs, shard_timeout_seconds, max_shard_retries)
-        outcomes.sort(key=lambda o: o.index)  # deterministic merge order
-        report.quarantined.sort(key=lambda q: q["index"])
+    with obs.span("corpus.run", shards=len(shards), jobs=jobs,
+                  engine=engine):
+        report.shards, report.quarantined = run_shards(
+            job, shards, jobs, shard_timeout_seconds, max_shard_retries)
         registry = metrics.registry()
-        for outcome in outcomes:
-            if outcome.counters is not None:
-                _merge_worker_counters(outcome.counters)
-                outcome.counters = None
+        for outcome in report.shards:
             registry.counter("corpus.shard.programs").inc(outcome.programs)
             registry.counter("corpus.shard.pairs").inc(
                 outcome.local_pairs + outcome.global_pairs)
@@ -758,7 +487,6 @@ def run_corpus(
             with obs.span("corpus.shard", index=outcome.index,
                           programs=outcome.programs):
                 pass  # marker span: shard boundaries in the trace timeline
-            report.shards.append(outcome)
             if progress is not None:
                 progress(outcome)
     report.duration = time.monotonic() - started

@@ -25,6 +25,7 @@ a ``crash`` violation carrying the traceback, and later phases still
 run.  The report is JSON-serialisable for the batch runner.
 """
 
+import re
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -46,6 +47,14 @@ LEVELS = ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs")
 #: Cap on distinct reference paths entering the all-pairs phases, so one
 #: pathological program cannot stall a whole fuzzing batch.
 MAX_STATIC_PATHS = 150
+
+#: Reports drop a fresh root's process-wide serial (``<tmp125:T>``), so
+#: a seed reports the same in any process and at any ``--jobs``.
+_FRESH_SERIAL = re.compile(r"<tmp\d+:")
+
+
+def _show(ap: AccessPath) -> str:
+    return _FRESH_SERIAL.sub("<tmp:", str(ap))
 
 
 @dataclass
@@ -205,10 +214,8 @@ def check_program(
 
 
 def _reference_paths(program: Program) -> List[AccessPath]:
-    from repro.analysis.alias_pairs import collect_heap_references
-
     seen: Dict[AccessPath, None] = {}
-    for aps in collect_heap_references(program.lowered()).values():
+    for aps in program.heap_references().values():
         for ap in aps:
             seen.setdefault(ap, None)
     return list(seen)[:MAX_STATIC_PATHS]
@@ -234,13 +241,14 @@ def _check_refinement(
                                 phase="static",
                                 message=(
                                     "{} says alias but {} says no for {} / {}".format(
-                                        LEVELS[fine], LEVELS[fine - 1], p, q
+                                        LEVELS[fine], LEVELS[fine - 1],
+                                        _show(p), _show(q)
                                     )
                                 ),
                                 details={
                                     "open_world": str(open_world),
-                                    "p": str(p),
-                                    "q": str(q),
+                                    "p": _show(p),
+                                    "q": _show(q),
                                 },
                             )
                         )
@@ -253,9 +261,11 @@ def _check_refinement(
                             phase="static",
                             message=(
                                 "closed-world {} aliases {} / {} but "
-                                "open-world denies it".format(level, p, q)
+                                "open-world denies it".format(
+                                    level, _show(p), _show(q))
                             ),
-                            details={"level": level, "p": str(p), "q": str(q)},
+                            details={"level": level, "p": _show(p),
+                                     "q": _show(q)},
                         )
                     )
 
@@ -313,7 +323,7 @@ def _check_dynamic(
     for addr, aps in trace.items():
         if len(aps) < 2:
             continue
-        ordered = sorted(aps, key=str)
+        ordered = sorted(aps, key=_show)
         for i, p in enumerate(ordered):
             for q in ordered[i + 1 :]:
                 report.trace_pairs += 1
@@ -326,8 +336,8 @@ def _check_dynamic(
                                 message=(
                                     "{} and {} hit address {:#x} but {}{} "
                                     "says no-alias".format(
-                                        p,
-                                        q,
+                                        _show(p),
+                                        _show(q),
                                         addr,
                                         level,
                                         " (open)" if open_world else "",
@@ -336,8 +346,8 @@ def _check_dynamic(
                                 details={
                                     "level": level,
                                     "open_world": str(open_world),
-                                    "p": str(p),
-                                    "q": str(q),
+                                    "p": _show(p),
+                                    "q": _show(q),
                                 },
                             )
                         )

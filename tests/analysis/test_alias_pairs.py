@@ -159,3 +159,24 @@ def test_engines_agree_and_fast_queries_less():
     ref_queries = ref_stats["hits"] + ref_stats["misses"]
     fast_queries = fast_stats["hits"] + fast_stats["misses"]
     assert fast_queries < ref_queries
+
+
+def test_program_counts_walk_the_lowered_ir_once():
+    from repro import compile_program
+
+    program = compile_program(SOURCE, "M")
+    ir = program.lowered()
+    walks = []
+    user_procs = ir.user_procs
+
+    def counted():
+        walks.append(1)
+        return user_procs()
+
+    ir.user_procs = counted
+    reports = [program.alias_pairs(name)
+               for name in ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs")]
+    assert len(walks) == 1
+    expected = collect_heap_references(lower_module(program.checked))
+    assert program.heap_references() == expected
+    assert [r.references for r in reports] == [4, 4, 4]

@@ -96,6 +96,37 @@ def test_run_jobs_match_and_merge_is_deterministic(corpus_dir):
             (b.index, b.programs, b.references, b.local_pairs, b.global_pairs)
 
 
+def test_trace_records_the_same_counter_series_at_any_jobs(corpus_dir,
+                                                           tmp_path):
+    """Worker counters reach --trace, zero-valued series included.  Each
+    run is a fresh interpreter, so no series is left over from another
+    run in this process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[2] / "src"),
+                    env.get("PYTHONPATH")) if p)
+
+    def counters(jobs):
+        path = tmp_path / "jobs{}.jsonl".format(jobs)
+        subprocess.run([sys.executable, "-m", "repro", "-q", "corpus", "run",
+                        str(corpus_dir), "--jobs", str(jobs), "--no-history",
+                        "--trace", str(path)], env=env, check=True,
+                       capture_output=True)
+        record = json.loads(path.read_text())
+        return {(e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+                for e in record["metrics"] if e["kind"] == "counter"
+                and e["name"] != "corpus.shard.seconds"}  # wall clock
+
+    pooled = counters(2)
+    assert pooled == counters(1)
+    assert pooled[("alias.cache.hits", (("analysis", "TypeDecl"),))] == 0
+
+
 def test_run_differential_engine(corpus_dir):
     fast = run_corpus(corpus_dir, jobs=1, max_shards=1)
     diff = run_corpus(corpus_dir, jobs=1, engine="differential", max_shards=1)
@@ -136,9 +167,40 @@ def test_oracles_catch_seed_drift(tmp_path):
 
     report = run_corpus(out, jobs=1, oracles=True, max_shards=1)
     assert not report.ok
-    assert any("regenerate" in f["message"] for f in report.failures)
+    assert any("regenerate" in f.message for f in report.failures)
     # The bulkhead held: the rest of the shard still ran.
     assert report.shards[0].programs == 5
+
+
+def test_failing_program_record_carries_its_digest(tmp_path):
+    """A corpus failure is a FailureRecord, digest included."""
+    import hashlib
+
+    from repro.qa.corpus import MANIFEST_NAME, shard_file
+    from repro.qa.runner import failure_digest
+
+    out = tmp_path / "broken"
+    generate_corpus(SPEC, out)
+    manifest = load_manifest(out)
+    payload = json.loads((out / manifest.shards[0].file).read_text())
+    payload["programs"][1]["source"] = "MODULE Broken; BEGIN x := 1 END Broken."
+    digest = hashlib.sha256(
+        json.dumps(payload["programs"], sort_keys=True).encode()).hexdigest()
+    (out / manifest.shards[0].file).unlink()
+    (out / shard_file(0, digest)).write_text(json.dumps(payload))
+    mdata = json.loads((out / MANIFEST_NAME).read_text())
+    mdata["shards"][0]["sha256"] = digest
+    (out / MANIFEST_NAME).write_text(json.dumps(mdata))
+
+    report = run_corpus(out, jobs=1, max_shards=1)
+    [failure] = report.failures
+    assert (failure.seed, failure.name, failure.phase) == (
+        payload["programs"][1]["seed"], payload["programs"][1]["name"],
+        "harness")
+    assert failure.digest == failure_digest(failure.phase, failure.kind,
+                                            failure.message)
+    assert report.to_json()["failures"] == [failure.to_json()]
+    assert report.compiled == 4  # the bulkhead held
 
 
 def test_manifest_header_and_shard_stream(corpus_dir):

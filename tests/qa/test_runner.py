@@ -1,6 +1,7 @@
 """Batch runner: fault isolation, JSON reports, digests, bundles."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,8 +64,9 @@ def test_keyboard_interrupt_propagates(monkeypatch):
         run_fuzz(3, base_seed=0)
 
 
-def test_parallel_jobs_match_serial(monkeypatch):
-    """jobs>1 must reproduce the jobs=1 report, failures included."""
+def test_parallel_jobs_match_serial(tmp_path, monkeypatch):
+    """jobs>1 must reproduce the jobs=1 report, failures included, and
+    write the same reduced crash bundles."""
     monkeypatch.setenv(FAULT_ENV, "1")
     serial = run_fuzz(6, base_seed=0, reduce=False, jobs=1)
     pooled = run_fuzz(6, base_seed=0, reduce=False, jobs=3)
@@ -73,6 +75,57 @@ def test_parallel_jobs_match_serial(monkeypatch):
     assert pooled.trapped == serial.trapped
     assert [(f.seed, f.phase, f.kind, f.digest) for f in pooled.failures] == \
         [(f.seed, f.phase, f.kind, f.digest) for f in serial.failures]
+
+    def bundles(report, out_dir):
+        return [(f.seed, f.digest, f.reduced_statements,
+                 str(Path(f.bundle).relative_to(out_dir)),
+                 (Path(f.bundle) / "reduced.m3").read_text())
+                for f in report.failures]
+
+    serial = run_fuzz(6, base_seed=0, out_dir=tmp_path / "serial", jobs=1)
+    pooled = run_fuzz(6, base_seed=0, out_dir=tmp_path / "pooled", jobs=3)
+    assert len(serial.failures) > 1
+    assert bundles(pooled, tmp_path / "pooled") == \
+        bundles(serial, tmp_path / "serial")
+    reports = [json.loads((tmp_path / side / "fuzz-report.json").read_text())
+               for side in ("serial", "pooled")]
+    for data in reports:
+        del data["duration_seconds"]
+        for failure in data["failures"]:
+            failure["bundle"] = Path(failure["bundle"]).name
+    assert reports[0] == reports[1]
+
+
+def test_trace_counters_match_at_any_jobs(tmp_path):
+    """Pool workers' counters reach the --trace record, every series
+    with the value an in-process run records."""
+    from repro.cli import main
+
+    def counters(jobs):
+        path = tmp_path / "jobs{}.jsonl".format(jobs)
+        assert main(["fuzz", "--count", "8", "--no-report", "--jobs",
+                     str(jobs), "--trace", str(path)]) == 0
+        record = json.loads(path.read_text())
+        return {(e["name"], tuple(sorted(e["labels"].items()))): e["value"]
+                for e in record["metrics"] if e["kind"] == "counter"}
+
+    pooled = counters(2)  # first, so no series is left from the serial run
+    serial = counters(1)
+    assert pooled == serial
+    assert serial[("run.interp.calls", ())] > 0
+    assert serial[("aliaspairs.fast.references",
+                   (("analysis", "TypeDecl"),))] > 0
+
+
+def test_progress_reports_every_seed_in_order_at_any_jobs():
+    for jobs in (1, 3):
+        seen = []
+        report = run_fuzz(7, base_seed=3, reduce=False, jobs=jobs,
+                          progress=lambda *status: seen.append(status))
+        assert [seed for seed, _, _ in seen] == list(range(3, 10))
+        assert sum(run == "ran" for _, run, _ in seen) == report.ran_clean
+        assert sum(run == "trap" for _, run, _ in seen) == report.trapped
+        assert all(ok for _, _, ok in seen)
 
 
 def test_parallel_report_written(tmp_path):
