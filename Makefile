@@ -93,11 +93,12 @@ chaos-smoke:
 		--plan worker-kill --plan stdio-flaky --plan ledger-torn \
 		--plan tracestore-torn
 
-# Live-observability smoke: boot a daemon with tracing + SLO tracking +
-# access log on, run a traced --debug query end to end, parse every
-# line of the /v1/metrics Prometheus exposition, check the request
-# journal and the slow-request access log carry the trace id, and
-# render `repro top --once` against the live daemon (DESIGN.md §6j).
+# Live-observability smoke: boot a daemon with a 0 ms SLO and head
+# sampling off, so the tail rule writes every request to the trace
+# store; run a traced --debug query end to end, parse every line of the
+# /v1/metrics Prometheus exposition, check the request journal and the
+# trace store carry the trace id, and render `repro top --once` against
+# the live daemon (DESIGN.md §6j).
 obs-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro -q client --obs-smoke
 

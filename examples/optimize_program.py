@@ -72,9 +72,10 @@ def main() -> None:
     print("  eliminated loads:", optimized.rle.eliminated_loads)
     print("  hoisted paths   :", optimized.rle.hoisted_paths)
     eliminated = [
-        uid for uid, st in optimized.rle.load_status.items() if st == STATUS_ELIMINATED
+        instr for instr, st in optimized.rle.load_status.items() if st == STATUS_ELIMINATED
     ]
-    print("  eliminated uids :", sorted(eliminated))
+    print("  eliminated at   :", ", ".join(
+        "{} ({})".format(instr.ap, instr.loc) for instr in eliminated))
 
     base_stats = program.run(base)
     opt_stats = program.run(optimized)

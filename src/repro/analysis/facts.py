@@ -40,7 +40,10 @@ from repro.ir.printer import format_proc
 #: v3: plain JSON data; a world is its :func:`world_summary` counts.
 #: v4: procedure hashes are taken over the lowered IR, before the back
 #: end's CSE.
-FACTS_SCHEMA_VERSION = 4
+#: v5: each procedure numbers its own blocks, compiler locals and fresh
+#: roots, so its hash no longer depends on what the process compiled
+#: before; a v4 hash must not be diffed against a v5 one.
+FACTS_SCHEMA_VERSION = 5
 
 
 def source_hash(source: str) -> str:
@@ -52,9 +55,9 @@ def proc_ir_hashes(program: ProgramIR) -> Dict[str, str]:
     """``procedure name -> sha256(formatted IR)`` of lowered *program*.
 
     Callers pass :meth:`repro.Program.lowered`, so the hash is taken at
-    lower time, before any optimizer runs.  Block labels and fresh
-    temporaries are numbered per process, so equal sources hash equally
-    only within one process.
+    lower time, before any optimizer runs.  A procedure numbers its own
+    blocks, temporaries, compiler locals and fresh roots, so equal
+    procedure sources hash equally in any process.
     """
     return {
         proc.name: hashlib.sha256(format_proc(proc).encode()).hexdigest()

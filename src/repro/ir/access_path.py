@@ -36,10 +36,11 @@ root symbols, fields, index terms and types returns the pointer-identical
 node, and every node carries a dense integer :attr:`~AccessPath.uid`.
 The alias analyses key their query caches on ``(uid, uid)`` pairs and
 :func:`strip_index` memoises its result on the node, so repeated queries
-never re-hash or re-canonicalise a tree.  :class:`FreshRoot` and
-subscripts with an :class:`UnknownIndex` are intentionally generative
-(never equal to another occurrence), so they bypass the intern table but
-still receive uids.
+never re-hash or re-canonicalise a tree.  A :class:`FreshRoot` or an
+:class:`UnknownIndex` is one occurrence in the source, named by its
+procedure and a number the procedure hands out
+(:meth:`repro.ir.cfg.ProcIR.fresh_root`), so it is interned like any
+other node and lowering a module twice builds the same paths.
 """
 
 import itertools
@@ -101,27 +102,27 @@ class VarIndex(IndexTerm):
         return self.symbol.name
 
 
-_unknown_counter = itertools.count()
-
-
 class UnknownIndex(IndexTerm):
-    """A subscript too complex to name lexically; never equal to another.
+    """A subscript too complex to name lexically; equal to no other.
 
-    Each occurrence gets a unique serial so ``a[f(x)]`` is not considered
-    the same location as the next ``a[f(x)]`` — conservative for RLE,
-    irrelevant for aliasing (which ignores indices anyway).
+    Each occurrence is numbered by its procedure (``proc``, ``serial``)
+    so ``a[f(x)]`` is not considered the same location as the next
+    ``a[f(x)]`` — conservative for RLE, irrelevant for aliasing (which
+    ignores indices anyway).
     """
 
-    __slots__ = ("serial",)
+    __slots__ = ("proc", "serial")
 
-    def __init__(self) -> None:
-        self.serial = next(_unknown_counter)
+    def __init__(self, proc: str, serial: int):
+        self.proc = proc
+        self.serial = serial
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, UnknownIndex) and other.serial == self.serial
+        return (isinstance(other, UnknownIndex) and other.serial == self.serial
+                and other.proc == self.proc)
 
     def __hash__(self) -> int:
-        return hash(("unknown-index", self.serial))
+        return hash(("unknown-index", self.proc, self.serial))
 
     def __str__(self) -> str:
         return "?"
@@ -142,14 +143,11 @@ class _InternMeta(type):
     """Hash-consing constructor: structurally-equal APs are identical.
 
     Each concrete AP class provides ``_intern_key(...)`` mirroring its
-    ``__init__`` signature; a ``None`` key means the node is generative
-    (FreshRoot, UnknownIndex subscripts) and is built fresh every time.
+    ``__init__`` signature.
     """
 
     def __call__(cls, *args, **kwargs):
         key = cls._intern_key(*args, **kwargs)
-        if key is None:
-            return super().__call__(*args, **kwargs)
         node = _intern_table.get(key)
         if node is None:
             node = super().__call__(*args, **kwargs)
@@ -168,10 +166,6 @@ class AccessPath(metaclass=_InternMeta):
         self.uid = next(_uid_counter)
         #: Memoised ``strip_index(self)`` (None until first computed).
         self._stripped: Optional["AccessPath"] = None
-
-    @staticmethod
-    def _intern_key(*args, **kwargs):
-        return None  # base class nodes are never constructed directly
 
     # -- structure -----------------------------------------------------
 
@@ -261,30 +255,26 @@ class FreshRoot(AccessPath):
 
     ``NEW(T).f`` or ``Make().f`` root their paths in the value of a
     compiler temporary; the paper's compiler would bind it to a fresh
-    variable.  Fresh roots are never lexically equal to anything else,
-    and alias queries treat them like variables of their static type
+    variable.  Each occurrence is numbered by its procedure (``proc``,
+    ``serial``) and interned, so a fresh root is equal to itself alone,
+    and alias queries treat it like a variable of its static type
     (Table 2 falls through to case 7, TypeDecl).
     """
 
-    __slots__ = ("serial",)
+    __slots__ = ("proc", "serial")
 
-    def __init__(self, type: Type):
+    def __init__(self, proc: str, serial: int, type: Type):
         super().__init__(type)
-        self.serial = next(_unknown_counter)
+        self.proc = proc
+        self.serial = serial
 
     @staticmethod
-    def _intern_key(type: Type):
-        return None  # generative: every FreshRoot is distinct
+    def _intern_key(proc: str, serial: int, type: Type):
+        return ("fresh", proc, serial, id(type))
 
     @property
     def is_handle(self) -> bool:
         return False
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FreshRoot) and other.serial == self.serial
-
-    def __hash__(self) -> int:
-        return hash(("fresh", self.serial))
 
     def __str__(self) -> str:
         return "<tmp{}:{}>".format(self.serial, self.type.name)
@@ -373,7 +363,7 @@ class Subscript(AccessPath):
         elif isinstance(index, VarIndex):
             ikey = ("v", index.symbol.uid)
         else:
-            return None  # UnknownIndex: generative by design
+            ikey = ("u", index.proc, index.serial)
         return ("subscript", base.uid, ikey, id(element_type))
 
     @property

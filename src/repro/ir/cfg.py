@@ -1,20 +1,19 @@
 """Basic blocks, per-procedure CFGs and the whole-program IR container."""
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.ir import instructions as ins
+from repro.ir.access_path import FreshRoot, UnknownIndex
 from repro.lang.symtab import Symbol
 from repro.lang.typecheck import CheckedModule, CheckedProc, MAIN_PROC
+from repro.lang.types import Type
 
 
 class BasicBlock:
     """A straight-line instruction sequence ending in one terminator."""
 
-    _labels = itertools.count()
-
-    def __init__(self, name: Optional[str] = None):
-        self.name = name or "B{}".format(next(BasicBlock._labels))
+    def __init__(self, name: str):
+        self.name = name
         self.instrs: List[ins.Instr] = []
         self.terminator: Optional[ins.Instr] = None
 
@@ -49,15 +48,24 @@ class BasicBlock:
 
 
 class ProcIR:
-    """The lowered body of one procedure."""
+    """The lowered body of one procedure.
 
-    def __init__(self, name: str, checked: CheckedProc, entry: BasicBlock):
+    The procedure names everything in it: temporaries, blocks, compiler
+    locals, fresh roots and unknown subscripts are numbered here, in the
+    order the lowerer and the optimizers ask for them, so the IR of a
+    procedure depends on its source alone.
+    """
+
+    def __init__(self, name: str, checked: CheckedProc):
         self.name = name
         self.checked = checked
-        self.entry = entry
+        self.entry = BasicBlock("{}.entry".format(name))
         self.n_temps = 0
-        # Shadow locals invented by optimizations (RLE caches); they are
-        # register-class symbols and never count as memory.
+        self.n_blocks = 0
+        self.n_fresh = 0
+        # Compiler locals (FOR bounds, CASE selectors, inlined results,
+        # RLE caches); they are register-class symbols and never count
+        # as memory.
         self.shadow_symbols: List[Symbol] = []
         # WITH handles: binding symbol -> ('var', sym) | ('handle', sym) |
         # ('heap', ap), describing the location the handle aliases.  Used
@@ -68,6 +76,27 @@ class ProcIR:
         temp = ins.Temp(self.n_temps)
         self.n_temps += 1
         return temp
+
+    def new_block(self, hint: str) -> BasicBlock:
+        """A block labelled ``<proc>.<hint><n>``, unique in the procedure."""
+        self.n_blocks += 1
+        return BasicBlock("{}.{}{}".format(self.name, hint, self.n_blocks - 1))
+
+    def new_shadow(self, hint: str, var_type: Type) -> Symbol:
+        """A compiler local named ``<hint.n>``, unique in the procedure."""
+        symbol = Symbol("<{}.{}>".format(hint, len(self.shadow_symbols)),
+                        "var", var_type, self.checked.loc,
+                        proc_name=self.name)
+        self.shadow_symbols.append(symbol)
+        return symbol
+
+    def fresh_root(self, root_type: Type) -> FreshRoot:
+        self.n_fresh += 1
+        return FreshRoot(self.name, self.n_fresh - 1, root_type)
+
+    def unknown_index(self) -> UnknownIndex:
+        self.n_fresh += 1
+        return UnknownIndex(self.name, self.n_fresh - 1)
 
     def blocks(self) -> List[BasicBlock]:
         """All reachable blocks in reverse-postorder from the entry."""

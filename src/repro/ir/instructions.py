@@ -21,15 +21,12 @@ on the AST where these loads do not appear, which is exactly why
 limit study classify them.
 """
 
-import itertools
 from typing import List, Optional, Sequence
 
 from repro.ir.access_path import AccessPath
 from repro.lang.errors import SourceLocation, UNKNOWN_LOCATION
 from repro.lang.symtab import Symbol
 from repro.lang.types import ObjectType, RefType
-
-_instr_uid = itertools.count()
 
 
 class Temp:
@@ -67,7 +64,6 @@ class Instr:
     counted = True
 
     def __init__(self, loc: SourceLocation = UNKNOWN_LOCATION):
-        self.uid = next(_instr_uid)
         self.loc = loc
 
     @property
@@ -83,7 +79,7 @@ class Instr:
         return None
 
     def __repr__(self) -> str:
-        return "<{} #{}>".format(type(self).__name__, self.uid)
+        return "<{} at {}>".format(type(self).__name__, self.loc)
 
 
 # ----------------------------------------------------------------------

@@ -23,11 +23,9 @@ from repro.ir.access_path import (
     AccessPath,
     ConstIndex,
     Deref,
-    FreshRoot,
     IndexTerm,
     Qualify,
     Subscript,
-    UnknownIndex,
     VarIndex,
     VarRoot,
 )
@@ -68,11 +66,9 @@ class _ProcLowerer:
     def __init__(self, checked_module: CheckedModule, checked_proc: CheckedProc):
         self.module = checked_module
         self.checked = checked_proc
-        entry = BasicBlock("{}.entry".format(checked_proc.name))
-        self.proc = ProcIR(checked_proc.name, checked_proc, entry)
-        self.block = entry
+        self.proc = ProcIR(checked_proc.name, checked_proc)
+        self.block = self.proc.entry
         self.loop_exits: List[BasicBlock] = []
-        self._shadow_serial = 0
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -84,9 +80,6 @@ class _ProcLowerer:
     def temp(self) -> ins.Temp:
         return self.proc.new_temp()
 
-    def new_block(self, hint: str = "") -> BasicBlock:
-        return BasicBlock("{}.{}{}".format(self.proc.name, hint, BasicBlock._labels.__next__()))
-
     def goto(self, block: BasicBlock) -> None:
         """Terminate the current block with a jump and continue in *block*."""
         if not self.block.is_terminated:
@@ -96,19 +89,6 @@ class _ProcLowerer:
     def branch(self, cond: ins.Temp, if_true: BasicBlock, if_false: BasicBlock) -> None:
         if not self.block.is_terminated:
             self.block.terminate(ins.Branch(cond, if_true, if_false))
-
-    def shadow_var(self, hint: str, var_type: ty.Type) -> Symbol:
-        """A compiler-invented local (register class, never memory)."""
-        self._shadow_serial += 1
-        symbol = Symbol(
-            "<{}.{}>".format(hint, self._shadow_serial),
-            "var",
-            var_type,
-            self.checked.loc,
-            proc_name=self.proc.name,
-        )
-        self.proc.shadow_symbols.append(symbol)
-        return symbol
 
     # ------------------------------------------------------------------
     # Top level
@@ -192,14 +172,14 @@ class _ProcLowerer:
         """Terminate with *terminator*; continue in an unreachable block."""
         if not self.block.is_terminated:
             self.block.terminate(terminator)
-        self.block = self.new_block("dead")
+        self.block = self.proc.new_block("dead")
 
     def _lower_if(self, stmt: ast.IfStmt) -> None:
-        join = self.new_block("join")
+        join = self.proc.new_block("join")
         for cond, body in stmt.arms:
             cond_temp = self.lower_expr(cond)
-            then_block = self.new_block("then")
-            else_block = self.new_block("else")
+            then_block = self.proc.new_block("then")
+            else_block = self.proc.new_block("else")
             self.branch(cond_temp, then_block, else_block)
             self.block = then_block
             self.lower_stmts(body)
@@ -209,9 +189,9 @@ class _ProcLowerer:
         self.goto(join)
 
     def _lower_while(self, stmt: ast.WhileStmt) -> None:
-        header = self.new_block("while")
-        body = self.new_block("body")
-        exit_block = self.new_block("exit")
+        header = self.proc.new_block("while")
+        body = self.proc.new_block("body")
+        exit_block = self.proc.new_block("exit")
         self.goto(header)
         cond = self.lower_expr(stmt.cond)
         self.branch(cond, body, exit_block)
@@ -223,8 +203,8 @@ class _ProcLowerer:
         self.block = exit_block
 
     def _lower_repeat(self, stmt: ast.RepeatStmt) -> None:
-        body = self.new_block("repeat")
-        exit_block = self.new_block("exit")
+        body = self.proc.new_block("repeat")
+        exit_block = self.proc.new_block("exit")
         self.goto(body)
         self.loop_exits.append(exit_block)
         self.lower_stmts(stmt.body)
@@ -234,8 +214,8 @@ class _ProcLowerer:
         self.block = exit_block
 
     def _lower_loop(self, stmt: ast.LoopStmt) -> None:
-        body = self.new_block("loop")
-        exit_block = self.new_block("exit")
+        body = self.proc.new_block("loop")
+        exit_block = self.proc.new_block("exit")
         self.goto(body)
         self.loop_exits.append(exit_block)
         self.lower_stmts(stmt.body)
@@ -249,12 +229,12 @@ class _ProcLowerer:
         lo = self.lower_expr(stmt.lo)
         self.emit(ins.StoreVar(symbol, lo, stmt.loc))
         hi = self.lower_expr(stmt.hi)
-        hi_shadow = self.shadow_var("for_hi", ty.INTEGER)
+        hi_shadow = self.proc.new_shadow("for_hi", ty.INTEGER)
         self.emit(ins.StoreVar(hi_shadow, hi, stmt.loc))
 
-        header = self.new_block("for")
-        body = self.new_block("body")
-        exit_block = self.new_block("exit")
+        header = self.proc.new_block("for")
+        body = self.proc.new_block("body")
+        exit_block = self.proc.new_block("exit")
         self.goto(header)
         t_i = self.temp()
         self.emit(ins.LoadVar(t_i, symbol, stmt.loc))
@@ -294,12 +274,12 @@ class _ProcLowerer:
 
     def _lower_case(self, stmt: ast.CaseStmt) -> None:
         selector = self.lower_expr(stmt.selector)
-        sel_shadow = self.shadow_var("case_sel", stmt.selector.type or ty.INTEGER)
+        sel_shadow = self.proc.new_shadow("case_sel", stmt.selector.type or ty.INTEGER)
         self.emit(ins.StoreVar(sel_shadow, selector, stmt.loc))
-        join = self.new_block("join")
+        join = self.proc.new_block("join")
         for arm in stmt.arms:
-            arm_block = self.new_block("arm")
-            next_test = self.new_block("test")
+            arm_block = self.proc.new_block("arm")
+            next_test = self.proc.new_block("test")
             matched = self._case_match(sel_shadow, arm.labels)
             self.branch(matched, arm_block, next_test)
             self.block = arm_block
@@ -396,9 +376,9 @@ class _ProcLowerer:
     def _lower_short_circuit(self, expr: ast.BinaryExpr) -> ins.Temp:
         result = self.temp()
         left = self.lower_expr(expr.left)
-        rhs_block = self.new_block("sc_rhs")
-        fix_block = self.new_block("sc_fix")
-        join = self.new_block("sc_join")
+        rhs_block = self.proc.new_block("sc_rhs")
+        fix_block = self.proc.new_block("sc_fix")
+        join = self.proc.new_block("sc_join")
         if expr.op == "AND":
             self.branch(left, rhs_block, fix_block)
             fixed_value = False
@@ -423,7 +403,8 @@ class _ProcLowerer:
         if isinstance(expr, ast.NameRef):
             symbol: Symbol = getattr(expr, "symbol")
             if symbol.kind == "const":
-                return self._const(symbol.const_value, expr), FreshRoot(symbol.type or ty.INTEGER)
+                return (self._const(symbol.const_value, expr),
+                        self.proc.fresh_root(symbol.type or ty.INTEGER))
             if self._is_handle(symbol):
                 handle = self.temp()
                 self.emit(ins.LoadVar(handle, symbol, expr.loc))
@@ -538,7 +519,7 @@ class _ProcLowerer:
             return self.read_designator(expr)
         temp = self.lower_expr(expr)
         assert expr.type is not None
-        return temp, FreshRoot(expr.type)
+        return temp, self.proc.fresh_root(expr.type)
 
     def _lower_field_base(
         self, expr: ast.FieldRef
@@ -596,7 +577,7 @@ class _ProcLowerer:
                 return ConstIndex(symbol.const_value)
             if symbol.kind in ("var", "param", "for", "with") and not self._is_handle(symbol):
                 return VarIndex(symbol)
-        return UnknownIndex()
+        return self.proc.unknown_index()
 
     # ------------------------------------------------------------------
     # Calls, builtins, NEW
@@ -697,7 +678,7 @@ class _ProcLowerer:
         if isinstance(expr, (ast.NameRef, ast.FieldRef, ast.DerefExpr, ast.IndexExpr)):
             return self._designator_ap(expr)
         assert expr.type is not None
-        return FreshRoot(expr.type)
+        return self.proc.fresh_root(expr.type)
 
     def _lower_builtin(self, call: ast.CallExpr, want_result: bool) -> Optional[ins.Temp]:
         name = call.builtin_name
@@ -753,7 +734,7 @@ class _ProcLowerer:
         dest = self.temp()
         if isinstance(new_type, ty.ObjectType):
             self.emit(ins.NewObject(dest, new_type, expr.loc))
-            base_ap = FreshRoot(new_type)
+            base_ap = self.proc.fresh_root(new_type)
             for fname, init in expr.field_inits:
                 value = self.lower_expr(init)
                 field_type = new_type.field_type(fname)
@@ -775,7 +756,7 @@ class _ProcLowerer:
         # REF RECORD and scalar REF cells both allocate a record-like cell.
         self.emit(ins.NewRecord(dest, new_type, expr.loc))
         if isinstance(referent, ty.RecordType) and expr.field_inits:
-            base_ap = Deref(FreshRoot(new_type), referent)
+            base_ap = Deref(self.proc.fresh_root(new_type), referent)
             for fname, init in expr.field_inits:
                 value = self.lower_expr(init)
                 field_type = referent.field_type(fname)

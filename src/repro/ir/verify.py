@@ -3,7 +3,8 @@
 Run after lowering and after every optimization pass (the test suite
 does) to catch structural corruption early:
 
-* every reachable block has exactly one terminator;
+* every reachable block has exactly one terminator and a label no
+  other reachable block of the procedure has;
 * branch/jump targets are reachable blocks of the same procedure;
 * every temp is written before it is read on every path (conservatively:
   checked along the reverse-postorder with merge-intersection, like a
@@ -41,7 +42,12 @@ def verify_proc(proc: ProcIR) -> None:
             "{}: entry block not in reachable set".format(proc.name)
         )
 
+    labels: Set[str] = set()
     for block in blocks:
+        if block.name in labels:
+            raise IRVerificationError(
+                "{}: two blocks labelled {}".format(proc.name, block.name))
+        labels.add(block.name)
         _verify_block(proc, block, block_set)
 
     _verify_definite_assignment(proc, blocks)

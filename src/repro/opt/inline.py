@@ -118,7 +118,7 @@ class Inliner:
         callee = self.program.procs[call.proc_name]
 
         # Split the caller block around the call.
-        continuation = BasicBlock("{}.inl_cont".format(caller.name))
+        continuation = caller.new_block("inl_cont")
         continuation.instrs = block.instrs[call_index + 1 :]
         continuation.terminator = block.terminator
         block.instrs = block.instrs[:call_index]
@@ -133,14 +133,7 @@ class Inliner:
 
         ret_shadow: Optional[Symbol] = None
         if call.dest is not None:
-            ret_shadow = Symbol(
-                "<inl_ret.{}>".format(call.uid),
-                "var",
-                callee.checked.result,
-                call.loc,
-                proc_name=caller.name,
-            )
-            caller.shadow_symbols.append(ret_shadow)
+            ret_shadow = caller.new_shadow("inl_ret", callee.checked.result)
 
         body_entry = self._clone_body(caller, callee, continuation, ret_shadow)
         block.terminate(ins.Jump(body_entry, call.loc))
@@ -181,7 +174,7 @@ class Inliner:
         block_map: Dict[int, BasicBlock] = {}
         callee_blocks = callee.blocks()
         for old in callee_blocks:
-            block_map[id(old)] = BasicBlock("{}.inl_{}".format(caller.name, old.name))
+            block_map[id(old)] = caller.new_block("inl_{}.".format(old.name))
 
         for old in callee_blocks:
             new_block = block_map[id(old)]
@@ -212,7 +205,7 @@ class Inliner:
 
 
 def _clone_instr(instr: ins.Instr, remap) -> ins.Instr:
-    """Structural clone with remapped temps and a fresh uid."""
+    """Structural clone with remapped temps."""
     cls = type(instr)
     if cls is ins.ConstInstr:
         return ins.ConstInstr(remap(instr.dest), instr.value, instr.loc)

@@ -21,6 +21,7 @@ from repro.analysis.modref import ModRefAnalysis
 from repro.analysis.openworld import AnalysisContext
 from repro.analysis.smtyperefs import SMTypeRefsOracle
 from repro.analysis.trivial import AlwaysAliasAnalysis
+from repro.ir import instructions as ins
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import lower_module
 from repro.lang.typecheck import CheckedModule
@@ -43,7 +44,7 @@ class PipelineResult:
         self.copyprop: Optional[CopyPropagationStats] = None
 
     @property
-    def load_status(self) -> Dict[int, str]:
+    def load_status(self) -> Dict[ins.Instr, str]:
         """Per-load static status for the limit study (empty for base)."""
         return self.rle.load_status if self.rle else {}
 

@@ -67,7 +67,7 @@ class RLEStatistics:
         self.eliminated_loads = 0  # Table 6's "redundant loads removed"
         self.hoisted_paths = 0
         self.pre_inserted = 0  # speculative loads added by the PRE option
-        self.load_status: Dict[int, str] = {}  # heap-load uid -> status
+        self.load_status: Dict[ins.Instr, str] = {}  # heap load -> status
         self.per_proc_eliminated: Dict[str, int] = {}
 
     def __repr__(self) -> str:
@@ -158,7 +158,7 @@ class _ProcRLE:
             return
         for instr in self.proc.all_instrs():
             if instr.is_heap_load:
-                self.stats.load_status[instr.uid] = (
+                self.stats.load_status[instr] = (
                     STATUS_DOPE if instr.is_dope else STATUS_FRESH
                 )
 
@@ -178,14 +178,7 @@ class _ProcRLE:
     def _shadow(self, ap: AccessPath) -> Symbol:
         shadow = self.shadows.get(ap)
         if shadow is None:
-            shadow = Symbol(
-                "<rle.{}>".format(len(self.shadows)),
-                "var",
-                ap.type,
-                self.proc.checked.loc,
-                proc_name=self.proc.name,
-            )
-            self.proc.shadow_symbols.append(shadow)
+            shadow = self.proc.new_shadow("rle", ap.type)
             self.shadows[ap] = shadow
         return shadow
 
@@ -447,7 +440,7 @@ class _ProcRLE:
         if len(pred.successors()) <= 1:
             return pred
         # Split the critical edge.
-        edge = BasicBlock("{}.pre_edge".format(block.name))
+        edge = self.proc.new_block("pre_edge")
         edge.terminate(ins.Jump(block))
         _redirect(pred, block, edge)
         return edge
@@ -476,7 +469,7 @@ class _ProcRLE:
                     replacement.counted = False
                     new_instrs.append(replacement)
                     if self.owner.record_status:
-                        self.stats.load_status[instr.uid] = STATUS_ELIMINATED
+                        self.stats.load_status[instr] = STATUS_ELIMINATED
                     eliminated_here += 1
                 else:
                     new_instrs.append(instr)
@@ -486,9 +479,9 @@ class _ProcRLE:
                     new_instrs.append(cache)
                     if self.owner.record_status:
                         if may & bit:
-                            self.stats.load_status[instr.uid] = STATUS_PARTIAL
+                            self.stats.load_status[instr] = STATUS_PARTIAL
                         else:
-                            self.stats.load_status[instr.uid] = self.kill_reason.get(
+                            self.stats.load_status[instr] = self.kill_reason.get(
                                 ap, STATUS_FRESH
                             )
                 must = self._transfer(instr, must)
@@ -497,7 +490,7 @@ class _ProcRLE:
 
             if instr.is_heap_load and instr.is_dope:
                 if self.owner.record_status:
-                    self.stats.load_status[instr.uid] = STATUS_DOPE
+                    self.stats.load_status[instr] = STATUS_DOPE
                 new_instrs.append(instr)
                 continue
 
@@ -677,7 +670,7 @@ class _ProcRLE:
             and isinstance(outside_preds[0].terminator, ins.Jump)
         ):
             return outside_preds[0]
-        preheader = BasicBlock("{}.preheader".format(header.name))
+        preheader = self.proc.new_block("preheader")
         preheader.terminate(ins.Jump(header))
         for pred in outside_preds:
             _redirect(pred, header, preheader)

@@ -37,6 +37,9 @@ from the ``REPRO_CHAOS_PLAN`` environment variable on first ``fire``.
 
 Counters: every firing bumps ``chaos.injected`` labelled by point (plus
 the unlabelled total), so chaos runs are observable like any workload.
+The armed plan also counts firings per rule in shared memory that
+forked workers inherit, so a corpus battery counts the faults that kill
+or hang a worker, whose registry never reaches the parent.
 """
 
 import hashlib
@@ -227,14 +230,19 @@ class _ArmedPlan:
     """A plan plus its mutable firing state (streams, counters)."""
 
     def __init__(self, plan: FaultPlan):
+        from multiprocessing import Array  # only an armed process pays
         self.plan = plan
-        self._lock = threading.Lock()
         self._streams = [
             _rule_stream(plan.seed, i, rule.point)
             for i, rule in enumerate(plan.rules)
         ]
         self._encounters = [0] * len(plan.rules)
-        self._fired = [0] * len(plan.rules)
+        # Firings per rule, in memory every worker forked while the plan
+        # is armed shares: a worker the fault kills, or the watchdog
+        # abandons, never ships its registry back, but its firing lands
+        # here first.  ``times`` bounds the firings of all of them.
+        self._fired = Array("q", len(plan.rules))
+        self._lock = self._fired.get_lock()
 
     def decide(self, point: str,
                context: Dict[str, str]) -> Optional[FaultRule]:
@@ -256,7 +264,8 @@ class _ArmedPlan:
         return None
 
     def injected(self) -> Dict[str, int]:
-        """Total firings per point (stable over reruns of one battery)."""
+        """Total firings per point, forked workers' included (stable
+        over reruns of one battery)."""
         with self._lock:
             out: Dict[str, int] = {}
             for rule, fired in zip(self.plan.rules, self._fired):
@@ -1133,10 +1142,14 @@ def _run_corpus_battery(spec: ChaosPlanSpec, seed: int,
                              max_stmts=10)
     generate_corpus(corpus_spec, corpus_dir)
     violations: List[dict] = []
-    with armed(plan_spec(spec.name).plan(seed)):
+    with armed(plan_spec(spec.name).plan(seed)) as state:
         report = run_corpus(
             corpus_dir, jobs=2,
             shard_timeout_seconds=2.5, max_shard_retries=1)
+    # Counted in the workers the faults hit, which report nothing back.
+    injected = state.injected()
+    if not injected:
+        violations.append({"reason": "the plan injected nothing"})
     quarantined = {q["index"] for q in report.quarantined}
     completed = {o.index for o in report.shards}
     expected_shards = set(range(corpus_spec.n_shards()))
@@ -1171,6 +1184,8 @@ def _run_corpus_battery(spec: ChaosPlanSpec, seed: int,
         "quarantined": report.quarantined,
         "shard_retries": int(
             registry.counter("corpus.shard.retries").value),
+        "injected": injected,
+        "chaos_injected_total": sum(injected.values()),
         "violations": violations,
     }
 

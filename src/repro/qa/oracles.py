@@ -25,7 +25,6 @@ a ``crash`` violation carrying the traceback, and later phases still
 run.  The report is JSON-serialisable for the batch runner.
 """
 
-import re
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -47,15 +46,6 @@ LEVELS = ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs")
 #: Cap on distinct reference paths entering the all-pairs phases, so one
 #: pathological program cannot stall a whole fuzzing batch.
 MAX_STATIC_PATHS = 150
-
-#: Reports drop a fresh root's process-wide serial (``<tmp125:T>``), so
-#: a seed reports the same in any process and at any ``--jobs``.
-_FRESH_SERIAL = re.compile(r"<tmp\d+:")
-
-
-def _show(ap: AccessPath) -> str:
-    return _FRESH_SERIAL.sub("<tmp:", str(ap))
-
 
 @dataclass
 class OracleViolation:
@@ -241,14 +231,13 @@ def _check_refinement(
                                 phase="static",
                                 message=(
                                     "{} says alias but {} says no for {} / {}".format(
-                                        LEVELS[fine], LEVELS[fine - 1],
-                                        _show(p), _show(q)
+                                        LEVELS[fine], LEVELS[fine - 1], p, q
                                     )
                                 ),
                                 details={
                                     "open_world": str(open_world),
-                                    "p": _show(p),
-                                    "q": _show(q),
+                                    "p": str(p),
+                                    "q": str(q),
                                 },
                             )
                         )
@@ -262,10 +251,10 @@ def _check_refinement(
                             message=(
                                 "closed-world {} aliases {} / {} but "
                                 "open-world denies it".format(
-                                    level, _show(p), _show(q))
+                                    level, p, q)
                             ),
-                            details={"level": level, "p": _show(p),
-                                     "q": _show(q)},
+                            details={"level": level, "p": str(p),
+                                     "q": str(q)},
                         )
                     )
 
@@ -323,7 +312,7 @@ def _check_dynamic(
     for addr, aps in trace.items():
         if len(aps) < 2:
             continue
-        ordered = sorted(aps, key=_show)
+        ordered = sorted(aps, key=str)
         for i, p in enumerate(ordered):
             for q in ordered[i + 1 :]:
                 report.trace_pairs += 1
@@ -336,8 +325,8 @@ def _check_dynamic(
                                 message=(
                                     "{} and {} hit address {:#x} but {}{} "
                                     "says no-alias".format(
-                                        _show(p),
-                                        _show(q),
+                                        p,
+                                        q,
                                         addr,
                                         level,
                                         " (open)" if open_world else "",
@@ -346,8 +335,8 @@ def _check_dynamic(
                                 details={
                                     "level": level,
                                     "open_world": str(open_world),
-                                    "p": _show(p),
-                                    "q": _show(q),
+                                    "p": str(p),
+                                    "q": str(q),
                                 },
                             )
                         )

@@ -77,10 +77,11 @@ class RedundancyReport:
         )
 
 
-def classify(tracer: LoadStoreTracer, load_status: Dict[int, str]) -> RedundancyReport:
+def classify(tracer: LoadStoreTracer,
+             load_status: Dict[ins.Instr, str]) -> RedundancyReport:
     """Classify the redundant loads a finished traced execution recorded.
 
-    ``load_status`` maps heap-load instruction uid → static status string
+    ``load_status`` maps heap-load instruction → static status string
     (the constants above): the optimizer's record for optimized programs,
     empty for unoptimized baselines (everything then classifies by kind
     and dynamics only).  The Figure 9/10 numbers are also exported as
@@ -101,10 +102,10 @@ def classify(tracer: LoadStoreTracer, load_status: Dict[int, str]) -> Redundancy
 
 
 def _category(instr: ins.Instr, prev_instr: ins.Instr, store_intervened: bool,
-              load_status: Dict[int, str]) -> Category:
+              load_status: Dict[ins.Instr, str]) -> Category:
     if instr.is_dope:
         return Category.ENCAPSULATION
-    status = load_status.get(instr.uid)
+    status = load_status.get(instr)
     if status == STATUS_PARTIAL:
         return Category.CONDITIONAL
     # The same address was last loaded through a different lexical

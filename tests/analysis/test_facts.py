@@ -1,6 +1,10 @@
 """Fact partitions: hashes, world summaries, the bundle's JSON layout."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,9 @@ from repro.analysis.facts import (
     source_hash,
     world_summary,
 )
+from repro.bench import registry
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 SOURCE = """
 MODULE Facts;
@@ -63,6 +70,27 @@ def test_proc_hashes_stable_across_compiles_and_edit_localised():
     changed, unchanged = diff_proc_hashes(h1, h3)
     assert changed == ["Beta"]
     assert "Alpha" in unchanged
+
+
+def test_proc_hashes_match_a_child_process():
+    # Here in reverse suite order, after whatever this process compiled
+    # before; in the child in suite order, in a fresh process.
+    names = registry.benchmark_names()
+    here = {name: proc_ir_hashes(
+                compile_program(registry.load_source(name), name).lowered())
+            for name in reversed(names)}
+    code = ("import json; from repro import compile_program; "
+            "from repro.analysis.facts import proc_ir_hashes; "
+            "from repro.bench import registry; "
+            "print(json.dumps({n: proc_ir_hashes(compile_program("
+            "registry.load_source(n), n).lowered()) "
+            "for n in registry.benchmark_names()}))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, check=True)
+    assert json.loads(child.stdout) == here
 
 
 def test_diff_counts_added_and_removed_as_changed():

@@ -152,6 +152,30 @@ def test_times_after_and_match_limit_firing():
     assert fired == [0, 0, 0, 0, 1, 0, 1, 0]
 
 
+def _fire_marks(count):
+    for _ in range(count):
+        fire("client.drop")
+
+
+def test_forked_workers_count_into_the_plan_that_armed_them():
+    # Six workers (more than a 2-vCPU machine has cores) and this
+    # process fire at once: a lost update in the shared per-rule counts
+    # would show as a short total.
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    with armed(FaultPlan(seed=0, rules=(FaultRule("client.drop"),))) as state:
+        workers = [fork.Process(target=_fire_marks, args=(200,))
+                   for _ in range(6)]
+        for worker in workers:
+            worker.start()
+        _fire_marks(200)
+        for worker in workers:
+            worker.join(timeout=30)
+        assert not any(worker.is_alive() for worker in workers)
+        assert state.injected() == {"client.drop": 200 * (len(workers) + 1)}
+
+
 def test_injected_errors_are_typed():
     assert issubclass(InjectedIOError, OSError)
     assert issubclass(InjectedFault, RuntimeError)
@@ -255,6 +279,20 @@ def test_run_chaos_stdio_crosses_the_process_boundary(tmp_path):
     # Every answer that crossed the pipe was pinned-correct or typed.
     assert report["ok_responses"] + \
         sum(report["typed_errors"].values()) == report["requests"]
+
+
+@pytest.mark.parametrize("plan,injected,retries", [
+    ("worker-kill", 1, 1),
+    ("poison-shard", 2, 1),   # one kill per attempt on the poisoned shard
+    ("shard-hang", 1, 1),
+])
+def test_run_chaos_counts_faults_that_kill_or_hang_a_worker(
+        tmp_path, plan, injected, retries):
+    report = run_chaos(plan, seed=0, work_dir=tmp_path)
+    assert report["ok"], report
+    assert report["chaos_injected_total"] == injected
+    assert sum(report["injected"].values()) == injected
+    assert report["shard_retries"] == retries
 
 
 def test_run_chaos_is_deterministic_per_seed(tmp_path):

@@ -99,18 +99,20 @@ class TestEquality:
         )
 
     def test_unknown_index_never_equal(self):
+        # Only the same occurrence, (procedure, number), is equal.
         arr = ty.ArrayType(ty.INTEGER, None)
         base = Deref(VarRoot(sym("p", ty.RefType(arr))), arr)
-        s1 = Subscript(base, UnknownIndex(), ty.INTEGER)
-        s2 = Subscript(base, UnknownIndex(), ty.INTEGER)
-        assert s1 != s2
-        assert s1 == s1
+        s1 = Subscript(base, UnknownIndex("P", 0), ty.INTEGER)
+        assert s1 != Subscript(base, UnknownIndex("P", 1), ty.INTEGER)
+        assert s1 != Subscript(base, UnknownIndex("Q", 0), ty.INTEGER)
+        assert s1 == Subscript(base, UnknownIndex("P", 0), ty.INTEGER)
 
     def test_fresh_roots_unique(self):
         t = obj_type()
-        assert FreshRoot(t) != FreshRoot(t)
-        f = FreshRoot(t)
-        assert f == f
+        f = FreshRoot("P", 0, t)
+        assert f != FreshRoot("P", 1, t)
+        assert f != FreshRoot("Q", 0, t)
+        assert f == FreshRoot("P", 0, t)
         assert not f.is_handle
 
 
@@ -161,7 +163,7 @@ class TestStripIndex:
     def test_idempotent(self):
         arr = ty.ArrayType(ty.INTEGER, None)
         base = Deref(VarRoot(sym("p", ty.RefType(arr))), arr)
-        s = Subscript(base, UnknownIndex(), ty.INTEGER)
+        s = Subscript(base, UnknownIndex("P", 0), ty.INTEGER)
         once = strip_index(s)
         assert strip_index(once) == once
 
@@ -206,14 +208,17 @@ class TestInterning:
             VarRoot(s), "g", ty.INTEGER, t
         )
 
-    def test_generative_nodes_stay_distinct(self):
+    def test_fresh_nodes_interned_by_procedure_and_number(self):
         t = obj_type()
-        assert FreshRoot(t) is not FreshRoot(t)
+        assert FreshRoot("P", 0, t) is FreshRoot("P", 0, t)
+        assert FreshRoot("P", 0, t) is not FreshRoot("P", 1, t)
+        assert FreshRoot("P", 0, t) is not FreshRoot("Q", 0, t)
         arr = ty.ArrayType(ty.INTEGER, None)
         d = Deref(VarRoot(sym("p", ty.RefType(arr))), arr)
-        assert Subscript(d, UnknownIndex(), ty.INTEGER) is not Subscript(
-            d, UnknownIndex(), ty.INTEGER
-        )
+        same = Subscript(d, UnknownIndex("P", 0), ty.INTEGER)
+        assert same is Subscript(d, UnknownIndex("P", 0), ty.INTEGER)
+        assert same is not Subscript(d, UnknownIndex("P", 1), ty.INTEGER)
+        assert same is not Subscript(d, UnknownIndex("Q", 0), ty.INTEGER)
 
     def test_uid_stable_across_reconstruction(self):
         s = sym("x", obj_type())

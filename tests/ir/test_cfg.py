@@ -38,7 +38,7 @@ def test_predecessors_inverse_of_successors():
 def test_terminated_block_rejects_append():
     import pytest
 
-    block = BasicBlock()
+    block = BasicBlock("b")
     block.terminate(ins.Return(None))
     with pytest.raises(AssertionError):
         block.append(ins.ConstInstr(ins.Temp(0), 1))
@@ -47,7 +47,7 @@ def test_terminated_block_rejects_append():
 def test_double_terminate_rejected():
     import pytest
 
-    block = BasicBlock()
+    block = BasicBlock("b")
     block.terminate(ins.Return(None))
     with pytest.raises(AssertionError):
         block.terminate(ins.Return(None))
@@ -72,6 +72,6 @@ def test_program_all_instrs_spans_procs():
         BEGIN P (); END M.
         """
     )
-    uids = [i.uid for i in program.all_instrs()]
-    assert len(uids) == len(set(uids))
+    instrs = list(program.all_instrs())
+    assert len(instrs) == len(set(map(id, instrs)))
     assert program.proc_order == ["P", "<main>"]

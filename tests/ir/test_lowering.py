@@ -254,3 +254,33 @@ class TestGlobalInits:
         first = program.main.entry.instrs
         stores = [i for i in first if isinstance(i, ins.StoreVar)]
         assert stores and stores[0].symbol.name == "x"
+
+
+class TestPurity:
+    """Lowering is a function of the checked module."""
+
+    BODY = """
+        x := NEW (T).n;
+        ch := b^[x + 1];
+        b^[x * 2] := ch;
+        WHILE x < 3 DO INC (x); END;
+    """
+
+    def test_two_lowerings_of_one_module_share_their_paths(self):
+        from repro.ir.access_path import FreshRoot, Subscript, UnknownIndex
+        from repro.ir.lowering import lower_module
+        from repro.ir.printer import format_program
+        from repro.lang.parser import parse_module
+        from repro.lang.typecheck import check_module
+
+        checked = check_module(parse_module(
+            "MODULE M; {} BEGIN {} END M.".format(DECLS, self.BODY)))
+        first, second = lower_module(checked), lower_module(checked)
+        paths = [[i.ap for i in program.all_instrs() if i.ap is not None]
+                 for program in (first, second)]
+        assert len(paths[0]) == len(paths[1])
+        assert all(p is q for p, q in zip(*paths))
+        assert any(isinstance(p.root(), FreshRoot) for p in paths[0])
+        assert any(isinstance(p, Subscript) and isinstance(p.index, UnknownIndex)
+                   for p in paths[0])
+        assert format_program(first) == format_program(second)

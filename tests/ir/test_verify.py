@@ -50,6 +50,14 @@ def test_out_of_range_temp_detected():
         verify_proc(program.main)
 
 
+def test_repeated_label_detected():
+    program = lower("IF x = 1 THEN x := 2; END;")
+    first, second = program.main.blocks()[1:3]
+    second.name = first.name
+    with pytest.raises(IRVerificationError, match="two blocks labelled"):
+        verify_proc(program.main)
+
+
 def test_unknown_target_detected():
     program = lower("x := 1;")
     orphan = BasicBlock("orphan")
@@ -72,7 +80,7 @@ def test_benchmarks_verify_after_lowering(suite, name):
     verify_program(lower_module(suite.program(name).checked))
 
 
-@pytest.mark.parametrize("name", ["format", "k-tree", "slisp", "pp"])
+@pytest.mark.parametrize("name", registry.benchmark_names())
 @pytest.mark.parametrize(
     "config",
     [

@@ -70,8 +70,8 @@ def test_tracing_does_not_change_table5(traced_recorder):
 
 
 def test_tracing_does_not_change_rle(traced_recorder):
-    # load_status is keyed by process-global instruction ids, so compare
-    # the per-status counts (the Table 6 inputs), not the raw keys.
+    # load_status is keyed by instruction objects and each compile makes
+    # its own, so compare the per-status counts (the Table 6 inputs).
     from collections import Counter
 
     core.disable()

@@ -151,7 +151,7 @@ def test_mid_block_trap_leaves_exact_partial_stats():
 class _DigestTracer:
     """Hashes every heap event: kind, address, value, activation and the
     instruction's position (procedure, block in reverse postorder, index
-    in block) — instruction uids depend on what else was compiled."""
+    in block): an instruction has no name of its own."""
 
     def __init__(self, program):
         self.position = {}

@@ -5,12 +5,21 @@ and *only that module's* fact partition rebuilds — asserted through the
 shared ``serve.*`` counter series, not through timing.
 """
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.facts import source_hash
+from repro.bench import registry
 from repro.obs import metrics
 from repro.serve.factcache import FactStore
 from repro.serve.session import SessionManager
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 MODULE_TEMPLATE = """
 MODULE {name};
@@ -107,6 +116,50 @@ def test_unedited_partitions_answer_from_disk_after_restart(manager, tmp_path):
     assert _count("session.compile") == compiles_before
     assert _count("facts.rebuild") == 3
     assert _count("factcache.hit") == 3
+
+
+def _edited_m3cg():
+    """m3cg and m3cg with its first ``:= <integer>;`` literal changed
+    (the site the serve_edit benchmark edits first): one procedure
+    body, among 19 that branch and allocate."""
+    source = registry.load_source("m3cg")
+    site = re.search(r":=\s*(-?\d+)\s*;", source)
+    edited = source[:site.start(1)] + str(int(site.group(1)) + 1) + \
+        source[site.end(1):]
+    return source, edited
+
+
+def test_one_literal_edit_of_a_bundled_program_changes_one_procedure(manager):
+    source, edited = _edited_m3cg()
+    manager.lookup(source, name="m3cg")
+    manager.lookup(edited, name="m3cg")
+    assert _count("invalidate.modules") == 1
+    assert _count("invalidate.procs_changed") == 1
+    assert _count("invalidate.procs_reused") == 18
+
+
+def test_edit_accounting_holds_across_a_restart(tmp_path):
+    # The old text's partition is written by another process, so its
+    # procedure hashes were taken by a process that compiled nothing else.
+    metrics.registry().reset()
+    source, edited = _edited_m3cg()
+    code = ("import sys; from repro.bench import registry; "
+            "from repro.serve.factcache import FactStore; "
+            "from repro.serve.session import SessionManager; "
+            "SessionManager(store=FactStore(sys.argv[1])).lookup("
+            "registry.load_source('m3cg'), name='m3cg')")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "cache")],
+                   env=env, check=True)
+    manager = SessionManager(store=FactStore(tmp_path / "cache"))
+    manager.lookup(source, name="m3cg")
+    assert _count("factcache.hit") == 1
+    assert _count("session.compile") == 0
+    manager.lookup(edited, name="m3cg")
+    assert _count("invalidate.procs_changed") == 1
+    assert _count("invalidate.procs_reused") == 18
 
 
 def test_old_partition_stays_valid_for_old_text(manager):
