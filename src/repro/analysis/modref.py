@@ -19,7 +19,7 @@ At a call site RLE resolves ``param_writes`` against the lent locations
 variables and heap paths may change.
 """
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.callgraph import CallGraph
 from repro.ir import instructions as ins
@@ -33,8 +33,9 @@ class ModRefSummary:
 
     def __init__(self, name: str):
         self.name = name
-        self.heap_writes: Set[AccessPath] = set()
-        self.heap_reads: Set[AccessPath] = set()
+        # Ordered sets (dict keys): paths in the order they were found.
+        self.heap_writes: Dict[AccessPath, None] = {}
+        self.heap_reads: Dict[AccessPath, None] = {}
         self.global_writes: Set[Symbol] = set()
         self.global_reads: Set[Symbol] = set()
         self.param_writes: Set[int] = set()
@@ -87,11 +88,11 @@ class ModRefAnalysis:
         for instr in proc.all_instrs():
             if instr.is_heap_store:
                 assert instr.ap is not None
-                summary.heap_writes.add(strip_index(instr.ap))
+                summary.heap_writes[strip_index(instr.ap)] = None
                 self._note_indirect(instr, proc, summary, param_index, write=True)
             elif instr.is_heap_load:
                 assert instr.ap is not None
-                summary.heap_reads.add(strip_index(instr.ap))
+                summary.heap_reads[strip_index(instr.ap)] = None
                 self._note_indirect(instr, proc, summary, param_index, write=False)
             elif isinstance(instr, ins.StoreVar) and instr.symbol.is_global:
                 summary.global_writes.add(instr.symbol)
@@ -146,7 +147,7 @@ class ModRefAnalysis:
                     summary, proc, proc.handle_targets.get(payload), param_index, write
                 )
         elif kind == "heap":
-            (summary.heap_writes if write else summary.heap_reads).add(payload)
+            (summary.heap_writes if write else summary.heap_reads)[payload] = None
 
     # ------------------------------------------------------------------
 
@@ -157,7 +158,7 @@ class ModRefAnalysis:
         for instr in proc.all_instrs():
             if not instr.is_call:
                 continue
-            var_args: Dict[int, tuple] = getattr(instr, "var_args", {})
+            var_args = instr.var_args
             offset = 1 if isinstance(instr, ins.CallMethod) else 0
             for callee_name in self.callgraph.call_targets(instr):
                 callee = self.summaries.get(callee_name)
@@ -185,16 +186,18 @@ class ModRefAnalysis:
                 return True
         return False
 
-    def call_heap_writes(self, instr: ins.Instr) -> Set[AccessPath]:
+    def call_heap_writes(self, instr: ins.Instr) -> List[AccessPath]:
         """Union of heap write paths over all possible callees, plus the
-        heap locations lent as VAR arguments at this site."""
-        writes: Set[AccessPath] = set()
+        heap locations lent as VAR arguments at this site, in the order
+        the summaries found them (RLE stops at the first may-alias, so
+        the order fixes which alias queries it asks)."""
+        writes: Dict[AccessPath, None] = {}
         for callee in self.callgraph.call_targets(instr):
-            writes |= self.summaries[callee].heap_writes
-        for target in getattr(instr, "var_args", {}).values():
+            writes.update(self.summaries[callee].heap_writes)
+        for target in instr.var_args.values():
             if target[0] == "heap":
-                writes.add(target[1])
-        return writes
+                writes[target[1]] = None
+        return list(writes)
 
     def call_written_var_roots(self, instr: ins.Instr, proc: ProcIR) -> Set[Symbol]:
         """Caller variables whose value may change across this call:
@@ -202,7 +205,7 @@ class ModRefAnalysis:
         roots: Set[Symbol] = set()
         for callee in self.callgraph.call_targets(instr):
             roots |= self.summaries[callee].global_writes
-        for target in getattr(instr, "var_args", {}).values():
+        for target in instr.var_args.values():
             roots |= _lent_var_roots(target, proc)
         return roots
 

@@ -10,7 +10,9 @@ Modules:
 
 * :mod:`repro.ir.access_path` — the AP algebra (Qualify / Deref /
   Subscript over variable roots);
-* :mod:`repro.ir.instructions` — instruction set;
+* :mod:`repro.ir.instructions` — instruction set; each class declares
+  its operands once (annotated fields and a print template), and its
+  constructor, ``sources``, ``clone`` and printed form derive from that;
 * :mod:`repro.ir.cfg` — basic blocks, per-procedure CFGs, the whole-program
   :class:`~repro.ir.cfg.ProgramIR`;
 * :mod:`repro.ir.lowering` — AST → IR (incl. implicit dope-vector loads

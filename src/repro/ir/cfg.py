@@ -62,11 +62,14 @@ class ProcIR:
         self.entry = BasicBlock("{}.entry".format(name))
         self.n_temps = 0
         self.n_blocks = 0
+        self.n_shadows = 0
         self.n_fresh = 0
-        # Compiler locals (FOR bounds, CASE selectors, inlined results,
-        # RLE caches); they are register-class symbols and never count
-        # as memory.
-        self.shadow_symbols: List[Symbol] = []
+        # Every variable a frame of this procedure holds: parameters,
+        # locals, WITH and FOR bindings, compiler locals (FOR bounds,
+        # CASE selectors, inlined results, RLE caches) and the variables
+        # of inlined callees.  Compiler locals are register-class
+        # symbols and never count as memory.
+        self.variables: List[Symbol] = list(checked.all_symbols)
         # WITH handles: binding symbol -> ('var', sym) | ('handle', sym) |
         # ('heap', ap), describing the location the handle aliases.  Used
         # by mod-ref and RLE to resolve writes through the handle.
@@ -84,10 +87,11 @@ class ProcIR:
 
     def new_shadow(self, hint: str, var_type: Type) -> Symbol:
         """A compiler local named ``<hint.n>``, unique in the procedure."""
-        symbol = Symbol("<{}.{}>".format(hint, len(self.shadow_symbols)),
+        symbol = Symbol("<{}.{}>".format(hint, self.n_shadows),
                         "var", var_type, self.checked.loc,
                         proc_name=self.name)
-        self.shadow_symbols.append(symbol)
+        self.n_shadows += 1
+        self.variables.append(symbol)
         return symbol
 
     def fresh_root(self, root_type: Type) -> FreshRoot:

@@ -5,6 +5,15 @@ explicit: variable slots are read/written by ``LoadVar``/``StoreVar``,
 heap cells by the Load*/Store* families, each of which carries the
 :class:`~repro.ir.access_path.AccessPath` it realises.
 
+Each class declares its operands once, as annotated fields in
+constructor order, plus ``text``, its print template over those names.
+A constructor is generated from the fields (:mod:`dataclasses`, with a
+trailing ``loc``), and ``dest``, ``ap``, ``sources``, :meth:`Instr.clone`
+and :func:`repro.ir.printer.format_instr` read the same fields.  An
+operand annotated ``Temp``, ``Optional[Temp]`` or ``List[Temp]`` is a
+register the instruction reads (``dest`` is the one it writes), one
+annotated ``"BasicBlock"`` a successor; everything else is carried as is.
+
 Classification used by the metrics (Table 4 of the paper):
 
 * **heap loads** — ``LoadField``, ``LoadElem``, ``LoadDopeData``,
@@ -21,7 +30,8 @@ on the AST where these loads do not appear, which is exactly why
 limit study classify them.
 """
 
-from typing import List, Optional, Sequence
+import dataclasses
+from typing import Callable, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.access_path import AccessPath
 from repro.lang.errors import SourceLocation, UNKNOWN_LOCATION
@@ -38,7 +48,7 @@ class Temp:
         self.index = index
 
     def __repr__(self) -> str:
-        return "t{}".format(self.index)
+        return f"t{self.index}"  # the printer's hottest call
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Temp) and other.index == self.index
@@ -47,8 +57,19 @@ class Temp:
         return hash(("temp", self.index))
 
 
+#: How an operand field holds registers or blocks (see :class:`Instr`).
+_PLAIN, _TEMP, _MAYBE_TEMP, _TEMPS, _BLOCK = range(5)
+_KINDS = {Temp: _TEMP, Optional[Temp]: _MAYBE_TEMP, List[Temp]: _TEMPS,
+          "BasicBlock": _BLOCK}
+
+
 class Instr:
-    """Base instruction.  Subclasses set the class attributes below."""
+    """Base instruction.
+
+    A subclass lists its operands as annotated fields and sets ``text``;
+    :meth:`__init_subclass__` turns that declaration into a constructor
+    ``Cls(*operands, loc=UNKNOWN_LOCATION)`` and the tables below.
+    """
 
     is_heap_load = False
     is_heap_store = False
@@ -62,21 +83,71 @@ class Instr:
     #: parameter bindings): they cost nothing on a real machine, so the
     #: interpreter excludes them from instruction counts and cycles.
     counted = True
+    #: The register written and the access path realised, where the
+    #: class declares them.
+    dest: Optional[Temp] = None
+    ap: Optional[AccessPath] = None
+    #: Print template over the operand names; see
+    #: :func:`repro.ir.printer.format_instr`.
+    text: ClassVar[str] = ""
+    #: Derived per class: ``(name, kind)`` of every constructor operand
+    #: in order and of the register operands other than ``dest``;
+    #: ``(name, is a list)`` of the operands the printer renders (a
+    #: register list, a register that may be absent); the fields
+    #: outside the constructor.
+    _operands: ClassVar[Tuple[Tuple[str, int], ...]] = ()
+    _reads: ClassVar[Tuple[Tuple[str, int], ...]] = ()
+    _shown: ClassVar[Tuple[Tuple[str, bool], ...]] = ()
+    _extra: ClassVar[Tuple[str, ...]] = ()
 
-    def __init__(self, loc: SourceLocation = UNKNOWN_LOCATION):
-        self.loc = loc
-
-    @property
-    def dest(self) -> Optional[Temp]:
-        return None
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = cls.__annotations__  # the class's own, in declaration order
+        for name in own:
+            if name not in cls.__dict__:
+                # Required: without this, ``Instr.dest = None`` would be
+                # taken as the field's default.
+                setattr(cls, name, dataclasses.field())
+        own["loc"] = SourceLocation
+        cls.loc = UNKNOWN_LOCATION
+        dataclasses.dataclass(cls, eq=False, repr=False)
+        fields = [f for f in dataclasses.fields(cls) if f.init and f.name != "loc"]
+        cls._operands = tuple((f.name, _KINDS.get(f.type, _PLAIN)) for f in fields)
+        cls._reads = tuple((name, kind) for name, kind in cls._operands
+                           if kind in (_TEMP, _MAYBE_TEMP, _TEMPS) and name != "dest")
+        cls._shown = tuple((name, kind == _TEMPS) for name, kind in cls._operands
+                           if kind in (_MAYBE_TEMP, _TEMPS))
+        cls._extra = tuple(f.name for f in dataclasses.fields(cls) if not f.init)
 
     @property
     def sources(self) -> Sequence[Temp]:
-        return ()
+        """The registers this instruction reads, in operand order."""
+        temps: List[Temp] = []
+        for name, kind in self._reads:
+            value = getattr(self, name)
+            if kind == _TEMPS:
+                temps.extend(value)
+            elif value is not None:
+                temps.append(value)
+        return tuple(temps)
 
-    @property
-    def ap(self) -> Optional[AccessPath]:
-        return None
+    def clone(self, remap: Callable[[object], object]) -> "Instr":
+        """A fresh instruction of this class whose register and block
+        operands are passed through *remap*.  Flags set after
+        construction (``counted``, ``speculative``) take their class
+        defaults; fields outside the constructor are copied."""
+        args = []
+        for name, kind in self._operands:
+            value = getattr(self, name)
+            if kind == _TEMPS:
+                value = [remap(temp) for temp in value]
+            elif kind != _PLAIN and value is not None:
+                value = remap(value)
+            args.append(value)
+        clone = type(self)(*args, self.loc)
+        for name in self._extra:
+            setattr(clone, name, getattr(self, name))
+        return clone
 
     def __repr__(self) -> str:
         return "<{} at {}>".format(type(self).__name__, self.loc)
@@ -89,223 +160,128 @@ class Instr:
 class ConstInstr(Instr):
     """dest := literal (int, bool, char, text, or None for NIL)."""
 
-    def __init__(self, dest: Temp, value: object, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.value = value
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    value: object
+    text = "{dest} := const {value!r}"
 
 
 class Move(Instr):
     """dest := src (register copy; free in the cost model)."""
 
-    def __init__(self, dest: Temp, src: Temp, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.src = src
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.src,)
+    dest: Temp
+    src: Temp
+    text = "{dest} := {src}"
 
 
 class LoadVar(Instr):
     """dest := variable slot.  A memory access only for globals."""
 
-    def __init__(self, dest: Temp, symbol: Symbol, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.symbol = symbol
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    symbol: Symbol
+    text = "{dest} := var {symbol.name}"
+    #: The heap load this move replaced, when RLE eliminated a faulting
+    #: load: the move keeps that load's NIL and bounds check.
+    checks: ClassVar[Optional[Instr]] = None
 
 
 class StoreVar(Instr):
     """variable slot := src."""
 
-    def __init__(self, symbol: Symbol, src: Temp, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self.symbol = symbol
-        self.src = src
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.src,)
+    symbol: Symbol
+    src: Temp
+    text = "var {symbol.name} := {src}"
 
 
 class BinOp(Instr):
     """dest := left <op> right."""
 
-    def __init__(self, dest: Temp, op: str, left: Temp, right: Temp, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.op = op
-        self.left = left
-        self.right = right
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.left, self.right)
+    dest: Temp
+    op: str
+    left: Temp
+    right: Temp
+    text = "{dest} := {left} {op} {right}"
 
 
 class UnOp(Instr):
     """dest := <op> operand."""
 
-    def __init__(self, dest: Temp, op: str, operand: Temp, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.op = op
-        self.operand = operand
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.operand,)
+    dest: Temp
+    op: str
+    operand: Temp
+    text = "{dest} := {op} {operand}"
 
 
 # ----------------------------------------------------------------------
 # Heap accesses (all carry an AccessPath)
 
 
-class _MemInstr(Instr):
-    def __init__(self, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._ap = ap
-
-    @property
-    def ap(self) -> AccessPath:
-        return self._ap
-
-
-class LoadField(_MemInstr):
+class LoadField(Instr):
     """dest := base.field — heap load (Qualify AP)."""
 
     is_heap_load = True
-
-    def __init__(self, dest: Temp, base: Temp, field: str, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-        self.field = field
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base,)
+    dest: Temp
+    base: Temp
+    field: str
+    ap: AccessPath
+    text = "{dest} := load {base}.{field}  ; ap={ap}"
 
 
-class StoreField(_MemInstr):
+class StoreField(Instr):
     """base.field := src — heap store."""
 
     is_heap_store = True
-
-    def __init__(self, base: Temp, field: str, src: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self.base = base
-        self.field = field
-        self.src = src
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base, self.src)
+    base: Temp
+    field: str
+    src: Temp
+    ap: AccessPath
+    text = "store {base}.{field} := {src}  ; ap={ap}"
 
 
-class LoadElem(_MemInstr):
+class LoadElem(Instr):
     """dest := base[index] — heap load (Subscript AP)."""
 
     is_heap_load = True
-
-    def __init__(self, dest: Temp, base: Temp, index: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-        self.index = index
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base, self.index)
+    dest: Temp
+    base: Temp
+    index: Temp
+    ap: AccessPath
+    text = "{dest} := load {base}[{index}]  ; ap={ap}"
 
 
-class StoreElem(_MemInstr):
+class StoreElem(Instr):
     """base[index] := src — heap store."""
 
     is_heap_store = True
-
-    def __init__(self, base: Temp, index: Temp, src: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self.base = base
-        self.index = index
-        self.src = src
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base, self.index, self.src)
+    base: Temp
+    index: Temp
+    src: Temp
+    ap: AccessPath
+    text = "store {base}[{index}] := {src}  ; ap={ap}"
 
 
-class LoadDopeData(_MemInstr):
+class LoadDopeData(Instr):
     """dest := dope(base).data — implicit open-array access (invisible to RLE)."""
 
     is_heap_load = True
     is_dope = True
-
-    def __init__(self, dest: Temp, base: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base,)
+    dest: Temp
+    base: Temp
+    ap: AccessPath
+    text = "{dest} := dope-data {base}  ; ap={ap}"
 
 
-class LoadDopeCount(_MemInstr):
+class LoadDopeCount(Instr):
     """dest := dope(base).count — implicit open-array bound (invisible to RLE)."""
 
     is_heap_load = True
     is_dope = True
-
-    def __init__(self, dest: Temp, base: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base,)
+    dest: Temp
+    base: Temp
+    ap: AccessPath
+    text = "{dest} := dope-count {base}  ; ap={ap}"
 
 
-class LoadInd(_MemInstr):
+class LoadInd(Instr):
     """dest := *handle — read through a VAR-param/WITH location handle.
 
     Counts as a heap load when the handle points into the heap, as an
@@ -314,34 +290,20 @@ class LoadInd(_MemInstr):
     """
 
     is_heap_load = True  # conservative static classification
-
-    def __init__(self, dest: Temp, handle: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.handle = handle
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.handle,)
+    dest: Temp
+    handle: Temp
+    ap: AccessPath
+    text = "{dest} := load *{handle}  ; ap={ap}"
 
 
-class StoreInd(_MemInstr):
+class StoreInd(Instr):
     """*handle := src — write through a location handle."""
 
     is_heap_store = True
-
-    def __init__(self, handle: Temp, src: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self.handle = handle
-        self.src = src
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.handle, self.src)
+    handle: Temp
+    src: Temp
+    ap: AccessPath
+    text = "store *{handle} := {src}  ; ap={ap}"
 
 
 # ----------------------------------------------------------------------
@@ -351,50 +313,29 @@ class StoreInd(_MemInstr):
 class AddrVar(Instr):
     """dest := &variable — handle to a variable slot."""
 
-    def __init__(self, dest: Temp, symbol: Symbol, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.symbol = symbol
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    symbol: Symbol
+    text = "{dest} := addr var {symbol.name}"
 
 
-class AddrField(_MemInstr):
+class AddrField(Instr):
     """dest := &base.field — handle to a heap field."""
 
-    def __init__(self, dest: Temp, base: Temp, field: str, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-        self.field = field
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base,)
+    dest: Temp
+    base: Temp
+    field: str
+    ap: AccessPath
+    text = "{dest} := addr {base}.{field}  ; ap={ap}"
 
 
-class AddrElem(_MemInstr):
+class AddrElem(Instr):
     """dest := &base[index] — handle to an array element."""
 
-    def __init__(self, dest: Temp, base: Temp, index: Temp, ap: AccessPath, loc=UNKNOWN_LOCATION):
-        super().__init__(ap, loc)
-        self._dest = dest
-        self.base = base
-        self.index = index
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.base, self.index)
+    dest: Temp
+    base: Temp
+    index: Temp
+    ap: AccessPath
+    text = "{dest} := addr {base}[{index}]  ; ap={ap}"
 
 
 # ----------------------------------------------------------------------
@@ -404,58 +345,34 @@ class AddrElem(_MemInstr):
 class NewObject(Instr):
     """dest := NEW(object type)."""
 
-    def __init__(self, dest: Temp, object_type: ObjectType, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.object_type = object_type
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    object_type: ObjectType
+    text = "{dest} := new object {object_type.name}"
 
 
 class NewRecord(Instr):
     """dest := NEW(REF RECORD ...)."""
 
-    def __init__(self, dest: Temp, ref_type: RefType, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.ref_type = ref_type
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    ref_type: RefType
+    text = "{dest} := new {ref_type.name}"
 
 
 class NewFixedArray(Instr):
     """dest := NEW(REF ARRAY [0..n] OF T)."""
 
-    def __init__(self, dest: Temp, ref_type: RefType, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.ref_type = ref_type
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
+    dest: Temp
+    ref_type: RefType
+    text = "{dest} := new {ref_type.name}"
 
 
 class NewOpenArray(Instr):
     """dest := NEW(REF ARRAY OF T, size) — allocates dope + data."""
 
-    def __init__(self, dest: Temp, ref_type: RefType, size: Temp, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.ref_type = ref_type
-        self.size = size
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.size,)
+    dest: Temp
+    ref_type: RefType
+    size: Temp
+    text = "{dest} := new {ref_type.name} size={size}"
 
 
 # ----------------------------------------------------------------------
@@ -463,29 +380,19 @@ class NewOpenArray(Instr):
 
 
 class Call(Instr):
-    """dest := proc(args) — direct call."""
+    """dest := proc(args) — direct call.
+
+    ``var_args`` maps the position of each VAR argument to the location
+    it lends (``('var', symbol)``, ``('handle', symbol)`` or ``('heap',
+    ap)``); the lowering fills it in and mod-ref reads it.
+    """
 
     is_call = True
-
-    def __init__(
-        self,
-        dest: Optional[Temp],
-        proc_name: str,
-        args: List[Temp],
-        loc=UNKNOWN_LOCATION,
-    ):
-        super().__init__(loc)
-        self._dest = dest
-        self.proc_name = proc_name
-        self.args = args
-
-    @property
-    def dest(self) -> Optional[Temp]:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return tuple(self.args)
+    dest: Optional[Temp]
+    proc_name: str
+    args: List[Temp]
+    var_args: Dict[int, tuple] = dataclasses.field(init=False, default_factory=dict)
+    text = "{dest}call {proc_name}({args})"
 
 
 class CallMethod(Instr):
@@ -493,34 +400,18 @@ class CallMethod(Instr):
 
     ``static_receiver_type`` is the declared type of the receiver
     expression; the call graph and the devirtualizer use it to bound the
-    possible implementations (Subtypes of the static type).
+    possible implementations (Subtypes of the static type).  ``var_args``
+    is as for :class:`Call`, positions counting explicit arguments only.
     """
 
     is_call = True
-
-    def __init__(
-        self,
-        dest: Optional[Temp],
-        receiver: Temp,
-        method_name: str,
-        args: List[Temp],
-        static_receiver_type: ObjectType,
-        loc=UNKNOWN_LOCATION,
-    ):
-        super().__init__(loc)
-        self._dest = dest
-        self.receiver = receiver
-        self.method_name = method_name
-        self.args = args
-        self.static_receiver_type = static_receiver_type
-
-    @property
-    def dest(self) -> Optional[Temp]:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.receiver,) + tuple(self.args)
+    dest: Optional[Temp]
+    receiver: Temp
+    method_name: str
+    args: List[Temp]
+    static_receiver_type: ObjectType
+    var_args: Dict[int, tuple] = dataclasses.field(init=False, default_factory=dict)
+    text = "{dest}callm {receiver}.{method_name}({args})"
 
 
 class Builtin(Instr):
@@ -531,57 +422,28 @@ class Builtin(Instr):
     text machinery is modelled as zero-heap primitives).
     """
 
-    is_call = False
-
-    def __init__(self, dest: Optional[Temp], name: str, args: List[Temp], loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.name = name
-        self.args = args
-
-    @property
-    def dest(self) -> Optional[Temp]:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return tuple(self.args)
+    dest: Optional[Temp]
+    name: str
+    args: List[Temp]
+    text = "{dest}builtin {name}({args})"
 
 
 class TypeTest(Instr):
     """dest := ISTYPE(src, T)."""
 
-    def __init__(self, dest: Temp, src: Temp, target_type: ObjectType, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.src = src
-        self.target_type = target_type
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.src,)
+    dest: Temp
+    src: Temp
+    target_type: ObjectType
+    text = "{dest} := istype {src} {target_type.name}"
 
 
 class NarrowChk(Instr):
     """dest := NARROW(src, T) — runtime-checked downcast."""
 
-    def __init__(self, dest: Temp, src: Temp, target_type: ObjectType, loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self._dest = dest
-        self.src = src
-        self.target_type = target_type
-
-    @property
-    def dest(self) -> Temp:
-        return self._dest
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.src,)
+    dest: Temp
+    src: Temp
+    target_type: ObjectType
+    text = "{dest} := narrow {src} {target_type.name}"
 
 
 # ----------------------------------------------------------------------
@@ -590,10 +452,8 @@ class NarrowChk(Instr):
 
 class Jump(Instr):
     is_terminator = True
-
-    def __init__(self, target: "object", loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self.target = target  # BasicBlock
+    target: "BasicBlock"
+    text = "jump {target.name}"
 
     @property
     def successors(self):
@@ -602,16 +462,10 @@ class Jump(Instr):
 
 class Branch(Instr):
     is_terminator = True
-
-    def __init__(self, cond: Temp, if_true: "object", if_false: "object", loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self.cond = cond
-        self.if_true = if_true
-        self.if_false = if_false
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.cond,)
+    cond: Temp
+    if_true: "BasicBlock"
+    if_false: "BasicBlock"
+    text = "branch {cond} ? {if_true.name} : {if_false.name}"
 
     @property
     def successors(self):
@@ -620,18 +474,9 @@ class Branch(Instr):
 
 class Return(Instr):
     is_terminator = True
-
-    def __init__(self, value: Optional[Temp], loc=UNKNOWN_LOCATION):
-        super().__init__(loc)
-        self.value = value
-
-    @property
-    def sources(self) -> Sequence[Temp]:
-        return (self.value,) if self.value is not None else ()
-
-    @property
-    def successors(self):
-        return ()
+    value: Optional[Temp]
+    text = "return {value}"
+    successors = ()
 
 
 HEAP_LOAD_CLASSES = (LoadField, LoadElem, LoadDopeData, LoadDopeCount, LoadInd)

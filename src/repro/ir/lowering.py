@@ -599,7 +599,7 @@ class _ProcLowerer:
         args, var_args = self._lower_args(call.args, proc_type.params)
         dest = self.temp() if proc_type.result is not None else None
         instr = ins.Call(dest, proc_sym.name, args, call.loc)
-        setattr(instr, "var_args", var_args)
+        instr.var_args = var_args
         self.emit(instr)
         return dest
 
@@ -611,7 +611,7 @@ class _ProcLowerer:
         args, var_args = self._lower_args(call.args, method.params)
         dest = self.temp() if method.result is not None else None
         instr = ins.CallMethod(dest, receiver, method.name, args, static_type, call.loc)
-        setattr(instr, "var_args", var_args)
+        instr.var_args = var_args
         self.emit(instr)
         return dest
 

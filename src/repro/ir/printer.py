@@ -7,73 +7,22 @@ from repro.ir.cfg import ProcIR, ProgramIR
 
 
 def format_instr(instr: ins.Instr) -> str:
-    """One-line rendering of a single instruction."""
-    name = type(instr).__name__
-    if isinstance(instr, ins.ConstInstr):
-        return "{} := const {!r}".format(instr.dest, instr.value)
-    if isinstance(instr, ins.Move):
-        return "{} := {}".format(instr.dest, instr.src)
-    if isinstance(instr, ins.LoadVar):
-        return "{} := var {}".format(instr.dest, instr.symbol.name)
-    if isinstance(instr, ins.StoreVar):
-        return "var {} := {}".format(instr.symbol.name, instr.src)
-    if isinstance(instr, ins.BinOp):
-        return "{} := {} {} {}".format(instr.dest, instr.left, instr.op, instr.right)
-    if isinstance(instr, ins.UnOp):
-        return "{} := {} {}".format(instr.dest, instr.op, instr.operand)
-    if isinstance(instr, ins.LoadField):
-        return "{} := load {}.{}  ; ap={}".format(instr.dest, instr.base, instr.field, instr.ap)
-    if isinstance(instr, ins.StoreField):
-        return "store {}.{} := {}  ; ap={}".format(instr.base, instr.field, instr.src, instr.ap)
-    if isinstance(instr, ins.LoadElem):
-        return "{} := load {}[{}]  ; ap={}".format(instr.dest, instr.base, instr.index, instr.ap)
-    if isinstance(instr, ins.StoreElem):
-        return "store {}[{}] := {}  ; ap={}".format(instr.base, instr.index, instr.src, instr.ap)
-    if isinstance(instr, ins.LoadDopeData):
-        return "{} := dope-data {}  ; ap={}".format(instr.dest, instr.base, instr.ap)
-    if isinstance(instr, ins.LoadDopeCount):
-        return "{} := dope-count {}  ; ap={}".format(instr.dest, instr.base, instr.ap)
-    if isinstance(instr, ins.LoadInd):
-        return "{} := load *{}  ; ap={}".format(instr.dest, instr.handle, instr.ap)
-    if isinstance(instr, ins.StoreInd):
-        return "store *{} := {}  ; ap={}".format(instr.handle, instr.src, instr.ap)
-    if isinstance(instr, ins.AddrVar):
-        return "{} := addr var {}".format(instr.dest, instr.symbol.name)
-    if isinstance(instr, ins.AddrField):
-        return "{} := addr {}.{}  ; ap={}".format(instr.dest, instr.base, instr.field, instr.ap)
-    if isinstance(instr, ins.AddrElem):
-        return "{} := addr {}[{}]  ; ap={}".format(instr.dest, instr.base, instr.index, instr.ap)
-    if isinstance(instr, ins.NewObject):
-        return "{} := new object {}".format(instr.dest, instr.object_type.name)
-    if isinstance(instr, ins.NewRecord):
-        return "{} := new {}".format(instr.dest, instr.ref_type.name)
-    if isinstance(instr, ins.NewFixedArray):
-        return "{} := new {}".format(instr.dest, instr.ref_type.name)
-    if isinstance(instr, ins.NewOpenArray):
-        return "{} := new {} size={}".format(instr.dest, instr.ref_type.name, instr.size)
-    if isinstance(instr, ins.Call):
-        args = ", ".join(str(a) for a in instr.args)
-        prefix = "{} := ".format(instr.dest) if instr.dest else ""
-        return "{}call {}({})".format(prefix, instr.proc_name, args)
-    if isinstance(instr, ins.CallMethod):
-        args = ", ".join(str(a) for a in instr.args)
-        prefix = "{} := ".format(instr.dest) if instr.dest else ""
-        return "{}callm {}.{}({})".format(prefix, instr.receiver, instr.method_name, args)
-    if isinstance(instr, ins.Builtin):
-        args = ", ".join(str(a) for a in instr.args)
-        prefix = "{} := ".format(instr.dest) if instr.dest else ""
-        return "{}builtin {}({})".format(prefix, instr.name, args)
-    if isinstance(instr, ins.TypeTest):
-        return "{} := istype {} {}".format(instr.dest, instr.src, instr.target_type.name)
-    if isinstance(instr, ins.NarrowChk):
-        return "{} := narrow {} {}".format(instr.dest, instr.src, instr.target_type.name)
-    if isinstance(instr, ins.Jump):
-        return "jump {}".format(instr.target.name)
-    if isinstance(instr, ins.Branch):
-        return "branch {} ? {} : {}".format(instr.cond, instr.if_true.name, instr.if_false.name)
-    if isinstance(instr, ins.Return):
-        return "return {}".format(instr.value if instr.value is not None else "")
-    return name
+    """One-line rendering of a single instruction: its class's ``text``
+    over its operands.  A register list prints as ``a, b``, an absent
+    register as nothing, and a ``dest`` that may be absent as the
+    prefix ``dest := ``."""
+    if not instr._shown:
+        return instr.text.format_map(instr.__dict__)
+    values = dict(instr.__dict__)
+    for name, many in instr._shown:
+        value = values[name]
+        if many:
+            values[name] = ", ".join(map(str, value))
+        elif value is None:
+            values[name] = ""
+        elif name == "dest":
+            values[name] = "{} := ".format(value)
+    return instr.text.format_map(values)
 
 
 def format_proc(proc: ProcIR) -> str:

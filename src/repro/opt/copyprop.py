@@ -85,11 +85,7 @@ class _ProcCopyProp:
         write the symbol behind our back); see :meth:`_transfer`.
         """
         eligible: Set[Symbol] = set()
-        candidates = (
-            self.proc.checked.all_symbols
-            + self.proc.shadow_symbols
-            + self.owner.program.checked.globals
-        )
+        candidates = self.proc.variables + self.owner.program.checked.globals
         for symbol in candidates:
             if symbol.by_reference or (symbol.kind == "with" and symbol.binds_location):
                 continue
@@ -198,7 +194,7 @@ class _ProcCopyProp:
             if ap is not None:
                 new_ap = self._substitute(ap, facts)
                 if new_ap is not ap:
-                    instr._ap = new_ap  # type: ignore[attr-defined]
+                    instr.ap = new_ap
                     self.stats.paths_rewritten += 1
             self._transfer(instr, facts, temp_defs)
 

@@ -10,8 +10,8 @@ pipeline runs inlining *before* RLE.
 Mechanics: the callee's blocks are cloned (fresh instructions, fresh
 temps), parameters become explicit ``StoreVar`` bindings (VAR parameters
 just receive the handle), RETURNs become jumps to a continuation block,
-and the callee's local symbols are registered with the caller so frames
-initialise them.
+and the callee's variables join the caller's ``ProcIR.variables`` so
+its frames hold them.
 """
 
 from typing import Dict, Optional, Set
@@ -144,11 +144,9 @@ class Inliner:
             fetch.counted = False  # result is already in a register
             continuation.instrs.insert(0, fetch)
 
-        # The caller's frames must initialise the callee's symbols.
-        known = set(caller.checked.all_symbols)
-        for symbol in callee.checked.all_symbols:
-            if symbol not in known:
-                caller.checked.all_symbols.append(symbol)
+        # The caller's frames must hold the callee's variables.
+        known = set(caller.variables)
+        caller.variables.extend(s for s in callee.variables if s not in known)
         caller.handle_targets.update(callee.handle_targets)
         return continuation
 
@@ -162,24 +160,22 @@ class Inliner:
         ret_shadow: Optional[Symbol],
     ) -> BasicBlock:
         """Clone the callee CFG into the caller; returns the cloned entry."""
-        temp_map: Dict[int, ins.Temp] = {}
+        # Old block or temp -> its copy; temps are numbered on first use.
+        callee_blocks = callee.blocks()
+        copies: Dict[object, object] = {
+            old: caller.new_block("inl_{}.".format(old.name))
+            for old in callee_blocks
+        }
 
-        def remap(temp: ins.Temp) -> ins.Temp:
-            new = temp_map.get(temp.index)
+        def remap(operand):
+            new = copies.get(operand)
             if new is None:
-                new = caller.new_temp()
-                temp_map[temp.index] = new
+                new = copies[operand] = caller.new_temp()
             return new
 
-        block_map: Dict[int, BasicBlock] = {}
-        callee_blocks = callee.blocks()
         for old in callee_blocks:
-            block_map[id(old)] = caller.new_block("inl_{}.".format(old.name))
-
-        for old in callee_blocks:
-            new_block = block_map[id(old)]
-            for instr in old.instrs:
-                new_block.instrs.append(_clone_instr(instr, remap))
+            new_block = copies[old]
+            new_block.instrs = [instr.clone(remap) for instr in old.instrs]
             terminator = old.terminator
             assert terminator is not None
             if isinstance(terminator, ins.Return):
@@ -188,96 +184,6 @@ class Inliner:
                     put.counted = False  # result register move
                     new_block.instrs.append(put)
                 new_block.terminate(ins.Jump(continuation, terminator.loc))
-            elif isinstance(terminator, ins.Jump):
-                new_block.terminate(
-                    ins.Jump(block_map[id(terminator.target)], terminator.loc)
-                )
-            elif isinstance(terminator, ins.Branch):
-                new_block.terminate(
-                    ins.Branch(
-                        remap(terminator.cond),
-                        block_map[id(terminator.if_true)],
-                        block_map[id(terminator.if_false)],
-                        terminator.loc,
-                    )
-                )
-        return block_map[id(callee.entry)]
-
-
-def _clone_instr(instr: ins.Instr, remap) -> ins.Instr:
-    """Structural clone with remapped temps."""
-    cls = type(instr)
-    if cls is ins.ConstInstr:
-        return ins.ConstInstr(remap(instr.dest), instr.value, instr.loc)
-    if cls is ins.Move:
-        return ins.Move(remap(instr.dest), remap(instr.src), instr.loc)
-    if cls is ins.LoadVar:
-        return ins.LoadVar(remap(instr.dest), instr.symbol, instr.loc)
-    if cls is ins.StoreVar:
-        return ins.StoreVar(instr.symbol, remap(instr.src), instr.loc)
-    if cls is ins.BinOp:
-        return ins.BinOp(remap(instr.dest), instr.op, remap(instr.left), remap(instr.right), instr.loc)
-    if cls is ins.UnOp:
-        return ins.UnOp(remap(instr.dest), instr.op, remap(instr.operand), instr.loc)
-    if cls is ins.LoadField:
-        return ins.LoadField(remap(instr.dest), remap(instr.base), instr.field, instr.ap, instr.loc)
-    if cls is ins.StoreField:
-        return ins.StoreField(remap(instr.base), instr.field, remap(instr.src), instr.ap, instr.loc)
-    if cls is ins.LoadElem:
-        return ins.LoadElem(remap(instr.dest), remap(instr.base), remap(instr.index), instr.ap, instr.loc)
-    if cls is ins.StoreElem:
-        return ins.StoreElem(remap(instr.base), remap(instr.index), remap(instr.src), instr.ap, instr.loc)
-    if cls is ins.LoadDopeData:
-        return ins.LoadDopeData(remap(instr.dest), remap(instr.base), instr.ap, instr.loc)
-    if cls is ins.LoadDopeCount:
-        return ins.LoadDopeCount(remap(instr.dest), remap(instr.base), instr.ap, instr.loc)
-    if cls is ins.LoadInd:
-        return ins.LoadInd(remap(instr.dest), remap(instr.handle), instr.ap, instr.loc)
-    if cls is ins.StoreInd:
-        return ins.StoreInd(remap(instr.handle), remap(instr.src), instr.ap, instr.loc)
-    if cls is ins.AddrVar:
-        return ins.AddrVar(remap(instr.dest), instr.symbol, instr.loc)
-    if cls is ins.AddrField:
-        return ins.AddrField(remap(instr.dest), remap(instr.base), instr.field, instr.ap, instr.loc)
-    if cls is ins.AddrElem:
-        return ins.AddrElem(remap(instr.dest), remap(instr.base), remap(instr.index), instr.ap, instr.loc)
-    if cls is ins.NewObject:
-        return ins.NewObject(remap(instr.dest), instr.object_type, instr.loc)
-    if cls is ins.NewRecord:
-        return ins.NewRecord(remap(instr.dest), instr.ref_type, instr.loc)
-    if cls is ins.NewFixedArray:
-        return ins.NewFixedArray(remap(instr.dest), instr.ref_type, instr.loc)
-    if cls is ins.NewOpenArray:
-        return ins.NewOpenArray(remap(instr.dest), instr.ref_type, remap(instr.size), instr.loc)
-    if cls is ins.Call:
-        clone = ins.Call(
-            remap(instr.dest) if instr.dest is not None else None,
-            instr.proc_name,
-            [remap(a) for a in instr.args],
-            instr.loc,
-        )
-        setattr(clone, "var_args", getattr(instr, "var_args", {}))
-        return clone
-    if cls is ins.CallMethod:
-        clone = ins.CallMethod(
-            remap(instr.dest) if instr.dest is not None else None,
-            remap(instr.receiver),
-            instr.method_name,
-            [remap(a) for a in instr.args],
-            instr.static_receiver_type,
-            instr.loc,
-        )
-        setattr(clone, "var_args", getattr(instr, "var_args", {}))
-        return clone
-    if cls is ins.Builtin:
-        return ins.Builtin(
-            remap(instr.dest) if instr.dest is not None else None,
-            instr.name,
-            [remap(a) for a in instr.args],
-            instr.loc,
-        )
-    if cls is ins.TypeTest:
-        return ins.TypeTest(remap(instr.dest), remap(instr.src), instr.target_type, instr.loc)
-    if cls is ins.NarrowChk:
-        return ins.NarrowChk(remap(instr.dest), remap(instr.src), instr.target_type, instr.loc)
-    raise TypeError("cannot clone {!r}".format(instr))
+            else:
+                new_block.terminate(terminator.clone(remap))
+        return copies[callee.entry]

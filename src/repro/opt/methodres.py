@@ -66,7 +66,7 @@ class MethodResolution:
         direct = ins.Call(
             instr.dest, target, [instr.receiver] + list(instr.args), instr.loc
         )
-        setattr(direct, "var_args", getattr(instr, "var_args", {}))
+        direct.var_args = instr.var_args
         return direct
 
     def _possible_impls(self, static_type: ObjectType, method: str) -> Set[str]:

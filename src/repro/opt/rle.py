@@ -16,10 +16,15 @@ Two phases per procedure:
 2. **Available-load CSE** (Figure 7): forward all-paths dataflow over the
    procedure's access paths.  Loads and stores *generate* availability;
    kills come from (a) assignments to any root/index variable of a path,
-   (b) heap stores that may alias the path — decided by the configured
-   TBAA analysis, (c) calls whose mod-ref summary may write the path.
-   A load whose path is available is replaced by a register move from a
-   shadow cache variable written at every generating site.
+   (b) heap stores that may alias the path or a reference it loads
+   through — decided by the configured TBAA analysis — so ``v0.r2 :=
+   v0`` kills ``v0.r2.f0``, (c) calls whose mod-ref summary may write
+   the path or such a prefix.  A load whose path is available is
+   replaced by a register move from a shadow cache variable written at
+   every generating site.  The move keeps the eliminated load's NIL and
+   bounds check (``LoadVar.checks``) unless that load was speculative:
+   the cached value may come from a hoisted load that read junk where
+   the original would have trapped.
 
 The pass records a *status* per heap-load instruction (eliminated /
 partial / killed_store / killed_call / fresh / dope) which the limit
@@ -139,8 +144,15 @@ class _ProcRLE:
         # AP universe: index and shadow symbol per lexical path.
         self.ap_index: Dict[AccessPath, int] = {}
         self.ap_list: List[AccessPath] = []
+        self.ap_prefixes: List[List[AccessPath]] = []  # per ap_list entry
         self.shadows: Dict[AccessPath, Symbol] = {}
         self.kill_reason: Dict[AccessPath, str] = {}
+        # Kill masks per root or index variable, per store path and per
+        # call, once the universe is fixed (the availability fixpoint
+        # visits each site many times).
+        self._root_kills: Dict[Symbol, int] = {}
+        self._store_kills: Dict[AccessPath, int] = {}
+        self._call_kills: Dict[ins.Instr, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -174,6 +186,10 @@ class _ProcRLE:
                     if ap not in self.ap_index:
                         self.ap_index[ap] = len(self.ap_list)
                         self.ap_list.append(ap)
+        for i, ap in enumerate(self.ap_list):
+            for symbol in ap.root_symbols():
+                self._root_kills[symbol] = self._root_kills.get(symbol, 0) | 1 << i
+        self.ap_prefixes = [_memory_prefixes(ap) for ap in self.ap_list]
 
     def _shadow(self, ap: AccessPath) -> Symbol:
         shadow = self.shadows.get(ap)
@@ -182,41 +198,48 @@ class _ProcRLE:
             self.shadows[ap] = shadow
         return shadow
 
+    def _kills(self, prefixes: List[AccessPath], written: AccessPath) -> bool:
+        """True if a write to *written* may change what a path denotes or
+        holds: it may alias one of the path's *prefixes*
+        (:func:`_memory_prefixes`)."""
+        may_alias = self.analysis.may_alias
+        return any(may_alias(prefix, written) for prefix in prefixes)
+
     def _kill_mask_for_store(self, store_ap: AccessPath) -> int:
         """Availability killed by a heap store with path *store_ap*."""
-        mask = 0
-        for i, ap in enumerate(self.ap_list):
-            if ap == store_ap:
-                continue  # the exact path is regenerated, not killed
-            if self.analysis.may_alias(ap, store_ap):
-                mask |= 1 << i
+        mask = self._store_kills.get(store_ap)
+        if mask is None:
+            mask = 0
+            for i, ap in enumerate(self.ap_list):
+                if ap == store_ap:
+                    continue  # the exact path is regenerated, not killed
+                if self._kills(self.ap_prefixes[i], store_ap):
+                    mask |= 1 << i
+            self._store_kills[store_ap] = mask
         return mask
 
     def _kill_mask_for_roots(self, roots: Set[Symbol]) -> int:
         """Availability killed by redefinition of any symbol in *roots*."""
-        if not roots:
-            return 0
         mask = 0
-        for i, ap in enumerate(self.ap_list):
-            if ap.root_symbols() & roots:
-                mask |= 1 << i
+        for symbol in roots:
+            mask |= self._root_kills.get(symbol, 0)
         return mask
 
     def _kill_mask_for_call(self, instr: ins.Instr) -> int:
         if self.owner.calls_kill_all:
             return (1 << len(self.ap_list)) - 1
-        assert self.modref is not None
-        mask = 0
-        written_roots = self.modref.call_written_var_roots(instr, self.proc)
-        mask |= self._kill_mask_for_roots(written_roots)
-        heap_writes = self.modref.call_heap_writes(instr)
-        for i, ap in enumerate(self.ap_list):
-            if mask & (1 << i):
-                continue
-            for written in heap_writes:
-                if self.analysis.may_alias(ap, written):
+        mask = self._call_kills.get(instr)
+        if mask is None:
+            assert self.modref is not None
+            written_roots = self.modref.call_written_var_roots(instr, self.proc)
+            mask = self._kill_mask_for_roots(written_roots)
+            heap_writes = self.modref.call_heap_writes(instr)
+            for i, prefixes in enumerate(self.ap_prefixes):
+                if not mask & (1 << i) and any(
+                    self._kills(prefixes, written) for written in heap_writes
+                ):
                     mask |= 1 << i
-                    break
+            self._call_kills[instr] = mask
         return mask
 
     def _storeind_extra_roots(self, instr: ins.StoreInd) -> Set[Symbol]:
@@ -431,8 +454,6 @@ class _ProcRLE:
             before = (1 << len(self.ap_list)) - 1
             after = self._transfer(instr, before)
             touched |= before & ~after
-            if instr.dest is not None or instr.is_heap_store or instr.is_call:
-                pass
         return wanted
 
     def _insertion_block(self, pred: BasicBlock, block: BasicBlock) -> BasicBlock:
@@ -463,10 +484,15 @@ class _ProcRLE:
                 shadow = self._shadow(ap)
                 if must & bit:
                     # Redundant: replace with a register move (free — the
-                    # value is already in the shadow register).
+                    # value is already in the shadow register).  The move
+                    # keeps a faulting load's NIL and bounds check: the
+                    # cached value may come from a speculative load that
+                    # read junk where this one would have trapped.
                     assert instr.dest is not None
                     replacement = ins.LoadVar(instr.dest, shadow, instr.loc)
                     replacement.counted = False
+                    if not instr.speculative:
+                        replacement.checks = instr
                     new_instrs.append(replacement)
                     if self.owner.record_status:
                         self.stats.load_status[instr] = STATUS_ELIMINATED
@@ -554,15 +580,15 @@ class _ProcRLE:
         return None
 
     def _hoist_one_loop(self, loop: NaturalLoop) -> None:
-        killed_roots, store_aps, has_unknown_call_kill, call_instrs = self._loop_kills(loop)
+        # The body in reverse postorder: it is a set hashed by identity,
+        # and the order of its stores and calls fixes which alias queries
+        # are asked, that of its loads where they land in the preheader.
+        body = [block for block in self.proc.blocks() if block in loop.body]
+        killed_roots, store_aps, call_instrs = self._loop_kills(body)
 
-        # Blocks loading each path inside the loop, walked in reverse
-        # postorder: the body is a set hashed by identity, and the
-        # candidates' order is the order their loads land in the preheader.
+        # Blocks loading each path inside the loop.
         loading_blocks: Dict[AccessPath, Set[BasicBlock]] = {}
-        for block in self.proc.blocks():
-            if block not in loop.body:
-                continue
+        for block in body:
             for instr in block.instrs:
                 if self.owner.visible_load(instr):
                     ap = instr.ap
@@ -614,12 +640,12 @@ class _ProcRLE:
         return all(passed[latch] for latch in loop.latches)
 
     def _loop_kills(
-        self, loop: NaturalLoop
-    ) -> Tuple[Set[Symbol], List[AccessPath], bool, List[ins.Instr]]:
+        self, body: List[BasicBlock]
+    ) -> Tuple[Set[Symbol], List[AccessPath], List[ins.Instr]]:
         killed_roots: Set[Symbol] = set()
         store_aps: List[AccessPath] = []
         call_instrs: List[ins.Instr] = []
-        for block in loop.body:
+        for block in body:
             for instr in block.all_instrs():
                 if isinstance(instr, ins.StoreVar):
                     killed_roots.add(instr.symbol)
@@ -633,7 +659,7 @@ class _ProcRLE:
                     killed_roots |= self.modref.call_written_var_roots(
                         instr, self.proc
                     )
-        return killed_roots, store_aps, False, call_instrs
+        return killed_roots, store_aps, call_instrs
 
     def _hoistable(
         self,
@@ -644,20 +670,19 @@ class _ProcRLE:
     ) -> bool:
         if _contains_unknown_index(ap) or _contains_fresh_root(ap):
             return False
-        # Every prefix of the path must be loop-invariant: check the full
-        # path and each intermediate reference against roots and stores.
-        for prefix in _prefixes(ap):
-            if prefix.root_symbols() & killed_roots:
+        # Every prefix of the path must be loop-invariant: check its
+        # variables, then the full path and each intermediate reference
+        # against the loop's stores and calls.
+        if ap.root_symbols() & killed_roots:
+            return False
+        prefixes = _memory_prefixes(ap)
+        for store_ap in store_aps:
+            if self._kills(prefixes, store_ap):
                 return False
-            if not prefix.is_memory_reference():
-                continue
-            for store_ap in store_aps:
-                if self.analysis.may_alias(prefix, store_ap):
+        for call in call_instrs:
+            for written in self.modref.call_heap_writes(call):
+                if self._kills(prefixes, written):
                     return False
-            for call in call_instrs:
-                for written in self.modref.call_heap_writes(call):
-                    if self.analysis.may_alias(prefix, written):
-                        return False
         return True
 
     def _ensure_preheader(self, loop: NaturalLoop) -> BasicBlock:
@@ -691,7 +716,7 @@ class _ProcRLE:
             insert_at += 1
             return instr
 
-        value = self._emit_ap_value(emit, ap)
+        self._emit_ap_value(emit, ap)
         # The CSE phase will see this load (it generates availability) and
         # will add the shadow store itself; adding it here too would be
         # redundant but harmless — rely on CSE for uniformity.
@@ -702,9 +727,10 @@ class _ProcRLE:
         def emit(instr: ins.Instr) -> ins.Instr:
             # Hoisted loads are *speculative*: like an Alpha non-faulting
             # load, a NIL base or bad index yields a junk default instead
-            # of a trap.  This is safe because the cached value is only
-            # consumed where the original (faulting) load would have
-            # executed, i.e. where the access is valid and unchanged.
+            # of a trap.  The cached value is only consumed where the
+            # original load would have executed, by the move that
+            # replaced it, and that move keeps the load's check: junk
+            # never flows on where the original load would have trapped.
             instr.speculative = True
             return emit_raw(instr)
 
@@ -758,10 +784,12 @@ class _ProcRLE:
         raise AssertionError("unexpected AP {!r}".format(ap))
 
 
-def _prefixes(ap: AccessPath) -> List[AccessPath]:
+def _memory_prefixes(ap: AccessPath) -> List[AccessPath]:
+    """The references *ap* reads memory through, outermost first: each
+    of its prefixes but the root variable or fresh object, then *ap*."""
     chain: List[AccessPath] = []
     node: Optional[AccessPath] = ap
-    while node is not None:
+    while node is not None and node.base is not None:
         chain.append(node)
         node = node.base
     chain.reverse()

@@ -18,7 +18,13 @@ runs every cross-check the repository's correctness argument rests on:
   fundamental property).  Runtime traps and resource limits truncate the
   trace; the prefix is still checked;
 * **cache** — clearing the memo cache must not change any answer, and
-  the hit/miss counters must stay consistent with the cache size.
+  the hit/miss counters must stay consistent with the cache size;
+* **optimized** — every build the figures run (:data:`FIGURE_CONFIGS`),
+  each distinct printed program run once, must end as the base program
+  does: the same output, or a trap with the same message after the
+  same output.  When base hits the step budget there is no ending to
+  match, so the builds are not run; otherwise they get twice the
+  budget, since hoisting may execute a few loads base does not.
 
 Each phase runs inside its own bulkhead: an unexpected exception becomes
 a ``crash`` violation carrying the traceback, and later phases still
@@ -32,6 +38,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro import Program, compile_program
 from repro.ir.access_path import AccessPath, strip_index
+from repro.ir.cfg import ProgramIR
+from repro.ir.printer import format_program
 from repro.lang.errors import CompileError, ResourceLimitError
 from repro.qa.generator import GeneratedProgram
 from repro.qa.guards import MAX_STEPS
@@ -47,13 +55,29 @@ LEVELS = ("TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs")
 #: pathological program cannot stall a whole fuzzing batch.
 MAX_STATIC_PATHS = 150
 
+#: The optimized builds Figures 8, 11 and 12 run, as
+#: ``OptimizationPipeline.build`` arguments.
+FIGURE_CONFIGS = (
+    dict(analysis="TypeDecl"),
+    dict(analysis="FieldTypeDecl"),
+    dict(analysis="SMFieldTypeRefs"),
+    dict(analysis="SMFieldTypeRefs", open_world=True),
+    dict(analysis=None, rle=False, minv_inline=True),
+    dict(analysis="SMFieldTypeRefs", minv_inline=True),
+)
+
+#: How a run ended: ``("end" | "trap" | "budget" | "error", message,
+#: output)``; an optimized build ending in a Python error is a miscompile.
+Ending = Tuple[str, str, str]
+
 @dataclass
 class OracleViolation:
     """One broken invariant, with enough context to triage."""
 
     kind: str      # compile | refinement | open-world | engine |
-    #                dynamic-soundness | cache | crash
-    phase: str     # compile | static | engine | run | dynamic | cache
+    #                dynamic-soundness | cache | optimized | crash
+    phase: str     # compile | static | engine | run | dynamic | cache |
+    #                optimized
     message: str
     details: Dict[str, str] = field(default_factory=dict)
 
@@ -186,8 +210,10 @@ def check_program(
         _check_engines(report, program)
 
     trace: Dict[int, set] = {}
+    base: Optional[Ending] = None
     with _bulkhead(report, "run"):
-        trace = _run_traced(report, program, max_steps)
+        base_ir = program.base().program
+        trace, base = _run_traced(report, base_ir, max_steps)
 
     if analyses:
         with _bulkhead(report, "dynamic"):
@@ -195,6 +221,10 @@ def check_program(
 
         with _bulkhead(report, "cache"):
             _check_cache(report, analyses, paths)
+
+    if base is not None and base[0] != "budget":
+        with _bulkhead(report, "optimized"):
+            _check_optimized(report, program, base_ir, base, 2 * max_steps)
 
     return report
 
@@ -292,17 +322,80 @@ class _Tracer:
         self._note(instr, addr)
 
 
-def _run_traced(report: OracleReport, program: Program, max_steps: int) -> Dict[int, set]:
-    tracer = _Tracer()
-    interp = Interpreter(program.base().program, tracer=tracer, max_steps=max_steps)
+def _run(ir: ProgramIR, max_steps: int, tracer: Optional[_Tracer] = None) -> Ending:
+    """How one run ends; other resource limits than the step budget
+    (a deadline, recursion) propagate."""
+    interp = Interpreter(ir, tracer=tracer, max_steps=max_steps)
     try:
         interp.run()
-        report.ran = True
-    except (M3RuntimeError, ResourceLimitError):
-        # Traps and budget hits truncate the trace; the prefix that did
-        # execute is real behaviour and still constrains the analyses.
-        report.trapped = True
-    return tracer.by_address
+        ending, message = "end", ""
+    except M3RuntimeError as exc:
+        ending, message = "trap", str(exc)
+    except ResourceLimitError as exc:
+        if exc.kind != "steps":
+            raise
+        ending, message = "budget", ""
+    return ending, message, interp.stats.output_text()
+
+
+def _run_traced(
+    report: OracleReport, base_ir: ProgramIR, max_steps: int
+) -> Tuple[Dict[int, set], Optional[Ending]]:
+    tracer = _Tracer()
+    base: Optional[Ending] = None
+    try:
+        base = _run(base_ir, max_steps, tracer)
+    except ResourceLimitError:
+        pass  # no ending to compare the builds with
+    # Traps and limits truncate the trace; the prefix that did execute
+    # is real behaviour and still constrains the analyses.
+    report.ran = base is not None and base[0] == "end"
+    report.trapped = not report.ran
+    return tracer.by_address, base
+
+
+def _check_optimized(
+    report: OracleReport, program: Program, base_ir: ProgramIR, base: Ending,
+    max_steps: int,
+) -> None:
+    """Each distinct figure build ends as base does (module docstring)."""
+    seen = {format_program(base_ir)}
+    for config in FIGURE_CONFIGS:
+        build = program.pipeline.build(**config)
+        text = format_program(build.program)
+        if text in seen:
+            continue
+        seen.add(text)
+        details = {"config": repr(sorted(config.items()))}
+        try:
+            ending = _run(build.program, max_steps)
+        except ResourceLimitError:
+            raise
+        except Exception as exc:  # a miscompile may crash the interpreter
+            ending = ("error", "{}: {}".format(type(exc).__name__, exc), "")
+            details["traceback"] = traceback.format_exc()
+        if ending != base:
+            details.update(output=ending[2], base_output=base[2])
+            report.violations.append(
+                OracleViolation(
+                    kind="optimized",
+                    phase="optimized",
+                    message="{} build: {} where base: {}".format(
+                        build.label, _show(ending), _show(base)),
+                    details=details,
+                )
+            )
+
+
+def _show(ending: Ending) -> str:
+    kind, message, output = ending
+    if kind == "trap":
+        return "trap {!r} after {} output chars".format(message, len(output))
+    if kind == "budget":
+        return "step budget hit after {} output chars".format(len(output))
+    if kind == "error":
+        return "interpreter error {!r}".format(message)
+    return "output {!r}".format(output[-60:])
 
 
 def _check_dynamic(

@@ -136,26 +136,13 @@ class _Proc:
 
     def __init__(self, proc: ProcIR):
         self.ir = proc
-        checked = proc.checked
-        # A slot per parameter and per local the body uses.  No symbol
-        # list has them all: inlining copies a callee's body but not its
-        # shadow variables (a FOR loop's bound, an inlined call's result).
-        symbols = list(checked.params)
-        for block in proc.blocks():
-            for instr in block.instrs:
-                symbol = getattr(instr, "symbol", None)
-                if symbol is not None and not symbol.is_global:
-                    symbols.append(symbol)
+        # A slot per variable, holding its type's default.
         self.slots: Dict[Symbol, int] = {}
         template: List[object] = [None] * proc.n_temps
-        for symbol in symbols:
-            if symbol not in self.slots:
-                self.slots[symbol] = len(template)
-                template.append(None)
-        for symbol in checked.all_symbols:
-            if symbol in self.slots and symbol.type is not None:
-                template[self.slots[symbol]] = default_value(symbol.type)
-        self.params = [self.slots[symbol] for symbol in checked.params]
+        for symbol in proc.variables:
+            self.slots[symbol] = len(template)
+            template.append(None if symbol.type is None else default_value(symbol.type))
+        self.params = [self.slots[symbol] for symbol in proc.checked.params]
         self.act = len(template)
         self.template = template + [0, None]
 
@@ -359,6 +346,8 @@ class Interpreter:
 
     def _decode_loadvar(self, proc: _Proc, instr: ins.LoadVar) -> Op:
         d, symbol = instr.dest.index, instr.symbol
+        if instr.checks is not None:
+            return _checked_copy(d, proc.slots[symbol], instr.checks)
         if not symbol.is_global:
             return _copy(d, proc.slots[symbol])
         g, i = self.globals, self._global_slot[symbol]
@@ -780,6 +769,30 @@ def _copy(d: int, s: int) -> Op:
     variables live in frame slots next to the temps."""
 
     def op(t):
+        t[d] = t[s]
+    return op
+
+
+def _checked_copy(d: int, s: int, load: ins.Instr) -> Op:
+    """A move that replaced the eliminated heap *load*: it traps where
+    the load would have, with the load's message, and otherwise copies
+    the cached value."""
+    b, loc = load.sources[0].index, load.loc
+    if isinstance(load, ins.LoadElem):
+        x = load.index.index
+
+        def op(t):
+            array = t[b]
+            if array is None:
+                raise M3RuntimeError("NIL array at {}".format(loc))
+            array.check_index(t[x])
+            t[d] = t[s]
+        return op
+    message = "NIL {} at {}".format("open array" if load.is_dope else "dereference", loc)
+
+    def op(t):
+        if t[b] is None:
+            raise M3RuntimeError(message)
         t[d] = t[s]
     return op
 

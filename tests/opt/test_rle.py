@@ -306,3 +306,61 @@ class TestCorrectnessSpot:
         after = plain.run(opt)
         assert base.output_text() == after.output_text()
         assert after.heap_loads <= base.heap_loads
+
+
+class TestPrefixKills:
+    """A write to a path a load goes through kills the load's path."""
+
+    SOURCE = """
+    MODULE M;
+    TYPE T = OBJECT f0: INTEGER; r2: T; END;
+    VAR a, b: T; x, y: INTEGER;
+    PROCEDURE Relink (p: T) = BEGIN p.r2 := p; END Relink;
+    BEGIN
+      a := NEW (T, f0 := 6);
+      b := NEW (T, f0 := 4);
+      a.r2 := b;
+      x := a.r2.f0;
+      {}
+      y := a.r2.f0;
+      PutInt (x); PutText (" "); PutInt (y);
+    END M.
+    """
+
+    @pytest.mark.parametrize("analysis", ["TypeDecl", "FieldTypeDecl", "SMFieldTypeRefs"])
+    @pytest.mark.parametrize("write", ["a.r2 := a;", "Relink (a);"])
+    def test_write_to_a_prefix_kills_the_path(self, analysis, write):
+        # The store (or the call's store) writes a.r2, an INTEGER field
+        # load's prefix, so the second a.r2.f0 reads a.f0.
+        program, stats = optimize(self.SOURCE.format(write), analysis)
+        assert run(program).output_text() == "4 6"
+
+
+class TestEliminatedLoadCheck:
+    def test_eliminated_load_traps_where_it_would_have(self):
+        # t.f is NIL: the hoisted copy of t.f.n reads junk without a trap,
+        # and the in-loop load it replaces must still trap at its place.
+        source = """
+        MODULE M;
+        TYPE T = OBJECT n: INTEGER; f: T; END;
+        VAR t: T; x, i: INTEGER;
+        BEGIN
+          t := NEW (T);
+          FOR i := 0 TO 3 DO
+            x := x + t.f.n;
+          END;
+          PutInt (x);
+        END M.
+        """
+        plain = compile_program(source)
+        program, stats = optimize(source)
+        assert stats.hoisted_paths
+        moves = [i for i in program.all_instrs()
+                 if isinstance(i, ins.LoadVar) and i.checks is not None]
+        assert moves and not any(m.checks.speculative for m in moves)
+        with pytest.raises(Exception) as base_trap:
+            plain.run(plain.base())
+        with pytest.raises(Exception) as opt_trap:
+            run(program)
+        assert str(opt_trap.value) == str(base_trap.value)
+        assert "NIL dereference at" in str(opt_trap.value)

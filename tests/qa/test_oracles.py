@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.typehierarchy import FAULT_ENV
 from repro.qa.generator import generate_program
 from repro.qa.oracles import check_program
+from repro.runtime import interp
 
 CLEAN = """
 MODULE Clean;
@@ -43,7 +44,8 @@ def test_clean_source_passes_all_oracles():
     assert report.ran and not report.trapped
     assert report.references > 0
     assert report.trace_pairs > 0  # a.next and b.next share b's object
-    for phase in ("compile", "static", "engine", "run", "dynamic", "cache"):
+    for phase in ("compile", "static", "engine", "run", "dynamic", "cache",
+                  "optimized"):
         assert phase in report.phases
 
 
@@ -98,3 +100,36 @@ def test_injected_subtype_fault_is_caught(monkeypatch):
 def test_fault_env_off_means_clean(monkeypatch):
     monkeypatch.delenv(FAULT_ENV, raising=False)
     assert check_program(generate_program(0)).ok
+
+
+#: Seeds whose figure builds once ended otherwise than base: nine where
+#: an eliminated load lost its NIL check (a Python error or a later
+#: trap instead of base's), and 729, where a store to a path's prefix
+#: left the path available (a silent wrong answer).
+DISAGREEING_SEEDS = (97, 321, 355, 630, 729, 796, 850, 878, 888, 950)
+
+
+@pytest.mark.parametrize("seed", DISAGREEING_SEEDS)
+def test_figure_builds_end_as_base_does(seed):
+    report = check_program(generate_program(seed), max_steps=200_000)
+    assert "optimized" in report.phases
+    assert report.ok, report.violations[:2]
+
+
+def test_optimized_oracle_catches_a_dropped_check(monkeypatch):
+    # Seed 97's base traps at 78:19; without the check its eliminated
+    # load keeps, the FieldTypeDecl build adds the hoister's junk NIL.
+    monkeypatch.setattr(interp, "_checked_copy",
+                        lambda d, s, load: interp._copy(d, s))
+    report = check_program(generate_program(97), max_steps=200_000)
+    assert {v.kind for v in report.violations} == {"optimized"}
+    message = report.violations[0].message
+    assert "interpreter error" in message
+    assert "NIL dereference at Fuzz97:78:19" in message
+
+
+def test_budget_bound_base_skips_the_builds():
+    # A base run cut by the step budget has no ending to match.
+    report = check_program(CLEAN, name="Clean", max_steps=5)
+    assert report.trapped and report.ok
+    assert "optimized" not in report.phases
